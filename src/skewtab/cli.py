@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--max-boxes", type=int, required=True)
     p.add_argument("--max-weight", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (capped at the CPU count)")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("render", help="ASCII diagram of a shape or filling")

@@ -9,6 +9,7 @@ each worker owns its memo caches.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -147,7 +148,8 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
 
     Weighted runs range over connected shapes and all fillings with weights
     1..max_weight; unweighted runs include disconnected shapes.  The report
-    is deterministic for fixed bounds regardless of the job count.
+    is deterministic for fixed bounds regardless of the job count, which is
+    capped at the CPU count.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"property must be one of {PROPERTIES}")
@@ -155,6 +157,7 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
     shapes = [(s.lam, s.mu) for s in enumerate_skew_shapes(max_boxes, connected_only=weighted)]
     report = CrossCheckReport(property=prop, weighted=weighted, max_boxes=max_boxes,
                               max_weight=max_weight if weighted else None)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         results = [_check_shape_batch((prop, weighted, max_weight, shapes))]
     else:

@@ -4,13 +4,20 @@ radicals, irreducible decomposition and the weighted brute-force oracles.
 Monomials are exponent tuples over an ordered variable list.  Generating
 sets are stored minimally (no generator divides another).  The unit ideal
 is represented explicitly by the zero exponent vector.
+
+Inside the irreducible decomposition an irreducible ideal is one
+pure-power vector p: the ideal (x_k^(p_k) | p_k > 0), with p_k = 0 meaning
+x_k is absent.  A monomial g lies in it iff some k has 0 < p_k <= g_k, and
+the ideal of c contains that of d iff every k with d_k > 0 has
+0 < c_k <= d_k, so membership and containment are O(n) vector tests.
+``MonomialIdeal`` objects are built only for the returned components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import _vd
 
@@ -119,7 +126,7 @@ class WeightedGraph:
         for (u, v), w in weights.items():
             if u not in index or v not in index or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise ValueError(f"edge weight must be a positive integer: {w}")
             key = frozenset((u, v))
             if key in seen:
@@ -153,120 +160,133 @@ def associated_radical(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
     return ideal.colon(u).radical()
 
 
-def _radical_for_exponents(g: WeightedGraph, index: dict[str, int],
-                           a: Sequence[int]) -> MonomialIdeal | None:
-    """I(G\\U) + (x_i | i in U) for the threshold vector a; None if x^a in I."""
-    nvars = len(g.vertices)
-    u_set = set()
-    for (u, v), w in g.weights:
-        au, av = a[index[u]], a[index[v]]
-        if au >= w and av >= w:
-            return None  # x^a lies in I(G, w)
-        if au < w <= av:
-            u_set.add(index[u])
-        if av < w <= au:
-            u_set.add(index[v])
-    gens = []
-    for (u, v), w in g.weights:
-        iu, iv = index[u], index[v]
-        if iu in u_set or iv in u_set:
-            continue
-        e = [0] * nvars
-        e[iu] = e[iv] = 1
-        gens.append(tuple(e))
-    for i in u_set:
-        e = [0] * nvars
-        e[i] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal.make(g.vertices, gens)
+def _threshold_u_sets(g: WeightedGraph) -> Iterator[frozenset[int]]:
+    """The vertex sets U with sqrt(I(G,w) : x^a) = I(G\\U) + (x_i | i in U).
+
+    The radical depends on a only through the comparisons a_i < w(i,j) <= a_j,
+    so each coordinate ranges over {0} and the distinct weights incident to
+    that vertex.  Vectors with x^a in the ideal are skipped; each distinct U
+    (as vertex indices) is yielded once, in the order of first appearance.
+    """
+    index = {v: k for k, v in enumerate(g.vertices)}
+    edges = [(index[u], index[v], w) for (u, v), w in g.weights]
+    candidates: list[list[int]] = [[0] for _ in g.vertices]
+    for iu, iv, w in edges:
+        for k in (iu, iv):
+            if w not in candidates[k]:
+                candidates[k].append(w)
+    seen: set[frozenset[int]] = set()
+    for a in product(*candidates):
+        u_set = set()
+        for iu, iv, w in edges:
+            au, av = a[iu], a[iv]
+            if au >= w and av >= w:
+                break  # x^a lies in I(G, w)
+            if au < w <= av:
+                u_set.add(iu)
+            if av < w <= au:
+                u_set.add(iv)
+        else:
+            key = frozenset(u_set)
+            if key not in seen:
+                seen.add(key)
+                yield key
 
 
 def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
-    """All associated radicals of I(G,w).
-
-    The radical of I(G,w) : x^a depends on a only through the comparisons
-    a_i < w(i,j) <= a_j, so each coordinate ranges over {0} and the distinct
-    weights incident to that vertex.  Vectors with x^a in the ideal are
-    skipped.
-    """
+    """All associated radicals of I(G,w), one per threshold U-set."""
     index = {v: k for k, v in enumerate(g.vertices)}
-    candidates: list[list[int]] = [[0] for _ in g.vertices]
-    for (u, v), w in g.weights:
-        for vert in (u, v):
-            cand = candidates[index[vert]]
-            if w not in cand:
-                cand.append(w)
+    edges = [(index[u], index[v]) for (u, v), _ in g.weights]
+    nvars = len(g.vertices)
     out = set()
-    for a in product(*candidates):
-        rad = _radical_for_exponents(g, index, a)
-        if rad is not None:
-            out.add(rad)
+    for u_set in _threshold_u_sets(g):
+        gens = []
+        for iu, iv in edges:
+            if iu not in u_set and iv not in u_set:
+                e = [0] * nvars
+                e[iu] = e[iv] = 1
+                gens.append(e)
+        for i in u_set:
+            e = [0] * nvars
+            e[i] = 1
+            gens.append(e)
+        out.add(MonomialIdeal.make(g.vertices, gens))
     return frozenset(out)
 
 
 # -- irreducible decomposition ----------------------------------------------
 
 
+def _in_pure_power(p: tuple[int, ...], support: tuple[tuple[int, int], ...]) -> bool:
+    """Is the monomial with nonzero exponents ``support`` in the ideal of p?"""
+    return any(0 < p[k] <= e for k, e in support)
+
+
+def _pure_powers(p: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Generators x_k^(p_k) of the irreducible ideal of the vector p."""
+    zero = (0,) * len(p)
+    return frozenset(zero[:k] + (e,) + zero[k + 1:] for k, e in enumerate(p) if e)
+
+
 def irreducible_decomposition(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     """Irredundant irreducible components (ideals of pure variable powers).
 
-    Recursive generator splitting: a generator x^a*y^b*... with two or more
-    variables splits the ideal as (rest, x^a) and (rest, monomial/x^a).
-    Redundant components are dropped with a witness-monomial test.
+    A component is carried as its pure-power vector p: the ideal
+    (x_k^(p_k) | p_k > 0).  The splitting rests on
+    (m*m') + J = ((m) + J) cap ((m') + J) for coprime monomials m, m'.
+    Starting from p = 0, take the first remaining generator not already in
+    (p) and branch once per variable x_k of its support, setting p_k to its
+    exponent there; when every generator lies in (p), p is a leaf.  As (p)
+    only grows along a branch, generators once in (p) stay there, so no
+    node re-minimalizes.  Leaves containing another leaf are dropped, and a
+    witness-monomial test checks what is left for irredundancy.  Raises
+    ``ValueError`` on the zero and the unit ideal.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("irreducible decomposition needs a proper nonzero ideal")
     nvars = len(ideal.variables)
-    seen: set[frozenset[tuple[int, ...]]] = set()
-    parts: set[frozenset[tuple[int, ...]]] = set()
+    gens = [tuple((k, e) for k, e in enumerate(g) if e) for g in sorted(ideal.generators)]
+    leaves: set[tuple[int, ...]] = set()
+    stack = [((0,) * nvars, 0)]
+    while stack:
+        p, i = stack.pop()
+        while i < len(gens) and _in_pure_power(p, gens[i]):
+            i += 1
+        if i == len(gens):
+            leaves.add(p)
+            continue
+        for k, e in gens[i]:
+            # g is not in (p), so p_k is 0 or above e: the new power is e
+            stack.append((p[:k] + (e,) + p[k + 1:], i + 1))
 
-    def rec(gens: frozenset[tuple[int, ...]]) -> None:
-        if gens in seen:
-            return
-        seen.add(gens)
-        split_gen = next((g for g in sorted(gens)
-                          if sum(1 for e in g if e) >= 2), None)
-        if split_gen is None:
-            parts.add(gens)
-            return
-        v = next(k for k, e in enumerate(split_gen) if e)
-        pure = tuple(split_gen[k] if k == v else 0 for k in range(nvars))
-        rest = tuple(0 if k == v else split_gen[k] for k in range(nvars))
-        others = gens - {split_gen}
-        rec(_minimalize(others | {pure}))
-        rec(_minimalize(others | {rest}))
-
-    rec(ideal.generators)
-    comps = [MonomialIdeal(ideal.variables, gens) for gens in parts]
-
-    # drop components containing another component (absorbed in intersections)
-    comps.sort(key=lambda c: sorted(c.generators))
-    kept = [c for c in comps
-            if not any(c is not d and c.contains_ideal(d) and c != d for d in comps)]
+    # drop leaves containing another leaf: C_c >= C_d iff supp(d) lies in
+    # supp(c) (a bit test) and c_k <= d_k on supp(d)
+    supports = {d: tuple((k, e) for k, e in enumerate(d) if e) for d in leaves}
+    masks = {d: sum(1 << k for k, _ in sd) for d, sd in supports.items()}
+    kept = [c for c in leaves
+            if not any(d != c and not md & ~masks[c]
+                       and all(c[k] <= e for k, e in supports[d])
+                       for d, md in masks.items())]
+    # order as the sorted generator lists: x_k^e sorts before x_j^f iff
+    # k > j, or k == j and e < f
+    kept.sort(key=lambda c: [(-k, e) for k, e in reversed(supports[c])])
 
     # witness filter: C is needed iff the maximal monomial outside C lies in
     # every other component; membership only compares against bounded
     # exponents, so a clamp at max exponent + 1 is a faithful stand-in.
-    big = max((max(c.max_exponents(), default=0) for c in kept), default=0) + 1
-    result = list(kept)
+    big = max(max(c) for c in kept) + 1
     changed = True
     while changed:
         changed = False
-        for c in list(result):
-            others = [d for d in result if d is not c]
-            if not others:
+        for c in kept:
+            witness = tuple(e - 1 if e else big for e in c)
+            if all(any(witness[k] >= e for k, e in supports[d])
+                   for d in kept if d is not c):
                 continue
-            witness = tuple(
-                next((g[k] for g in c.generators if g[k]), big) - 1
-                if any(g[k] for g in c.generators) else big
-                for k in range(nvars)
-            )
-            if all(d.contains(witness) for d in others):
-                continue  # witness shows the intersection escapes c
-            result.remove(c)
+            kept.remove(c)
             changed = True
             break
-    return result
+    return [MonomialIdeal(ideal.variables, _pure_powers(c)) for c in kept]
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[frozenset[str]]:
@@ -321,39 +341,13 @@ def is_scm_weighted_oracle(g: WeightedGraph) -> bool:
     """
     _bipartition(g)
     index = {v: k for k, v in enumerate(g.vertices)}
-    candidates: list[list[int]] = [[0] for _ in g.vertices]
-    for (u, v), w in g.weights:
-        for vert in (u, v):
-            cand = candidates[index[vert]]
-            if w not in cand:
-                cand.append(w)
-    nvars = len(g.vertices)
-    checked: set[frozenset[int]] = set()
-    for a in product(*candidates):
-        u_set = set()
-        in_ideal = False
-        for (u, v), w in g.weights:
-            au, av = a[index[u]], a[index[v]]
-            if au >= w and av >= w:
-                in_ideal = True
-                break
-            if au < w <= av:
-                u_set.add(index[u])
-            if av < w <= au:
-                u_set.add(index[v])
-        if in_ideal:
-            continue
-        key = frozenset(u_set)
-        if key in checked:
-            continue
-        checked.add(key)
-        adj = [0] * nvars
-        for (u, v), w in g.weights:
-            iu, iv = index[u], index[v]
-            if iu in u_set or iv in u_set:
-                continue
-            adj[iu] |= 1 << iv
-            adj[iv] |= 1 << iu
+    edges = [(index[u], index[v]) for (u, v), _ in g.weights]
+    for u_set in _threshold_u_sets(g):
+        adj = [0] * len(g.vertices)
+        for iu, iv in edges:
+            if iu not in u_set and iv not in u_set:
+                adj[iu] |= 1 << iv
+                adj[iv] |= 1 << iu
         if not _vd(tuple(adj)):
             return False
     return True

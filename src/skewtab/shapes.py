@@ -33,7 +33,7 @@ class Partition:
 
     def __init__(self, parts: Iterable[int]):
         object.__setattr__(self, "parts", tuple(parts))
-        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
+        if not all(type(p) is int and p >= 1 for p in self.parts):
             raise ValueError(f"partition parts must be positive integers: {self.parts}")
         if not _weakly_decreasing(self.parts):
             raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
@@ -74,9 +74,9 @@ class SkewShape:
             raise ValueError("inner shape longer than outer shape")
         if not lam:
             return
-        if not all(isinstance(p, int) and p >= 1 for p in lam) or not _weakly_decreasing(lam):
+        if not all(type(p) is int and p >= 1 for p in lam) or not _weakly_decreasing(lam):
             raise ValueError(f"outer shape must be weakly decreasing positive: {lam}")
-        if not all(isinstance(p, int) and p >= 0 for p in mu) or not _weakly_decreasing(mu):
+        if not all(type(p) is int and p >= 0 for p in mu) or not _weakly_decreasing(mu):
             raise ValueError(f"inner shape must be weakly decreasing nonnegative: {mu}")
         if mu[-1] != 0:
             raise ValueError(f"not in normal form: last inner part {mu[-1]} != 0")

@@ -106,7 +106,7 @@ def validate(t: SkewTableau) -> None:
         if len(row) != want:
             raise TableauError(f"row {i} has {len(row)} weights, expected {want}")
         for w in row:
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise TableauError(f"weight {w!r} in row {i} is not a positive integer")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from skewtab import SkewShape, SkewTableau, enumerate_skew_shapes
+from skewtab.ideals import MonomialIdeal, _minimalize
 
 
 def boxes_of(s: SkewShape) -> set[tuple[int, int]]:
@@ -137,3 +138,69 @@ def partitions_up_to(total: int):
 
 def shapes_up_to(max_boxes: int, connected_only: bool = False):
     yield from enumerate_skew_shapes(max_boxes, connected_only=connected_only)
+
+
+def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialIdeal]:
+    """Irredundant irreducible components (ideals of pure variable powers).
+
+    Reference for ``skewtab.ideals.irreducible_decomposition``: it splits
+    sets of generators and re-minimalizes them at every node, sharing no
+    logic with the library's pure-power vector recursion.
+
+    Recursive generator splitting: a generator x^a*y^b*... with two or more
+    variables splits the ideal as (rest, x^a) and (rest, monomial/x^a).
+    Redundant components are dropped with a witness-monomial test.
+    """
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("irreducible decomposition needs a proper nonzero ideal")
+    nvars = len(ideal.variables)
+    seen: set[frozenset[tuple[int, ...]]] = set()
+    parts: set[frozenset[tuple[int, ...]]] = set()
+
+    def rec(gens: frozenset[tuple[int, ...]]) -> None:
+        if gens in seen:
+            return
+        seen.add(gens)
+        split_gen = next((g for g in sorted(gens)
+                          if sum(1 for e in g if e) >= 2), None)
+        if split_gen is None:
+            parts.add(gens)
+            return
+        v = next(k for k, e in enumerate(split_gen) if e)
+        pure = tuple(split_gen[k] if k == v else 0 for k in range(nvars))
+        rest = tuple(0 if k == v else split_gen[k] for k in range(nvars))
+        others = gens - {split_gen}
+        rec(_minimalize(others | {pure}))
+        rec(_minimalize(others | {rest}))
+
+    rec(ideal.generators)
+    comps = [MonomialIdeal(ideal.variables, gens) for gens in parts]
+
+    # drop components containing another component (absorbed in intersections)
+    comps.sort(key=lambda c: sorted(c.generators))
+    kept = [c for c in comps
+            if not any(c is not d and c.contains_ideal(d) and c != d for d in comps)]
+
+    # witness filter: C is needed iff the maximal monomial outside C lies in
+    # every other component; membership only compares against bounded
+    # exponents, so a clamp at max exponent + 1 is a faithful stand-in.
+    big = max((max(c.max_exponents(), default=0) for c in kept), default=0) + 1
+    result = list(kept)
+    changed = True
+    while changed:
+        changed = False
+        for c in list(result):
+            others = [d for d in result if d is not c]
+            if not others:
+                continue
+            witness = tuple(
+                next((g[k] for g in c.generators if g[k]), big) - 1
+                if any(g[k] for g in c.generators) else big
+                for k in range(nvars)
+            )
+            if all(d.contains(witness) for d in others):
+                continue  # witness shows the intersection escapes c
+            result.remove(c)
+            changed = True
+            break
+    return result

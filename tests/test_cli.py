@@ -137,6 +137,19 @@ def test_invalid_inputs_exit_2(shape_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("shape, rows", [
+    ({"lambda": [True, 1]}, None),
+    ({"lambda": [2, 1], "mu": [True, False]}, None),
+    ({"lambda": [2, 1]}, [[1, True], [2]]),
+])
+def test_json_booleans_are_not_integers(shape_file, capsys, shape, rows):
+    argv = ["classify", "--shape", shape_file("s.json", shape)]
+    if rows is not None:
+        argv += ["--filling", shape_file("f.json", {"rows": rows})]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"lambda": [2, 1]}))

@@ -1,7 +1,7 @@
 import pytest
 
 from skewtab import (SkewShape, crosscheck, enumerate_fillings,
-                     enumerate_skew_shapes)
+                     enumerate_skew_shapes, harness)
 
 from helpers import boxes_of
 
@@ -75,6 +75,29 @@ def test_crosscheck_parallel_matches_serial():
     assert serial.instances == parallel.instances
     assert serial.agreements == parallel.agreements
     assert serial.disagreements == parallel.disagreements
+
+
+def test_crosscheck_caps_jobs_at_cpu_count(monkeypatch):
+    requested = []
+
+    class FakePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(harness, "Pool", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    report = crosscheck("unmixed", max_boxes=2, jobs=10**6)
+    assert requested == [3]
+    assert report.to_dict()["instances"] == 4 and report.ok
 
 
 def test_crosscheck_rejects_unknown_property():

@@ -5,8 +5,11 @@ import pytest
 
 from skewtab import (MonomialIdeal, WeightedGraph, associated_primes,
                      associated_radical, associated_radicals_weighted,
+                     enumerate_fillings, enumerate_skew_shapes,
                      irreducible_decomposition, is_scm_weighted_oracle,
-                     is_unmixed_ideal, weighted_edge_ideal)
+                     is_unmixed_ideal, to_weighted_graph, weighted_edge_ideal)
+
+from helpers import irreducible_decomposition_reference
 
 
 def ideal(variables, *gens):
@@ -88,6 +91,8 @@ def test_weight_validation():
         WeightedGraph.make(("a", "b"), {("a", "b"): 0})
     with pytest.raises(ValueError):
         WeightedGraph.make(("a",), {("a", "a"): 1})
+    with pytest.raises(ValueError):
+        WeightedGraph.make(("a", "b"), {("a", "b"): True})
 
 
 def test_associated_radical_examples():
@@ -201,7 +206,8 @@ def test_is_unmixed_ideal_examples():
     assert not is_unmixed_ideal(ideal(("x", "y"), (2, 0), (1, 1)))
 
 
-def test_intersection_of_components_is_ideal():
+def random_ideals():
+    """Seeded random proper nonzero ideals in up to four variables."""
     rng = random.Random(20240809)
     for _ in range(120):
         nvars = rng.randint(1, 4)
@@ -211,14 +217,43 @@ def test_intersection_of_components_is_ideal():
             g = tuple(rng.randint(0, 3) for _ in range(nvars))
             if any(g):
                 gens.add(g)
-        if not gens:
-            continue
-        I = MonomialIdeal.make(variables, gens)
+        if gens:
+            yield MonomialIdeal.make(variables, gens)
+
+
+def test_intersection_of_components_is_ideal():
+    for I in random_ideals():
         comps = irreducible_decomposition(I)
         inter = comps[0]
         for c in comps[1:]:
             inter = inter.intersect(c)
         assert inter.generators == I.generators
+
+
+def test_irreducible_decomposition_matches_reference():
+    def components(decomposition, I):
+        return {c.generators for c in decomposition(I)}
+
+    edge_ideals = [weighted_edge_ideal(to_weighted_graph(t))
+                   for s in enumerate_skew_shapes(5, connected_only=True)
+                   for t in enumerate_fillings(s, 2)]
+    assert len(edge_ideals) == 826
+    for I in edge_ideals + list(random_ideals()):
+        assert (components(irreducible_decomposition, I)
+                == components(irreducible_decomposition_reference, I)), I.format()
+
+    # irredundancy from the definition: dropping any component enlarges the
+    # intersection
+    for I in random_ideals():
+        comps = irreducible_decomposition(I)
+        for k, c in enumerate(comps):
+            others = comps[:k] + comps[k + 1:]
+            if not others:
+                continue
+            inter = others[0]
+            for d in others[1:]:
+                inter = inter.intersect(d)
+            assert not c.contains_ideal(inter), (I.format(), c.format())
 
 
 def test_scm_weighted_oracle_examples():

@@ -14,6 +14,8 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    with pytest.raises(ValueError):
+        Partition((2, True))  # bool is not an integer part
 
 
 def test_shape_validation():
@@ -27,6 +29,10 @@ def test_shape_validation():
         SkewShape((3,), (1, 0))  # inner shape longer than outer
     with pytest.raises(ValueError):
         SkewShape((4, 1), (2, 0))  # column 2 empty
+    with pytest.raises(ValueError):
+        SkewShape((True, 1))  # bool outer part
+    with pytest.raises(ValueError):
+        SkewShape((2, 1), (True, False))  # bool inner parts
 
 
 def test_shape_mu_padding():

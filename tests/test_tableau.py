@@ -20,6 +20,8 @@ def test_validate_errors():
     with pytest.raises(TableauError):
         SkewTableau(SkewShape((2, 1)), [[1, 0], [1]])  # nonpositive weight
     with pytest.raises(TableauError):
+        SkewTableau(SkewShape((2, 1)), [[1, True], [1]])  # bool weight
+    with pytest.raises(TableauError):
         SkewTableau(SkewShape((2, 1)), [[1], [1]])  # missing weight
     with pytest.raises(TableauError):
         SkewTableau(SkewShape((2, 1)), [[1, 1], [1], [2]])  # extra row

@@ -1,8 +1,11 @@
-"""Combinatorial classifiers for unweighted skew Ferrers shapes.
+"""Combinatorial classifiers for skew Ferrers shapes and their fillings.
 
-``is_scm_skew`` runs the four-case deletion recursion for the sequentially
-Cohen-Macaulay property; ``unmixed_decomposition`` peels a connected shape
-into alternating prime unmixed pieces glued along shared extremal blocks,
+Each classifier takes a shape and ``rows``: a filling's weight rows, or
+``None`` for the bare shape (the all-ones filling).  ``is_scm`` runs the
+pendant-pivot deletion recursion for the sequentially Cohen-Macaulay
+property, ``is_unmixed`` the prime-piece test and ``classify_flags`` the
+five flags.  ``unmixed_decomposition`` peels a connected shape into
+alternating prime unmixed pieces glued along shared extremal blocks,
 returning a checkable certificate either way.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .shapes import (Partition, SkewShape, block_containing, blocks,
+from .shapes import (Component, Partition, SkewShape, block_containing, blocks,
                      delete_rows_cols)
 
 
@@ -34,120 +37,171 @@ def is_scm_ferrers(p: Partition | Iterable[int]) -> bool:
     return is_saturated(p)
 
 
+# -- weights carried to derived shapes ------------------------------------------
+
+
+# A filling's weight rows: rows[i-1][k] weighs the box in row i, column
+# mu_i + 1 + k.  None stands for the all-ones filling, i.e. the bare shape.
+Rows = tuple[tuple[int, ...], ...] | None
+
+
+def component_rows(s: SkewShape, rows: Rows, comp: Component) -> Rows:
+    """Weight rows of ``comp``, a component of ``s`` or of a shape derived
+    from ``s`` by deleting lines, read off through its index maps."""
+    if rows is None:
+        return None
+    mu, cols = s.mu, comp.col_map
+    return tuple(tuple(rows[r - 1][cols[j] - mu[r - 1] - 1] for j in range(m, l))
+                 for r, l, m in zip(comp.row_map, comp.shape.lam, comp.shape.mu))
+
+
+def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
+    """Weight rows of the transpose of ``s``: box (i, j) moves to (j, i)."""
+    if rows is None:
+        return None
+    mu, lamc, muc = s.mu, s.lam_conj(), s.mu_conj()
+    return tuple(tuple(rows[i - 1][j - mu[i - 1] - 1]
+                       for i in range(muc[j - 1] + 1, lamc[j - 1] + 1))
+                 for j in range(1, s.m + 1))
+
+
+def _as_dict(s: SkewShape, rows: Rows) -> dict:
+    if rows is None:
+        return s.to_dict()
+    return {**s.to_dict(), "rows": [list(r) for r in rows]}
+
+
 # -- SCM recursion -------------------------------------------------------------
 
 
-_scm_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+_scm_cache: dict[tuple, bool] = {}
 
 
-def scm_pivots(s: SkewShape) -> list[dict]:
-    """Deletion pivots for the SCM recursion of a connected shape.
+def scm_pivots(s: SkewShape, rows: Rows = None) -> list[dict]:
+    """Deletion pivots for the SCM recursion of a connected shape or filling.
 
     A pivot is a row or column owning a pendant neighbor: a column j some of
     whose rows consist of the single box (i, j), or a row i some of whose
-    columns consist of the single box (i, j).  The recursion deletes the
-    pivot line, or the pivot line together with all lines meeting it.
-    Pendants at rows 1/n and columns 1/m give the four boundary cases
-    (labeled 1-4 in traces); interior pendants are needed as well, e.g. for
+    columns consist of the single box (i, j).  Its derived shapes are the
+    pivot line deleted and, for every weight level occurring on the pivot
+    line, the neighbors at most that heavy deleted (weights carried along).
+    Levels below the heaviest keep the heavier neighbors in play; the top
+    level removes the whole neighborhood, and the emptied pivot line drops
+    out on renormalizing.  Without weights there is one level.  Pendants at
+    rows 1/n and columns 1/m give the four boundary cases (labeled 1-4 in
+    traces); interior pendants are needed as well, e.g. for
     (3,3,2,2,2)/(1,1,1,0,0), whose only pendant row sits at column 2.
     """
     lam, mu = s.lam, s.mu
     lamc, muc = s.lam_conj(), s.mu_conj()
-    col_pivots = sorted({lam[i] for i in range(s.n) if lam[i] - mu[i] == 1})
-    row_pivots = sorted({lamc[j] for j in range(s.m) if lamc[j] - muc[j] == 1})
+    pivots = []
 
-    def row_pivot(i: int) -> dict:
-        case = {1: 1, s.n: 4}.get(i) if i in (1, s.n) else None
-        if i == 1 and i == s.n:
-            case = 1
-        return {"pivot": ("row", i), "boundary_case": case,
-                "d1": ({i}, set()),
-                "d2": ({i}, set(range(mu[i - 1] + 1, lam[i - 1] + 1)))}
+    def add(kind, line, case, nbhd, weights) -> None:
+        if weights is None:
+            levels, cuts = [1], [set(nbhd)]
+        else:
+            levels = sorted(set(weights))
+            cuts = [{k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
+        row = kind == "row"
+        deletions = [({line}, set()) if row else (set(), {line})]
+        deletions += [(set(), cut) if row else (cut, set()) for cut in cuts]
+        pivots.append({"pivot": (kind, line), "boundary_case": case, "levels": levels,
+                       "deletions": deletions})
 
-    def col_pivot(j: int) -> dict:
-        case = {s.m: 2, 1: 3}.get(j) if j in (1, s.m) else None
-        if j == 1 and j == s.m:
-            case = 2
-        return {"pivot": ("col", j), "boundary_case": case,
-                "d1": (set(), {j}),
-                "d2": (set(range(muc[j - 1] + 1, lamc[j - 1] + 1)), {j})}
-
-    boundary, interior = [], []
-    for i in row_pivots:
-        (boundary if i in (1, s.n) else interior).append(row_pivot(i))
-    for j in col_pivots:
-        (boundary if j in (1, s.m) else interior).append(col_pivot(j))
-    boundary.sort(key=lambda p: p["boundary_case"])
-    return boundary + interior
+    for i in sorted({lamc[j] for j in range(s.m) if lamc[j] - muc[j] == 1}):
+        add("row", i, 1 if i == 1 else (4 if i == s.n else None),
+            range(mu[i - 1] + 1, lam[i - 1] + 1), None if rows is None else rows[i - 1])
+    for j in sorted({lam[i] for i in range(s.n) if lam[i] - mu[i] == 1}):
+        nbhd = range(muc[j - 1] + 1, lamc[j - 1] + 1)
+        add("col", j, 2 if j == s.m else (3 if j == 1 else None), nbhd,
+            None if rows is None else [rows[i - 1][j - mu[i - 1] - 1] for i in nbhd])
+    # boundary cases 1-4 first, then interior pivots (case None) as found
+    return sorted(pivots, key=lambda p: p["boundary_case"] or 5)
 
 
-def is_scm_skew(s: SkewShape) -> bool:
+def _derived(s: SkewShape, rows: Rows, piv: dict):
+    """A pivot's derived shapes with their weights, one group per deletion;
+    lazy, so that a failing group spares the deletions after it."""
+    for dead_rows, dead_cols in piv["deletions"]:
+        yield [(c.shape, component_rows(s, rows, c))
+               for c in delete_rows_cols(s, dead_rows, dead_cols)]
+
+
+def is_scm(s: SkewShape, rows: Rows) -> bool:
     """Sequentially Cohen-Macaulay test by the pendant-pivot recursion.
 
     Empty shapes are vacuously true; disconnected shapes are conjunctions
-    over their components (mixed sums).  A connected shape succeeds iff some
-    pivot has both of its deleted shapes sequentially Cohen-Macaulay.
-    Memoized on the normalized pair, with conjugate lookup.
+    over their components (mixed sums).  A connected shape or filling
+    succeeds iff some pivot (:func:`scm_pivots`) has all of its derived
+    shapes sequentially Cohen-Macaulay.  Memoized on (lam, mu, rows), with
+    conjugate lookup.
     """
     if s.is_empty:
         return True
     comps = s.components()
     if len(comps) > 1:
-        return all(is_scm_skew(c.shape) for c in comps)
-    return _scm_connected(s)
+        return all(is_scm(c.shape, component_rows(s, rows, c)) for c in comps)
+    return _scm_connected(s, rows)
 
 
-def _scm_connected(s: SkewShape) -> bool:
-    key = (s.lam, s.mu)
+def _scm_connected(s: SkewShape, rows: Rows) -> bool:
+    key = (s.lam, s.mu, rows)
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
     conj = s.conjugate()
-    hit = _scm_cache.get((conj.lam, conj.mu))
+    conj_key = (conj.lam, conj.mu, conjugate_rows(s, rows))
+    hit = _scm_cache.get(conj_key)
     if hit is not None:
         return hit
 
     result = False
-    for piv in scm_pivots(s):
-        ok = True
-        for rows, cols in (piv["d1"], piv["d2"]):
-            parts = delete_rows_cols(s, rows, cols)
-            if not all(is_scm_skew(c.shape) for c in parts):
-                ok = False
-                break
-        if ok:
+    for piv in scm_pivots(s, rows):
+        if all(is_scm(*u) for group in _derived(s, rows, piv) for u in group):
             result = True
             break
     _scm_cache[key] = result
-    _scm_cache[(conj.lam, conj.mu)] = result
+    _scm_cache[conj_key] = result
     return result
 
 
-def explain_scm(s: SkewShape) -> dict:
+def scm_trace(s: SkewShape, rows: Rows) -> dict:
     """Decision-tree trace of the SCM recursion, JSON-ready."""
-    node: dict = {"shape": s.to_dict(), "scm": is_scm_skew(s)}
+    node: dict = {"shape" if rows is None else "tableau": _as_dict(s, rows),
+                  "scm": is_scm(s, rows)}
     if s.is_empty:
         node["empty"] = True
         return node
     comps = s.components()
     if len(comps) > 1:
-        node["components"] = [explain_scm(c.shape) for c in comps]
+        node["components"] = [scm_trace(c.shape, component_rows(s, rows, c))
+                              for c in comps]
         return node
-    pivots = scm_pivots(s)
+    pivots = scm_pivots(s, rows)
     node["pivots"] = [list(p["pivot"]) for p in pivots]
     if not node["scm"]:
         return node
     for piv in pivots:
-        sub1 = [c.shape for c in delete_rows_cols(s, *piv["d1"])]
-        sub2 = [c.shape for c in delete_rows_cols(s, *piv["d2"])]
-        if all(is_scm_skew(t) for t in sub1 + sub2):
+        subs = list(_derived(s, rows, piv))
+        if all(is_scm(*u) for group in subs for u in group):
             node["pivot"] = list(piv["pivot"])
+            if rows is not None:
+                node["levels"] = piv["levels"]
             if piv["boundary_case"] is not None:
                 node["case"] = piv["boundary_case"]
-            node["deletions"] = [[explain_scm(t) for t in sub1],
-                                 [explain_scm(t) for t in sub2]]
+            node["deletions"] = [[scm_trace(*u) for u in group] for group in subs]
             break
     return node
+
+
+def is_scm_skew(s: SkewShape) -> bool:
+    """Sequentially Cohen-Macaulay test of a shape (see :func:`is_scm`)."""
+    return is_scm(s, None)
+
+
+def explain_scm(s: SkewShape) -> dict:
+    """Decision-tree trace of the SCM recursion of a shape, JSON-ready."""
+    return scm_trace(s, None)
 
 
 # -- unmixed decomposition ------------------------------------------------------
@@ -336,11 +390,35 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
         frame = _flip(nxt)
 
 
+def _unmixed_connected(s: SkewShape, rows: Rows) -> tuple[bool, bool]:
+    """(unmixed, monotone) for a connected shape or filling, both False when
+    the shape has no prime-piece decomposition; monotone alone is the
+    filling's half of the direct Cohen-Macaulay criterion."""
+    cert = unmixed_decomposition(s)
+    if not cert.ok or rows is None:
+        return cert.ok, cert.ok
+    w = {(i, j): rows[i - 1][j - s.mu[i - 1] - 1] for i, j in s.boxes()}
+    monotone = all(
+        (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
+        for piece in cert.pieces for i, j in piece.boxes
+        for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
+    constant = all(len({w[b] for b in blk.boxes()}) == 1 for blk in blocks(s))
+    return monotone and constant, monotone
+
+
+def is_unmixed(s: SkewShape, rows: Rows) -> bool:
+    """Unmixedness, per component: the shape has a prime-piece decomposition
+    and the weights are constant on every block and monotone, i.e. weakly
+    increasing along rows and columns of upper pieces, weakly decreasing
+    along lower ones."""
+    return all(_unmixed_connected(c.shape, component_rows(s, rows, c))[0]
+               for c in s.components())
+
+
 def is_unmixed_skew(s: SkewShape) -> bool:
-    """Unmixedness: all components admit a prime-piece decomposition."""
-    if s.is_empty:
-        return True
-    return all(unmixed_decomposition(c.shape).ok for c in s.components())
+    """Unmixedness of a shape: all components admit a prime-piece
+    decomposition."""
+    return is_unmixed(s, None)
 
 
 # -- certificate validation ------------------------------------------------------
@@ -440,6 +518,9 @@ def validate_certificate(s: SkewShape, cert: UnmixedCertificate) -> tuple[bool, 
 # -- combined flags ----------------------------------------------------------------
 
 
+FLAG_NAMES = ("unmixed", "scm", "cm", "buchsbaum", "gcm")
+
+
 @dataclass(frozen=True)
 class ShapeFlags:
     unmixed: bool
@@ -450,38 +531,50 @@ class ShapeFlags:
     vacuous: bool = False
 
     def to_dict(self) -> dict:
-        out = {"unmixed": self.unmixed, "scm": self.scm, "cm": self.cm,
-               "buchsbaum": self.buchsbaum, "gcm": self.gcm}
+        out = {name: getattr(self, name) for name in FLAG_NAMES}
         if self.vacuous:
             out["vacuous"] = True
         return out
 
 
-def _is_full_square(s: SkewShape) -> bool:
+def is_constant_full_square(s: SkewShape, rows: Rows = None) -> bool:
+    """What Buchsbaum and generalized CM add to CM: the full n x n square
+    with empty inner shape, with a constant filling."""
     return (not s.is_empty and s.n == s.m
-            and all(l == s.m for l in s.lam) and all(v == 0 for v in s.mu))
+            and all(l == s.m for l in s.lam) and all(v == 0 for v in s.mu)
+            and (rows is None or len({w for r in rows for w in r}) == 1))
 
 
-def classify_shape(s: SkewShape) -> ShapeFlags:
+def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     """All five flags.  cm = unmixed and scm; Buchsbaum and generalized CM
-    coincide and add only the full square with empty inner shape."""
+    coincide and add only :func:`is_constant_full_square`.
+
+    For a filling, cm is also computed by the direct criterion
+    (Cohen-Macaulay shape plus monotone weights on its pieces); the two
+    must agree.
+    """
     if s.is_empty:
         return ShapeFlags(True, True, True, True, True, vacuous=True)
     comps = s.components()
     if len(comps) > 1:
-        parts = [classify_shape(c.shape) for c in comps]
-        return ShapeFlags(
-            unmixed=all(p.unmixed for p in parts),
-            scm=all(p.scm for p in parts),
-            cm=all(p.cm for p in parts),
-            buchsbaum=all(p.buchsbaum for p in parts),
-            gcm=all(p.gcm for p in parts),
-        )
-    unmixed = unmixed_decomposition(s).ok
-    scm = is_scm_skew(s)
+        parts = [classify_flags(c.shape, component_rows(s, rows, c)) for c in comps]
+        return ShapeFlags(**{name: all(getattr(p, name) for p in parts) for name in FLAG_NAMES})
+    unmixed, monotone = _unmixed_connected(s, rows)
+    scm = _scm_connected(s, rows)
     cm = unmixed and scm
-    bb = cm or _is_full_square(s)
+    if rows is not None:
+        cm_direct = monotone and _scm_connected(s, None)
+        if cm != cm_direct:
+            raise RuntimeError(
+                f"internal inconsistency classifying {_as_dict(s, rows)}: "
+                f"unmixed&scm={cm} but direct criterion={cm_direct}")
+    bb = cm or is_constant_full_square(s, rows)
     return ShapeFlags(unmixed=unmixed, scm=scm, cm=cm, buchsbaum=bb, gcm=bb)
+
+
+def classify_shape(s: SkewShape) -> ShapeFlags:
+    """All five flags of a shape (see :func:`classify_flags`)."""
+    return classify_flags(s, None)
 
 
 def clear_caches() -> None:

@@ -12,12 +12,13 @@ import json
 import sys
 
 from .shapes import SkewShape, render
-from .classify import classify_shape, explain_scm, unmixed_decomposition
+from .classify import (ShapeFlags, classify_shape, explain_scm, is_constant_full_square,
+                       unmixed_decomposition)
 from .graphs import from_shape, is_unmixed_graph, is_vertex_decomposable
 from .harness import PROPERTIES, crosscheck
 from .ideals import is_scm_weighted_oracle, is_unmixed_ideal, weighted_edge_ideal
 from .tableau import (SkewTableau, classify_tableau, explain_scm_tableau,
-                      to_weighted_graph)
+                      rows_from_dict, to_weighted_graph)
 
 ALL_PROPERTIES = ("scm", "unmixed", "cm", "buchsbaum", "gcm")
 
@@ -32,11 +33,12 @@ def _load_instance(args) -> SkewShape | SkewTableau:
     if getattr(args, "filling", None) is None:
         return shape
     data = _load_json(args.filling)
-    if "lambda" in data and tuple(data["lambda"]) != shape.lam:
+    rows = rows_from_dict(data)
+    if "lambda" in data and data["lambda"] != list(shape.lam):
         raise ValueError("filling and shape disagree on the outer partition")
-    if "mu" in data and tuple(data.get("mu") or ()) not in ((), shape.mu):
+    if "mu" in data and (data["mu"] or []) not in ([], list(shape.mu)):
         raise ValueError("filling and shape disagree on the inner partition")
-    return SkewTableau(shape, data["rows"])
+    return SkewTableau(shape, rows)
 
 
 def _oracle_flags(obj: SkewShape | SkewTableau) -> dict:
@@ -46,19 +48,15 @@ def _oracle_flags(obj: SkewShape | SkewTableau) -> dict:
         g = to_weighted_graph(obj)
         unmixed = is_unmixed_ideal(weighted_edge_ideal(g))
         scm = is_scm_weighted_oracle(g)
-        shape = obj.shape
-        constant = len({w for row in obj.rows for w in row}) <= 1
+        square = is_constant_full_square(obj.shape, obj.rows)
     else:
         g = from_shape(obj)
         unmixed = is_unmixed_graph(g)
         scm = is_vertex_decomposable(g)
-        shape = obj
-        constant = True
+        square = is_constant_full_square(obj)
     cm = unmixed and scm
-    square = (not shape.is_empty and shape.n == shape.m
-              and all(l == shape.m for l in shape.lam) and all(v == 0 for v in shape.mu))
-    bb = cm or (square and constant)
-    return {"unmixed": unmixed, "scm": scm, "cm": cm, "buchsbaum": bb, "gcm": bb}
+    bb = cm or square
+    return ShapeFlags(unmixed, scm, cm, bb, bb).to_dict()
 
 
 def cmd_classify(args) -> int:
@@ -67,26 +65,22 @@ def cmd_classify(args) -> int:
     if args.oracle:
         flags = _oracle_flags(obj)
         out = {"oracle": True, "verdicts": flags}
-        if args.property:
-            out["property"] = args.property
-            out["verdict"] = flags[args.property]
     else:
         flags = (classify_tableau(obj) if weighted else classify_shape(obj)).to_dict()
         out = {"verdicts": flags}
-        if args.property:
-            out["property"] = args.property
-            out["verdict"] = flags[args.property]
-        if args.explain:
-            shape = obj.shape if weighted else obj
-            explain: dict = {}
-            if args.property in (None, "unmixed", "cm", "buchsbaum", "gcm"):
-                comps = shape.components()
-                explain["unmixed_certificates"] = [
-                    unmixed_decomposition(c.shape).to_dict() for c in comps]
-            if args.property in (None, "scm", "cm", "buchsbaum", "gcm"):
-                explain["scm_trace"] = (explain_scm_tableau(obj) if weighted
-                                        else explain_scm(shape))
-            out["explain"] = explain
+    if args.property:
+        out["property"] = args.property
+        out["verdict"] = flags[args.property]
+    if not args.oracle and args.explain:
+        shape = obj.shape if weighted else obj
+        explain: dict = {}
+        if args.property in (None, "unmixed", "cm", "buchsbaum", "gcm"):
+            explain["unmixed_certificates"] = [
+                unmixed_decomposition(c.shape).to_dict() for c in shape.components()]
+        if args.property in (None, "scm", "cm", "buchsbaum", "gcm"):
+            explain["scm_trace"] = (explain_scm_tableau(obj) if weighted
+                                    else explain_scm(shape))
+        out["explain"] = explain
     print(json.dumps(out, indent=2))
     return 0
 

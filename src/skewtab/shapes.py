@@ -183,8 +183,10 @@ class SkewShape:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SkewShape":
-        if "lambda" not in data:
-            raise ValueError("shape JSON must have a 'lambda' key")
+        if not isinstance(data, dict) or not isinstance(data.get("lambda"), list) \
+                or not isinstance(data.get("mu"), (list, type(None))):
+            raise ValueError("shape JSON must be an object with a 'lambda' list "
+                             "and an optional 'mu' list")
         return cls(data["lambda"], data.get("mu"))
 
     def __str__(self) -> str:

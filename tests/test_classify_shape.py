@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from skewtab import (SkewShape, classify_shape, explain_scm, from_shape,
@@ -68,12 +70,31 @@ def test_scm_matches_vertex_decomposability():
         assert is_scm_skew(s) == is_vertex_decomposable(from_shape(s)), s
 
 
+EXPLAIN_554 = {
+    "shape": {"lambda": [5, 5, 4], "mu": [2, 1, 0]}, "scm": True,
+    "pivots": [["row", 3]], "pivot": ["row", 3], "case": 4,
+    "deletions": [
+        [{"shape": {"lambda": [4, 4], "mu": [1, 0]}, "scm": True,
+          "pivots": [["row", 2]], "pivot": ["row", 2], "case": 4,
+          "deletions": [
+              [{"shape": {"lambda": [3], "mu": [0]}, "scm": True,
+                "pivots": [["row", 1]], "pivot": ["row", 1], "case": 1,
+                "deletions": [[], []]}],
+              []]}],
+        [{"shape": {"lambda": [1, 1], "mu": [0, 0]}, "scm": True,
+          "pivots": [["col", 1]], "pivot": ["col", 1], "case": 2,
+          "deletions": [[], []]}]]}
+
+
 def test_explain_scm_trace():
     trace = explain_scm(SkewShape((5, 5, 4), (2, 1, 0)))
     assert trace["scm"] is True
     assert trace["pivot"] == ["row", 3]
     assert trace["case"] == 4
     assert len(trace["deletions"]) == 2
+    # the whole tree, key order included, as the CLI prints it
+    assert trace == EXPLAIN_554
+    assert json.dumps(trace) == json.dumps(EXPLAIN_554)
     bad = explain_scm(SkewShape((2, 2)))
     assert bad["scm"] is False and bad["pivots"] == []
 
@@ -182,3 +203,15 @@ def test_cm_flag_matches_oracles():
         flags = classify_shape(s)
         g = from_shape(s)
         assert flags.cm == (is_unmixed_graph(g) and is_vertex_decomposable(g)), s
+
+
+@pytest.mark.parametrize("lam, mu, flags", [
+    (tuple(range(150, 0, -1)), (0,) * 150, (True, True, True, True, True)),  # staircase
+    (tuple(152 - i for i in range(150)), tuple(149 - i for i in range(150)),  # width-3 ribbon
+     (False, True, False, False, False)),
+])
+def test_deep_shapes_classify_under_default_recursion_limit(lam, mu, flags):
+    """150 rows need about 150 recursion levels; at three interpreter frames
+    per level they fit under the default limit of 1000 (247-248 rows do)."""
+    f = classify_shape(SkewShape(lam, mu))
+    assert (f.unmixed, f.scm, f.cm, f.buchsbaum, f.gcm) == flags

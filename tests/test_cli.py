@@ -137,15 +137,25 @@ def test_invalid_inputs_exit_2(shape_file, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("shape, rows", [
+@pytest.mark.parametrize("shape, filling", [
     ({"lambda": [True, 1]}, None),
     ({"lambda": [2, 1], "mu": [True, False]}, None),
-    ({"lambda": [2, 1]}, [[1, True], [2]]),
+    ({"lambda": [2, 1]}, {"rows": [[1, True], [2]]}),
+    # JSON of the wrong type where a list or an object belongs
+    ({"lambda": 5}, None),
+    ({"lambda": [2, 1], "mu": 7}, None),
+    (5, None),
+    ({"lambda": [2, 1]}, {"rows": 5}),
+    ({"lambda": [2, 1]}, {"rows": [[1, 1], 5]}),
+    ({"lambda": [2, 1]}, [[1, 1], [1]]),
+    ({"lambda": [2, 1]}, {"lambda": 5, "rows": [[1, 1], [1]]}),
+    ({"lambda": [2, 1]}, {"mu": 7, "rows": [[1, 1], [1]]}),
 ])
-def test_json_booleans_are_not_integers(shape_file, capsys, shape, rows):
+def test_json_booleans_are_not_integers(shape_file, capsys, shape, filling):
+    """Malformed JSON is invalid input: exit 2 and an error line, no traceback."""
     argv = ["classify", "--shape", shape_file("s.json", shape)]
-    if rows is not None:
-        argv += ["--filling", shape_file("f.json", {"rows": rows})]
+    if filling is not None:
+        argv += ["--filling", shape_file("f.json", filling)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from skewtab import classify as classify_module, tableau as tableau_module
 from skewtab import (SkewShape, SkewTableau, TableauError,
                      classify_tableau, explain_scm_tableau, is_scm_skew,
                      is_scm_tableau, is_scm_weighted_oracle, is_unmixed_ideal,
@@ -126,11 +129,28 @@ def test_non_essential_variables():
     assert checked > 50
 
 
+EXPLAIN_21 = {
+    "tableau": {"lambda": [2, 1], "mu": [0, 0], "rows": [[1, 2], [3]]}, "scm": True,
+    "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [1, 2], "case": 1,
+    "deletions": [
+        [{"tableau": {"lambda": [1], "mu": [0], "rows": [[3]]}, "scm": True,
+          "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [3], "case": 1,
+          "deletions": [[], []]}],
+        [{"tableau": {"lambda": [1], "mu": [0], "rows": [[2]]}, "scm": True,
+          "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [2], "case": 1,
+          "deletions": [[], []]}],
+        []]}
+
+
 def test_explain_scm_tableau():
     trace = explain_scm_tableau(SkewTableau(SkewShape((2, 1)), [[1, 2], [3]]))
     assert trace["scm"] is True
     assert trace["pivot"] in (["row", 1], ["col", 1], ["col", 2], ["row", 2])
     assert "deletions" in trace
+    # the whole tree, key order included: the row-1 pivot deletes its line,
+    # then its weight-1 neighbor (level 1), then both neighbors (level 2)
+    assert trace == EXPLAIN_21
+    assert json.dumps(trace) == json.dumps(EXPLAIN_21)
     bad = explain_scm_tableau(SkewTableau(SkewShape((2, 2)), [[1, 1], [1, 1]]))
     assert bad["scm"] is False and bad["pivots"] == []
 
@@ -146,6 +166,26 @@ def test_classify_tableau_examples():
     flags = classify_tableau(SkewTableau(SkewShape((2, 2)), [[1, 2], [2, 1]]))
     assert (flags.unmixed, flags.scm, flags.cm, flags.buchsbaum, flags.gcm) \
         == (False, False, False, False, False)
+
+
+def test_classify_tableau_decomposes_each_component_once(monkeypatch):
+    """The unmixed, cm and direct-criterion flags share one prime-piece
+    decomposition per component."""
+    calls = []
+    real = classify_module.unmixed_decomposition
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    # patch the binding in every module that may call it
+    monkeypatch.setattr(classify_module, "unmixed_decomposition", counting)
+    monkeypatch.setattr(tableau_module, "unmixed_decomposition", counting, raising=False)
+    classify_tableau(EXAMPLE_FILL)
+    assert calls == [EXAMPLE_SHAPE]
+    calls.clear()
+    classify_tableau(SkewTableau(SkewShape((2, 1), (1, 0)), [[4], [7]]))
+    assert calls == [SkewShape((1,)), SkewShape((1,))]
 
 
 def test_classify_tableau_vacuous_and_disconnected():

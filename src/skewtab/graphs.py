@@ -2,15 +2,20 @@
 
 ``minimal_vertex_covers`` drives the unmixedness oracle (all minimal covers
 of an edge ideal's graph have equal size) and ``is_vertex_decomposable`` is
-the sequential Cohen-Macaulay oracle for bipartite graphs.  Everything here
-is definitional and independent of the combinatorial classifiers, so the two
-routes can referee each other.
+the sequential Cohen-Macaulay oracle for bipartite graphs.  Both work on
+neighbour bitmasks.  Minimal covers are the complements of maximal
+independent sets, enumerated once each by Bron-Kerbosch with a pivot on an
+explicit stack.  Vertex decomposability follows the definition; a shedding
+vertex v is recognised by a short search for an independent set at
+distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
+covers.  Everything here is definitional and independent of the
+combinatorial classifiers, so the two routes can referee each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 from .shapes import SkewShape
 
@@ -54,35 +59,98 @@ def _adjacency(g: BipartiteGraph) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _minimal_cover_masks(adj: tuple[int, ...]) -> list[int]:
-    """All inclusion-minimal vertex covers, as bitmasks.
+def _minimal_covers(adj: tuple[int, ...]) -> Iterator[int]:
+    """Yield every inclusion-minimal vertex cover exactly once, as a bitmask.
 
-    Branch on an uncovered edge: either endpoint joins the cover.  The
-    search yields every minimal cover (possibly with non-minimal extras),
-    which a subset filter then removes.
+    A minimal cover is the complement, within the non-isolated vertices, of
+    a maximal independent set; those sets are enumerated by Bron-Kerbosch
+    with a pivot on an explicit stack.  A frame holds the independent set R,
+    the candidates P (vertices outside N[R]) and the excluded vertices X
+    (candidates that an earlier sibling branch already added).  R is
+    maximal, and met for the first time, exactly when P and X are empty.
+    Every maximal extension of R meets N[u] for any u in P | X, so a frame
+    branches only over P & N[u] for the pivot u minimising that set.  A
+    frame where some vertex of X has no closed neighbour left in P is cut:
+    adding a candidate never removes that vertex from X, so no extension
+    of R is maximal.
     """
-    nverts = len(adj)
-    found: set[int] = set()
+    closed = [a | (1 << v) for v, a in enumerate(adj)]
+    live = sum(1 << v for v, a in enumerate(adj) if a)
+    stack = [(0, live, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield live & ~r
+            continue
+        rest = x
+        while rest:
+            low = rest & -rest
+            if not closed[low.bit_length() - 1] & p:
+                break  # the cut: no extension of R is maximal
+            rest ^= low
+        if rest:
+            continue
+        branch = p
+        best = p.bit_count()
+        rest = p | x
+        while rest and best > 1:
+            low = rest & -rest
+            rest ^= low
+            hits = closed[low.bit_length() - 1] & p
+            if hits.bit_count() < best:
+                branch, best = hits, hits.bit_count()
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            nv = closed[low.bit_length() - 1]
+            stack.append((r | low, p & ~nv, x & ~nv))
+            p ^= low
+            x |= low
 
-    def rec(chosen: int) -> None:
-        for v in range(nverts):
-            if (chosen >> v) & 1:
-                continue
-            nb = adj[v] & ~chosen
-            if nb:
-                u = (nb & -nb).bit_length() - 1
-                rec(chosen | (1 << v))
-                rec(chosen | (1 << u))
-                return
-        found.add(chosen)
 
-    rec(0)
-    covers = sorted(found, key=lambda c: (bin(c).count("1"), c))
-    minimal: list[int] = []
-    for c in covers:
-        if not any(m & c == m for m in minimal):
-            minimal.append(c)
-    return minimal
+def _is_shedding(adj: tuple[int, ...], v: int) -> bool:
+    """Whether v is a shedding vertex of Ind(G) (Woodroofe 2009).
+
+    v is shedding iff no face of lk(v) = Ind(G - N[v]) is a facet of
+    del(v) = Ind(G - v).  A maximal independent set S of G - N[v] is
+    such a facet exactly when every w in N(v) has a neighbour in S, since
+    the rest of G - v is dominated by S already.  An independent set T of
+    G - N[v] that meets N(w) for every w in N(v) extends to a maximal one
+    that still does.  So v is shedding iff no independent T meets every
+    N(w) - N[v], w in N(v); only vertices at distance 2 from v matter.
+
+    The search branches over the candidates in N(w) - N[v] for the first w
+    not yet hit, drops candidates adjacent to T, and stops at the first
+    witness.  A candidate tried in one branch is excluded from its later
+    siblings, so no T is visited twice.  On a bipartite graph the targets
+    lie on v's side, so the search never backtracks.
+    """
+    closed_v = adj[v] | (1 << v)
+    targets = []
+    avail = 0
+    nb = adj[v]
+    while nb:
+        low = nb & -nb
+        nb ^= low
+        target = adj[low.bit_length() - 1] & ~closed_v
+        if not target:
+            return True  # this neighbour can never be dominated
+        targets.append(target)
+        avail |= target
+    stack = [(0, avail)]
+    while stack:
+        t, avail = stack.pop()
+        branch = next((target for target in targets if not target & t), None)
+        if branch is None:
+            return False  # witness: T meets every N(w)
+        branch &= avail
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            stack.append((t | low, avail & ~(adj[low.bit_length() - 1] | low)))
+            avail ^= low
+    return True
 
 
 def _restrict(adj: tuple[int, ...], keep: int) -> tuple[int, ...]:
@@ -127,29 +195,11 @@ def _vd(adj: tuple[int, ...]) -> bool:
     all_mask = (1 << nverts) - 1
     result = False
     for v in range(nverts):
-        nv = adj[v]
-        if not nv:
+        if not _is_shedding(adj, v):
             continue
-        closed = nv | (1 << v)
         del_v = _restrict(adj, all_mask & ~(1 << v))
-        del_nv = _restrict(adj, all_mask & ~closed)
-        # shredding: every maximal independent set of G\N[v] extends into N(v)
-        shredding = True
-        keep = all_mask & ~closed
-        for cover in _minimal_cover_masks(del_nv):
-            s_mask = keep & ~cover
-            nb = nv
-            ok = False
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if adj[w] & s_mask == 0:
-                    ok = True
-                    break
-            if not ok:
-                shredding = False
-                break
-        if shredding and _vd(del_v) and _vd(del_nv):
+        del_nv = _restrict(adj, all_mask & ~(adj[v] | (1 << v)))
+        if _vd(del_v) and _vd(del_nv):
             result = True
             break
     _vd_cache[key] = result
@@ -175,13 +225,14 @@ def minimal_vertex_covers(g: BipartiteGraph) -> frozenset[frozenset[Vertex]]:
             out.append(("x", v + 1) if v < g.n else ("y", v - g.n + 1))
         return frozenset(out)
 
-    return frozenset(unpack(c) for c in _minimal_cover_masks(adj))
+    return frozenset(unpack(c) for c in _minimal_covers(adj))
 
 
 def is_unmixed_graph(g: BipartiteGraph) -> bool:
     """True iff all minimal vertex covers have the same cardinality."""
-    sizes = {bin(c).count("1") for c in _minimal_cover_masks(_adjacency(g))}
-    return len(sizes) <= 1
+    covers = _minimal_covers(_adjacency(g))
+    size = next(covers).bit_count()
+    return all(c.bit_count() == size for c in covers)
 
 
 def is_vertex_decomposable(g: BipartiteGraph) -> bool:

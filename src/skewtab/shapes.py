@@ -15,10 +15,20 @@ from typing import Iterable, Iterator, Sequence
 
 
 def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[int, ...]:
-    """Conjugate of a weakly decreasing sequence: entry j counts parts >= j."""
+    """Conjugate of a weakly decreasing sequence: entry j counts parts >= j.
+
+    Entries 1..length, zero past the largest part.  The count only falls
+    as j grows, so one pass costs O(len(parts) + length).
+    """
     if length is None:
         length = parts[0] if parts else 0
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, length + 1))
+    conj = []
+    count = len(parts)  # parts[:count] are the parts >= j
+    for j in range(1, length + 1):
+        while count and parts[count - 1] < j:
+            count -= 1
+        conj.append(count)
+    return tuple(conj)
 
 
 def _weakly_decreasing(seq: Sequence[int]) -> bool:

@@ -7,9 +7,11 @@ independent to be checked against.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 from skewtab import SkewShape, SkewTableau, enumerate_skew_shapes
+from skewtab.graphs import _canonical, _restrict
 from skewtab.ideals import MonomialIdeal, _minimalize
 
 
@@ -204,3 +206,75 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
             changed = True
             break
     return result
+
+
+def _minimal_cover_masks(adj: tuple[int, ...]) -> list[int]:
+    """All inclusion-minimal vertex covers, as bitmasks.
+
+    Reference for ``skewtab.graphs._minimal_covers``: it finds covers by
+    edge branching and keeps the minimal ones with a subset filter, sharing
+    no logic with the library's maximal-independent-set enumeration.
+
+    Branch on an uncovered edge: either endpoint joins the cover.  The
+    search yields every minimal cover (possibly with non-minimal extras),
+    which a subset filter then removes.
+    """
+    nverts = len(adj)
+    found: set[int] = set()
+
+    def rec(chosen: int) -> None:
+        for v in range(nverts):
+            if (chosen >> v) & 1:
+                continue
+            nb = adj[v] & ~chosen
+            if nb:
+                u = (nb & -nb).bit_length() - 1
+                rec(chosen | (1 << v))
+                rec(chosen | (1 << u))
+                return
+        found.add(chosen)
+
+    rec(0)
+    covers = sorted(found, key=lambda c: (bin(c).count("1"), c))
+    minimal: list[int] = []
+    for c in covers:
+        if not any(m & c == m for m in minimal):
+            minimal.append(c)
+    return minimal
+
+
+@cache
+def _cover_masks_cached(adj: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_minimal_cover_masks(adj))
+
+
+def is_shedding_reference(adj: tuple[int, ...], v: int) -> bool:
+    """Shedding test by enumerating the minimal covers of G - N[v].
+
+    v is shedding iff every maximal independent set of G - N[v] (the
+    complement of a minimal cover there) leaves some neighbour of v
+    without a neighbour in it.
+    """
+    nv = adj[v]
+    keep = ((1 << len(adj)) - 1) & ~(nv | (1 << v))
+    for cover in _cover_masks_cached(_restrict(adj, keep)):
+        s_mask = keep & ~cover
+        if all(adj[w] & s_mask for w in range(len(adj)) if (nv >> w) & 1):
+            return False
+    return True
+
+
+def vd_reference(adj: tuple[int, ...], cache: dict) -> bool:
+    """Vertex decomposability by the definition, on the cover-based shedding
+    test; ``cache`` is the caller's memo, keyed like ``skewtab.graphs._vd``."""
+    key = _canonical(adj)
+    if not key:
+        return True
+    if key not in cache:
+        all_mask = (1 << len(key)) - 1
+        cache[key] = any(
+            is_shedding_reference(key, v)
+            and vd_reference(_restrict(key, all_mask & ~(1 << v)), cache)
+            and vd_reference(_restrict(key, all_mask & ~(key[v] | (1 << v))), cache)
+            for v in range(len(key)))
+    return cache[key]

@@ -1,11 +1,17 @@
+import random
+import sys
+import time
+
 import pytest
 
 from skewtab import (SkewShape, from_shape, is_union_complete_graphs,
                      is_unmixed_graph, is_vertex_decomposable,
                      minimal_vertex_covers)
-from skewtab.graphs import BipartiteGraph
+from skewtab.graphs import (BipartiteGraph, _adjacency, _is_shedding,
+                            _minimal_covers, _vd, clear_caches)
 
-from helpers import brute_minimal_covers, shapes_up_to
+from helpers import (_minimal_cover_masks, brute_minimal_covers,
+                     is_shedding_reference, shapes_up_to, vd_reference)
 
 
 def complete_bipartite(n, m):
@@ -40,6 +46,87 @@ def test_minimal_vertex_covers_vs_brute_force():
     for s in shapes_up_to(6):
         labeled = {frozenset(c) for c in minimal_vertex_covers(from_shape(s))}
         assert labeled == brute_minimal_covers(s), s
+
+
+def _assert_covers_match_reference(adj):
+    covers = list(_minimal_covers(adj))
+    assert len(covers) == len(set(covers))  # each cover yielded once
+    assert set(covers) == set(_minimal_cover_masks(adj))
+
+
+def test_minimal_covers_match_reference_on_shapes():
+    count = 0
+    for s in shapes_up_to(8):  # disconnected shapes included
+        _assert_covers_match_reference(_adjacency(from_shape(s)))
+        count += 1
+    assert count == 3909
+
+
+def test_minimal_covers_match_reference_with_isolated_vertices():
+    rng = random.Random(20090101)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        edges = frozenset((i, j) for i in range(1, n + 1) for j in range(1, m + 1)
+                          if rng.random() < 0.4)
+        # x_{n+1} and y_{m+1} are isolated, and so may be others
+        adj = _adjacency(BipartiteGraph(n + 1, m + 1, edges))
+        _assert_covers_match_reference(adj)
+
+
+def test_edgeless_graph_has_only_the_empty_cover():
+    edgeless = BipartiteGraph(2, 3, frozenset())
+    assert list(_minimal_covers(_adjacency(edgeless))) == [0]
+    assert minimal_vertex_covers(edgeless) == {frozenset()}
+    assert is_unmixed_graph(edgeless)
+
+
+def test_deep_star_covers_without_recursion():
+    """K_{1,2000} needs a 2,000-deep branch; the enumeration keeps its own
+    stack, so the default recursion limit is enough."""
+    assert sys.getrecursionlimit() <= 1000
+    leaves = frozenset(("y", j) for j in range(1, 2001))
+    star = BipartiteGraph(1, 2000, frozenset((1, j) for j in range(1, 2001)))
+    start = time.perf_counter()
+    assert minimal_vertex_covers(star) == {frozenset({("x", 1)}), leaves}
+    assert not is_unmixed_graph(star)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_shedding_test_matches_cover_based_check():
+    """Every (graph, vertex) pair of the shapes with <= 8 boxes."""
+    pairs = 0
+    for s in shapes_up_to(8):
+        adj = _adjacency(from_shape(s))
+        for v in range(len(adj)):
+            assert _is_shedding(adj, v) == is_shedding_reference(adj, v), (s, v)
+            pairs += 1
+    assert pairs == 40448
+
+
+def test_shedding_test_matches_cover_based_check_off_bipartite():
+    """On bipartite graphs every distance-2 set is independent, so only
+    graphs with odd cycles exercise the search's independence check."""
+    rng = random.Random(2009)
+    for _ in range(400):
+        nverts = rng.randint(3, 8)
+        adj = [0] * nverts
+        for a in range(nverts):
+            for b in range(a + 1, nverts):
+                if rng.random() < 0.4:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        adj = tuple(adj)
+        for v in range(nverts):
+            if adj[v]:
+                assert _is_shedding(adj, v) == is_shedding_reference(adj, v), (adj, v)
+
+
+def test_vd_matches_reference():
+    clear_caches()
+    cache = {}
+    for s in shapes_up_to(8):
+        adj = _adjacency(from_shape(s))
+        assert _vd(adj) == vd_reference(adj, cache), s
 
 
 def test_is_unmixed_graph():

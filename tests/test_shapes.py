@@ -3,9 +3,10 @@ import pytest
 from skewtab import (SkewShape, anti_transpose_shape, block_containing,
                      blocks, conjugate, delete_rows_cols, is_connected,
                      normalize, render)
-from skewtab.shapes import Partition
+from skewtab.shapes import Partition, conjugate_parts
 
-from helpers import bfs_connected, boxes_of, shape_from_boxes, shapes_up_to
+from helpers import (bfs_connected, boxes_of, partitions_up_to,
+                     shape_from_boxes, shapes_up_to)
 
 
 def test_partition_validation():
@@ -57,6 +58,24 @@ def test_conjugate_skew():
     assert c.mu == (2, 1, 0, 0, 0)
     # transpose of the box set, brute force
     assert boxes_of(c) == {(j, i) for i, j in boxes_of(s)}
+
+
+def test_conjugate_parts_matches_counting_formula():
+    """The one-pass conjugate equals "entry j counts parts >= j" on every
+    partition with <= 12 boxes, with trailing zeros (inner shapes carry
+    them) and at lengths below, at and beyond the largest part."""
+    def counted(parts, length):
+        return tuple(sum(1 for p in parts if p >= j) for j in range(1, length + 1))
+
+    cases = 0
+    for lam in partitions_up_to(12):
+        assert conjugate_parts(lam) == counted(lam, lam[0])
+        for parts in (lam, lam + (0,), lam + (0, 0)):
+            for length in (0, 1, lam[0] - 1, lam[0], lam[0] + 3):
+                assert conjugate_parts(parts, length) == counted(parts, length), (parts, length)
+                cases += 1
+    assert cases == 15 * sum(1 for _ in partitions_up_to(12))
+    assert conjugate_parts(()) == () and conjugate_parts((), 2) == (0, 0)
 
 
 def test_conjugate_involution_small():

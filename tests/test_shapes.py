@@ -67,14 +67,11 @@ def test_conjugate_parts_matches_counting_formula():
     def counted(parts, length):
         return tuple(sum(1 for p in parts if p >= j) for j in range(1, length + 1))
 
-    cases = 0
     for lam in partitions_up_to(12):
         assert conjugate_parts(lam) == counted(lam, lam[0])
         for parts in (lam, lam + (0,), lam + (0, 0)):
             for length in (0, 1, lam[0] - 1, lam[0], lam[0] + 3):
                 assert conjugate_parts(parts, length) == counted(parts, length), (parts, length)
-                cases += 1
-    assert cases == 15 * sum(1 for _ in partitions_up_to(12))
     assert conjugate_parts(()) == () and conjugate_parts((), 2) == (0, 0)
 
 

@@ -138,10 +138,9 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     """
     if s.is_empty:
         return True
-    comps = s.components()
-    if len(comps) > 1:
-        return all(is_scm(c.shape, component_rows(s, rows, c)) for c in comps)
-    return _scm_connected(s, rows)
+    if s.is_connected():
+        return _scm_connected(s, rows)
+    return all(is_scm(c.shape, component_rows(s, rows, c)) for c in s.components())
 
 
 def _scm_connected(s: SkewShape, rows: Rows) -> bool:
@@ -149,8 +148,7 @@ def _scm_connected(s: SkewShape, rows: Rows) -> bool:
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
-    conj = s.conjugate()
-    conj_key = (conj.lam, conj.mu, conjugate_rows(s, rows))
+    conj_key = (s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows))
     hit = _scm_cache.get(conj_key)
     if hit is not None:
         return hit
@@ -172,10 +170,9 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
     if s.is_empty:
         node["empty"] = True
         return node
-    comps = s.components()
-    if len(comps) > 1:
+    if not s.is_connected():
         node["components"] = [scm_trace(c.shape, component_rows(s, rows, c))
-                              for c in comps]
+                              for c in s.components()]
         return node
     pivots = scm_pivots(s, rows)
     node["pivots"] = [list(p["pivot"]) for p in pivots]
@@ -284,7 +281,7 @@ def _flip(f: _Frame) -> _Frame:
 def _peel_top(f: _Frame, drop: int) -> _Frame:
     s = f.shape
     lam, mu = s.lam[drop:], s.mu[drop:]
-    sub = SkewShape(lam, mu)
+    sub = SkewShape._trusted(lam, mu)
     if not f.swap:
         return _Frame(sub, f.amb_rows[drop:], f.amb_cols[:sub.m], False)
     return _Frame(sub, f.amb_rows[:sub.m], f.amb_cols[drop:], True)
@@ -296,7 +293,7 @@ def _partition_piece_data(nu: tuple[int, ...], mu1: int, frame: _Frame):
     Returns (ambient block boxsets ordered by band, entry, exit, defect)
     where defect is a nonsquare corner block's ambient boxes or None.
     """
-    diag = SkewShape(nu)
+    diag = SkewShape._trusted(nu, (0,) * len(nu))
     entry = exit_ = defect = None
     amb_blocks = []
     k, top = len(nu), nu[0]
@@ -411,6 +408,8 @@ def is_unmixed(s: SkewShape, rows: Rows) -> bool:
     and the weights are constant on every block and monotone, i.e. weakly
     increasing along rows and columns of upper pieces, weakly decreasing
     along lower ones."""
+    if s.is_connected():
+        return _unmixed_connected(s, rows)[0]
     return all(_unmixed_connected(c.shape, component_rows(s, rows, c))[0]
                for c in s.components())
 
@@ -555,9 +554,9 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     """
     if s.is_empty:
         return ShapeFlags(True, True, True, True, True, vacuous=True)
-    comps = s.components()
-    if len(comps) > 1:
-        parts = [classify_flags(c.shape, component_rows(s, rows, c)) for c in comps]
+    if not s.is_connected():
+        parts = [classify_flags(c.shape, component_rows(s, rows, c))
+                 for c in s.components()]
         return ShapeFlags(**{name: all(getattr(p, name) for p in parts) for name in FLAG_NAMES})
     unmixed, monotone = _unmixed_connected(s, rows)
     scm = _scm_connected(s, rows)

@@ -35,7 +35,7 @@ def enumerate_skew_shapes(max_boxes: int, connected_only: bool = False) -> Itera
     def rec(rows: list[tuple[int, int]], boxes: int) -> Iterator[SkewShape]:
         lo, hi = rows[-1]
         if lo == 1:
-            s = SkewShape(tuple(b for _, b in rows), tuple(a - 1 for a, _ in rows))
+            s = SkewShape._trusted(tuple(b for _, b in rows), tuple(a - 1 for a, _ in rows))
             if not connected_only or s.is_connected():
                 yield s
         for nhi in range(hi, 0, -1):
@@ -121,7 +121,7 @@ def _check_shape_batch(args: tuple) -> tuple[int, int, list[dict]]:
     instances = agreements = 0
     bad: list[dict] = []
     for lam, mu in shapes:
-        s = SkewShape(lam, mu)
+        s = SkewShape._trusted(lam, mu)
         if weighted:
             for t in enumerate_fillings(s, max_weight):
                 instances += 1

@@ -3,9 +3,17 @@
 Rows and columns are 1-based throughout.  A skew shape is kept in normal
 form: the inner boundary is weakly decreasing with last entry zero, every
 row is nonempty, and every column 1..m holds at least one box.  Shapes that
-lose rows or columns mid-computation are rebuilt through :func:`normalize`,
-which drops empty lines, reindexes and splits into connected components.
-The empty shape is a valid degenerate value.
+lose rows or columns mid-computation are rebuilt through
+:func:`delete_rows_cols` or :func:`normalize`, which drop empty lines,
+reindex and split into connected components.  The empty shape is a valid
+degenerate value.
+
+Trust boundary: ``SkewShape(lam, mu)`` and ``SkewShape.from_dict`` take
+outside input and validate it in full.  Shapes the package derives from a
+valid shape (components, deletions, conjugate, half turn, the pieces of the
+unmixed decomposition, enumerated shapes) are in normal form by
+construction and are built by ``SkewShape._trusted``, which skips the
+check.  Each shape computes its conjugate parts once.
 """
 
 from __future__ import annotations
@@ -78,6 +86,15 @@ class SkewShape:
         object.__setattr__(self, "mu", mu)
         self._validate()
 
+    @classmethod
+    def _trusted(cls, lam: tuple[int, ...], mu: tuple[int, ...]) -> "SkewShape":
+        """The shape lam/mu from tuples already in normal form, unchecked;
+        only for shapes derived from a valid one."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "lam", lam)
+        object.__setattr__(s, "mu", mu)
+        return s
+
     def _validate(self) -> None:
         lam, mu = self.lam, self.mu
         if len(lam) != len(mu):
@@ -92,9 +109,7 @@ class SkewShape:
             raise ValueError(f"not in normal form: last inner part {mu[-1]} != 0")
         if any(l <= m for l, m in zip(lam, mu)):
             raise ValueError(f"empty row in {lam}/{mu}")
-        lamc = conjugate_parts(lam, lam[0])
-        muc = conjugate_parts(mu, lam[0])
-        for j, (lj, mj) in enumerate(zip(lamc, muc), start=1):
+        for j, (lj, mj) in enumerate(zip(*self._conj()), start=1):
             if lj <= mj:
                 raise ValueError(f"empty column {j} in {lam}/{mu}")
 
@@ -133,11 +148,19 @@ class SkewShape:
         return [(i, j) for i in range(1, self.n + 1)
                 for j in range(self.mu[i - 1] + 1, self.lam[i - 1] + 1)]
 
+    def _conj(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lam', mu'), computed on first use and kept on the instance."""
+        conj = self.__dict__.get("_conj_parts")
+        if conj is None:
+            conj = conjugate_parts(self.lam, self.m), conjugate_parts(self.mu, self.m)
+            self.__dict__["_conj_parts"] = conj
+        return conj
+
     def lam_conj(self) -> tuple[int, ...]:
-        return conjugate_parts(self.lam, self.m)
+        return self._conj()[0]
 
     def mu_conj(self) -> tuple[int, ...]:
-        return conjugate_parts(self.mu, self.m)
+        return self._conj()[1]
 
     # -- symmetries ------------------------------------------------------
 
@@ -145,7 +168,7 @@ class SkewShape:
         """Transpose: box (i,j) -> (j,i)."""
         if self.is_empty:
             return self
-        return SkewShape(self.lam_conj(), self.mu_conj())
+        return SkewShape._trusted(*self._conj())
 
     def rotate180(self) -> "SkewShape":
         """Half turn: box (i,j) -> (n+1-i, m+1-j)."""
@@ -154,7 +177,7 @@ class SkewShape:
         n, m = self.n, self.m
         lam = tuple(m - self.mu[n - 1 - k] for k in range(n))
         mu = tuple(m - self.lam[n - 1 - k] for k in range(n))
-        return SkewShape(lam, mu)
+        return SkewShape._trusted(lam, mu)
 
     def anti_transpose(self) -> "SkewShape":
         """Reflection along the anti-diagonal: box (i,j) -> (m+1-j, n+1-i)."""
@@ -167,24 +190,14 @@ class SkewShape:
         return all(self.mu[i - 1] <= self.lam[i] - 1 for i in range(1, self.n))
 
     def components(self) -> list["Component"]:
-        """Connected components, each a normal-form shape with index maps."""
+        """Connected components, each a normal-form shape with index maps; a
+        connected shape is its own component."""
         if self.is_empty:
             return []
-        comps = []
-        start = 0
-        for i in range(1, self.n + 1):
-            if i == self.n or self.mu[i - 1] >= self.lam[i]:
-                rows = range(start, i)
-                shift = self.mu[i - 1]
-                lam = tuple(self.lam[r] - shift for r in rows)
-                mu = tuple(self.mu[r] - shift for r in rows)
-                comps.append(Component(
-                    shape=SkewShape(lam, mu),
-                    row_map=tuple(r + 1 for r in rows),
-                    col_map=tuple(range(shift + 1, self.lam[start] + 1)),
-                ))
-                start = i
-        return comps
+        if self.is_connected():
+            return [Component(self, tuple(range(1, self.n + 1)), tuple(range(1, self.m + 1)))]
+        return _split([(m + 1, l) for l, m in zip(self.lam, self.mu)],
+                      range(1, self.n + 1), range(1, self.m + 1))
 
     # -- serialization / rendering ----------------------------------------
 
@@ -215,6 +228,28 @@ class Component:
         return self.row_map[i - 1], self.col_map[j - 1]
 
 
+def _split(intervals: Sequence[tuple[int, int]], row_ids: Sequence[int],
+           col_ids: Sequence[int]) -> list[Component]:
+    """Connected components of nested row intervals over columns 1..K, each
+    column used by some row; ``row_ids``/``col_ids`` map each row and
+    column (0-based position) back to the ambient shape."""
+    comps: list[Component] = []
+    start = 0
+    # split where consecutive intervals do not even touch a common column
+    for k in range(1, len(intervals) + 1):
+        if k == len(intervals) or intervals[k][1] < intervals[k - 1][0]:
+            chunk = intervals[start:k]
+            shift = chunk[-1][0] - 1
+            comps.append(Component(
+                shape=SkewShape._trusted(tuple(hi - shift for _, hi in chunk),
+                                         tuple(lo - 1 - shift for lo, _ in chunk)),
+                row_map=tuple(row_ids[start:k]),
+                col_map=tuple(col_ids[shift:chunk[0][1]]),
+            ))
+            start = k
+    return comps
+
+
 def normalize(rows: Sequence, row_ids: Sequence[int] | None = None,
               col_ids: Sequence[int] | None = None) -> list[Component]:
     """Rebuild normal-form components from leftover row contents.
@@ -240,10 +275,6 @@ def normalize(rows: Sequence, row_ids: Sequence[int] | None = None,
     row_ids = list(row_ids)
 
     used_cols = sorted(set().union(*cols_per_row)) if cols_per_row else []
-    if col_ids is None:
-        col_index = {c: c for c in used_cols}
-    else:
-        col_index = {c: col_ids[c - 1] for c in used_cols}
     new_col = {c: k + 1 for k, c in enumerate(used_cols)}
 
     intervals: list[tuple[int, int]] = []
@@ -257,46 +288,52 @@ def normalize(rows: Sequence, row_ids: Sequence[int] | None = None,
         intervals.append((cols[0], cols[-1]))
         kept_rows.append(rid)
 
-    if not intervals:
-        return []
     for k in range(len(intervals) - 1):
         if intervals[k][0] < intervals[k + 1][0] or intervals[k][1] < intervals[k + 1][1]:
             raise ValueError("rows do not come from a skew shape (intervals not nested)")
-
-    # split where consecutive intervals do not even touch a common column
-    comps: list[Component] = []
-    start = 0
-    for k in range(1, len(intervals) + 1):
-        if k == len(intervals) or intervals[k][1] < intervals[k - 1][0]:
-            chunk = intervals[start:k]
-            shift = chunk[-1][0] - 1
-            lam = tuple(hi - shift for _, hi in chunk)
-            mu = tuple(lo - 1 - shift for lo, _ in chunk)
-            cmap = tuple(col_index[used_cols[shift + t]] for t in range(chunk[0][1] - shift))
-            comps.append(Component(
-                shape=SkewShape(lam, mu),
-                row_map=tuple(kept_rows[start:k]),
-                col_map=cmap,
-            ))
-            start = k
-    return comps
+    if col_ids is not None:
+        used_cols = [col_ids[c - 1] for c in used_cols]
+    return _split(intervals, kept_rows, used_cols)
 
 
 def delete_rows_cols(s: SkewShape, rows: Iterable[int] = (),
                      cols: Iterable[int] = ()) -> list[Component]:
-    """Remove whole rows/columns and renormalize; maps refer to ``s``."""
+    """Remove whole rows/columns and renormalize; maps refer to ``s``.
+
+    O(n + m): a surviving row keeps the live columns of its interval, found
+    from the next and previous live column; a coverage difference array
+    marks the columns some row still uses, and prefix counts renumber them.
+    """
     dead_rows = set(rows)
     dead_cols = set(cols)
     if not all(1 <= r <= s.n for r in dead_rows) or not all(1 <= c <= s.m for c in dead_cols):
         raise ValueError("row/column index out of range")
-    contents = []
-    for i in range(1, s.n + 1):
-        if i in dead_rows:
-            contents.append(None)
-        else:
-            lo, hi = s.row_interval(i)
-            contents.append(set(range(lo, hi + 1)) - dead_cols)
-    return normalize(contents)
+    m = s.m
+    nxt = [m + 1] * (m + 2)  # nxt[c]: first live column >= c
+    prv = [0] * (m + 1)  # prv[c]: last live column <= c
+    for c in range(m, 0, -1):
+        nxt[c] = nxt[c + 1] if c in dead_cols else c
+    for c in range(1, m + 1):
+        prv[c] = prv[c - 1] if c in dead_cols else c
+    kept: list[tuple[int, int, int]] = []
+    cover = [0] * (m + 2)
+    for i, (l, u) in enumerate(zip(s.lam, s.mu), start=1):
+        if i not in dead_rows:
+            lo, hi = nxt[u + 1], prv[l]
+            if lo <= hi:
+                kept.append((i, lo, hi))
+                cover[lo] += 1
+                cover[hi + 1] -= 1
+    used: list[int] = []
+    index = [0] * (m + 1)  # index[c]: number of used columns <= c
+    depth = 0
+    for c in range(1, m + 1):
+        depth += cover[c]
+        if depth and c not in dead_cols:
+            used.append(c)
+        index[c] = len(used)
+    return _split([(index[lo], index[hi]) for _, lo, hi in kept],
+                  [i for i, _, _ in kept], used)
 
 
 def conjugate(s: SkewShape) -> SkewShape:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from skewtab import SkewShape, SkewTableau, enumerate_skew_shapes
+from skewtab import SkewShape, SkewTableau, enumerate_skew_shapes, normalize
 from skewtab.graphs import _canonical, _restrict
 from skewtab.ideals import MonomialIdeal, _minimalize
 
@@ -140,6 +140,27 @@ def partitions_up_to(total: int):
 
 def shapes_up_to(max_boxes: int, connected_only: bool = False):
     yield from enumerate_skew_shapes(max_boxes, connected_only=connected_only)
+
+
+def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()):
+    """Remove whole rows/columns and renormalize; maps refer to ``s``.
+
+    Reference for ``skewtab.shapes.delete_rows_cols``: it rebuilds every
+    surviving row as a set of columns and hands the sets to ``normalize``,
+    which sorts and compacts them, where the library works on intervals.
+    """
+    dead_rows = set(rows)
+    dead_cols = set(cols)
+    if not all(1 <= r <= s.n for r in dead_rows) or not all(1 <= c <= s.m for c in dead_cols):
+        raise ValueError("row/column index out of range")
+    contents = []
+    for i in range(1, s.n + 1):
+        if i in dead_rows:
+            contents.append(None)
+        else:
+            lo, hi = s.row_interval(i)
+            contents.append(set(range(lo, hi + 1)) - dead_cols)
+    return normalize(contents)
 
 
 def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialIdeal]:

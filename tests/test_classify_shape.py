@@ -6,7 +6,7 @@ from skewtab import (SkewShape, classify_shape, explain_scm, from_shape,
                      is_saturated, is_scm_ferrers, is_scm_skew, is_unmixed_graph,
                      is_unmixed_skew, is_vertex_decomposable,
                      unmixed_decomposition, validate_certificate)
-from skewtab.classify import scm_pivots
+from skewtab.classify import clear_caches, scm_pivots
 from skewtab.shapes import Partition
 
 from helpers import boxes_of, partitions_up_to, shapes_up_to
@@ -215,3 +215,21 @@ def test_deep_shapes_classify_under_default_recursion_limit(lam, mu, flags):
     per level they fit under the default limit of 1000 (247-248 rows do)."""
     f = classify_shape(SkewShape(lam, mu))
     assert (f.unmixed, f.scm, f.cm, f.buchsbaum, f.gcm) == flags
+
+
+def test_classifiers_build_no_validated_shapes(monkeypatch):
+    """Shapes derived inside the package are trusted: classifying a valid
+    connected shape validates no further shape, on every connected shape
+    with <= 9 boxes and on the 150-row staircase."""
+    shapes = list(shapes_up_to(9, connected_only=True))
+    shapes.append(SkewShape(tuple(range(150, 0, -1))))
+    calls = []
+    validate = SkewShape._validate
+    monkeypatch.setattr(SkewShape, "_validate",
+                        lambda self: calls.append((self.lam, self.mu)) or validate(self))
+    for s in shapes:
+        clear_caches()
+        classify_shape(s)
+        is_scm_skew(s)
+        explain_scm(s)
+    assert calls == []

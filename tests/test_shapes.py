@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from skewtab import (SkewShape, anti_transpose_shape, block_containing,
@@ -5,8 +7,8 @@ from skewtab import (SkewShape, anti_transpose_shape, block_containing,
                      normalize, render)
 from skewtab.shapes import Partition, conjugate_parts
 
-from helpers import (bfs_connected, boxes_of, partitions_up_to,
-                     shape_from_boxes, shapes_up_to)
+from helpers import (bfs_connected, boxes_of, delete_rows_cols_reference,
+                     partitions_up_to, shape_from_boxes, shapes_up_to)
 
 
 def test_partition_validation():
@@ -167,6 +169,52 @@ def test_delete_rows_cols_splits():
     assert comps[0].row_map == (1,) and comps[0].col_map == (6,)
     assert comps[1].shape == SkewShape((2, 2, 2), (1, 0, 0))
     assert comps[1].row_map == (3, 4, 5) and comps[1].col_map == (1, 2)
+
+
+def test_delete_rows_cols_matches_reference():
+    """Every shape with <= 7 boxes, disconnected ones included, under every
+    deletion of <= 2 rows and <= 2 columns: the interval-based deletion
+    returns the set-based reference's components (shape, maps, order), and
+    each derived shape passes the validating constructor."""
+    deletions, valid = 0, set()
+    for s in shapes_up_to(7):
+        row_sets = [d for k in range(3) for d in combinations(range(1, s.n + 1), k)]
+        col_sets = [d for k in range(3) for d in combinations(range(1, s.m + 1), k)]
+        for rows in row_sets:
+            for cols in col_sets:
+                got = delete_rows_cols(s, rows, cols)
+                assert got == delete_rows_cols_reference(s, rows, cols), (s, rows, cols)
+                for c in got:
+                    if c.shape not in valid:
+                        assert SkewShape(c.shape.lam, c.shape.mu) == c.shape
+                        valid.add(c.shape)
+                deletions += 1
+    assert deletions == 252_869
+
+
+def test_derived_shapes_are_valid_and_match_box_sets():
+    """components(), conjugate() and rotate180() build trusted shapes; on
+    every shape with <= 8 boxes each passes the validating constructor and
+    equals the shape read off the transformed box set."""
+    for s in shapes_up_to(8):
+        n, m, boxes = s.n, s.m, boxes_of(s)
+        for t, want in ((s.conjugate(), {(j, i) for i, j in boxes}),
+                        (s.rotate180(), {(n + 1 - i, m + 1 - j) for i, j in boxes})):
+            assert SkewShape(t.lam, t.mu) == t == shape_from_boxes(want)
+            assert (t.lam_conj(), t.mu_conj()) == (conjugate_parts(t.lam, t.m),
+                                                   conjugate_parts(t.mu, t.m))
+        covered = set()
+        for c in s.components():
+            amb = {c.to_ambient(i, j) for i, j in boxes_of(c.shape)}
+            assert SkewShape(c.shape.lam, c.shape.mu) == c.shape == shape_from_boxes(amb)
+            assert bfs_connected(c.shape)
+            assert c.row_map == tuple(sorted({i for i, _ in amb}))
+            assert c.col_map == tuple(sorted({j for _, j in amb}))
+            assert not amb & covered
+            covered |= amb
+        assert covered == boxes
+        if s.is_connected():
+            assert [c.shape for c in s.components()] == [s]
 
 
 def test_delete_nothing_is_identity():

@@ -4,7 +4,7 @@ shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 from .shapes import (Block, Component, Partition, SkewShape, anti_transpose_shape,
                      block_containing, blocks, conjugate, delete_rows_cols,
                      is_connected, normalize, render)
-from .graphs import (BipartiteGraph, from_shape, is_union_complete_graphs,
+from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable,
                      minimal_vertex_covers)
 from .ideals import (MonomialIdeal, WeightedGraph, associated_primes,

@@ -536,17 +536,24 @@ class ShapeFlags:
         return out
 
 
-def is_constant_full_square(s: SkewShape, rows: Rows = None) -> bool:
-    """What Buchsbaum and generalized CM add to CM: the full n x n square
-    with empty inner shape, with a constant filling."""
-    return (not s.is_empty and s.n == s.m
-            and all(l == s.m for l in s.lam) and all(v == 0 for v in s.mu)
-            and (rows is None or len({w for r in rows for w in r}) == 1))
+def is_constant_full_square(s: SkewShape, rows: Rows = None, weight: int | None = None) -> bool:
+    """Whether s is the full n x n square with empty inner shape and a
+    constant filling, of the given weight if one is given (a bare shape has
+    weight 1)."""
+    weights = {1} if rows is None else {w for r in rows for w in r}
+    return (not s.is_empty and s.n == s.m and all(l == s.m for l in s.lam) and not any(s.mu)
+            and len(weights) == 1 and weight in (None, *weights))
 
 
 def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
-    """All five flags.  cm = unmixed and scm; Buchsbaum and generalized CM
-    coincide and add only :func:`is_constant_full_square`.
+    """All five flags.  cm = unmixed and scm.  Generalized CM adds to CM
+    only the constant full square, and Buchsbaum only the square of weight
+    1: on the n x n square of weight w, n >= 2, Mayer-Vietoris gives
+    H^1_m(S/I) = S/(x_i^w, y_j^w), of finite length, killed by m only if
+    w = 1.  A disconnected instance is Buchsbaum or gCM only when CM: by
+    Kunneth (Goto-Watanabe 1978) H^t(R_1) (x) H^{d_2}(R_2) lies in
+    H^{t + d_2}(R_1 (x) R_2), and it has infinite length when R_1 is not CM
+    (H^t(R_1) != 0 for some t < d_1), as every component has d_2 >= 1.
 
     For a filling, cm is also computed by the direct criterion
     (Cohen-Macaulay shape plus monotone weights on its pieces); the two
@@ -557,7 +564,8 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     if not s.is_connected():
         parts = [classify_flags(c.shape, component_rows(s, rows, c))
                  for c in s.components()]
-        return ShapeFlags(**{name: all(getattr(p, name) for p in parts) for name in FLAG_NAMES})
+        cm = all(p.cm for p in parts)
+        return ShapeFlags(all(p.unmixed for p in parts), all(p.scm for p in parts), cm, cm, cm)
     unmixed, monotone = _unmixed_connected(s, rows)
     scm = _scm_connected(s, rows)
     cm = unmixed and scm
@@ -567,8 +575,9 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
             raise RuntimeError(
                 f"internal inconsistency classifying {_as_dict(s, rows)}: "
                 f"unmixed&scm={cm} but direct criterion={cm_direct}")
-    bb = cm or is_constant_full_square(s, rows)
-    return ShapeFlags(unmixed=unmixed, scm=scm, cm=cm, buchsbaum=bb, gcm=bb)
+    return ShapeFlags(unmixed=unmixed, scm=scm, cm=cm,
+                      buchsbaum=cm or is_constant_full_square(s, rows, weight=1),
+                      gcm=cm or is_constant_full_square(s, rows))
 
 
 def classify_shape(s: SkewShape) -> ShapeFlags:

@@ -12,15 +12,9 @@ import json
 import sys
 
 from .shapes import SkewShape, render
-from .classify import (ShapeFlags, classify_shape, explain_scm, is_constant_full_square,
-                       unmixed_decomposition)
-from .graphs import from_shape, is_unmixed_graph, is_vertex_decomposable
-from .harness import PROPERTIES, crosscheck
-from .ideals import is_scm_weighted_oracle, is_unmixed_ideal, weighted_edge_ideal
-from .tableau import (SkewTableau, classify_tableau, explain_scm_tableau,
-                      rows_from_dict, to_weighted_graph)
-
-ALL_PROPERTIES = ("scm", "unmixed", "cm", "buchsbaum", "gcm")
+from .classify import FLAG_NAMES, classify_shape, explain_scm, unmixed_decomposition
+from .harness import Verdicts, crosscheck
+from .tableau import SkewTableau, classify_tableau, explain_scm_tableau, rows_from_dict
 
 
 def _load_json(path: str) -> dict:
@@ -41,29 +35,12 @@ def _load_instance(args) -> SkewShape | SkewTableau:
     return SkewTableau(shape, rows)
 
 
-def _oracle_flags(obj: SkewShape | SkewTableau) -> dict:
-    """Brute-force verdicts; Buchsbaum/gCM add the square-with-constant rule
-    to the oracle-backed CM verdict."""
-    if isinstance(obj, SkewTableau):
-        g = to_weighted_graph(obj)
-        unmixed = is_unmixed_ideal(weighted_edge_ideal(g))
-        scm = is_scm_weighted_oracle(g)
-        square = is_constant_full_square(obj.shape, obj.rows)
-    else:
-        g = from_shape(obj)
-        unmixed = is_unmixed_graph(g)
-        scm = is_vertex_decomposable(g)
-        square = is_constant_full_square(obj)
-    cm = unmixed and scm
-    bb = cm or square
-    return ShapeFlags(unmixed, scm, cm, bb, bb).to_dict()
-
-
 def cmd_classify(args) -> int:
     obj = _load_instance(args)
     weighted = isinstance(obj, SkewTableau)
     if args.oracle:
-        flags = _oracle_flags(obj)
+        oracle = Verdicts(obj, "oracle")
+        flags = {name: oracle[name] for name in FLAG_NAMES}
         out = {"oracle": True, "verdicts": flags}
     else:
         flags = (classify_tableau(obj) if weighted else classify_shape(obj)).to_dict()
@@ -74,10 +51,10 @@ def cmd_classify(args) -> int:
     if not args.oracle and args.explain:
         shape = obj.shape if weighted else obj
         explain: dict = {}
-        if args.property in (None, "unmixed", "cm", "buchsbaum", "gcm"):
+        if args.property != "scm":
             explain["unmixed_certificates"] = [
                 unmixed_decomposition(c.shape).to_dict() for c in shape.components()]
-        if args.property in (None, "scm", "cm", "buchsbaum", "gcm"):
+        if args.property != "unmixed":
             explain["scm_trace"] = (explain_scm_tableau(obj) if weighted
                                     else explain_scm(shape))
         out["explain"] = explain
@@ -123,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a shape or filling")
     p.add_argument("--shape", required=True, help="JSON file {\"lambda\": [...], \"mu\": [...]}")
     p.add_argument("--filling", help="JSON file {\"rows\": [[...], ...]}")
-    p.add_argument("--property", choices=ALL_PROPERTIES)
+    p.add_argument("--property", choices=FLAG_NAMES)
     p.add_argument("--explain", action="store_true",
                    help="emit decomposition certificates and the deletion trace")
     p.add_argument("--oracle", action="store_true",
@@ -135,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("crosscheck", help="classifier vs oracle over all bounded instances")
-    p.add_argument("--property", required=True, choices=PROPERTIES)
+    p.add_argument("--property", required=True, choices=FLAG_NAMES)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--max-boxes", type=int, required=True)
     p.add_argument("--max-weight", type=int, default=2)

@@ -8,14 +8,15 @@ independent sets, enumerated once each by Bron-Kerbosch with a pivot on an
 explicit stack.  Vertex decomposability follows the definition; a shedding
 vertex v is recognised by a short search for an independent set at
 distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
-covers.  Everything here is definitional and independent of the
-combinatorial classifiers, so the two routes can referee each other.
+covers.  ``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle, runs
+both on every vertex link.  Everything here is definitional and independent
+of the combinatorial classifiers, so the two routes can referee each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Iterator
 
 from .shapes import SkewShape
 
@@ -228,42 +229,32 @@ def minimal_vertex_covers(g: BipartiteGraph) -> frozenset[frozenset[Vertex]]:
     return frozenset(unpack(c) for c in _minimal_covers(adj))
 
 
-def is_unmixed_graph(g: BipartiteGraph) -> bool:
-    """True iff all minimal vertex covers have the same cardinality."""
-    covers = _minimal_covers(_adjacency(g))
+def _pure(adj: tuple[int, ...]) -> bool:
+    """Whether all minimal vertex covers have one size (Ind(G) is pure)."""
+    covers = _minimal_covers(adj)
     size = next(covers).bit_count()
     return all(c.bit_count() == size for c in covers)
+
+
+def is_unmixed_graph(g: BipartiteGraph) -> bool:
+    """True iff all minimal vertex covers have the same cardinality."""
+    return _pure(_adjacency(g))
 
 
 def is_vertex_decomposable(g: BipartiteGraph) -> bool:
     return _vd(_adjacency(g))
 
 
-def is_union_complete_graphs(vertices: Iterable[Hashable],
-                             edges: Iterable[tuple[Hashable, Hashable]]) -> bool:
-    """True iff every connected component of a simple graph is a clique."""
-    verts = list(vertices)
-    nbr: dict[Hashable, set] = {v: set() for v in verts}
-    for u, w in edges:
-        if u == w:
-            raise ValueError("loops are not allowed")
-        nbr[u].add(w)
-        nbr[w].add(u)
-    seen: set = set()
-    for v in verts:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in nbr[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        k = len(comp)
-        edge_count = sum(len(nbr[u] & comp) for u in comp) // 2
-        if edge_count != k * (k - 1) // 2:
-            return False
-    return True
+def is_buchsbaum_graph(g: BipartiteGraph) -> bool:
+    """Whether S/I(G) is Buchsbaum, which for a squarefree ideal is the same
+    as generalized Cohen-Macaulay.
+
+    Schenzel (1981): a Stanley-Reisner ring is Buchsbaum iff its complex is
+    pure and the link of every vertex is CM.  In Ind(G) the link of v is
+    Ind(G - N[v]), pure when Ind(G) is, and a pure bipartite graph is CM iff
+    it is vertex decomposable (Van Tuyl-Villarreal 2008).
+    """
+    adj = _adjacency(g)
+    everything = (1 << len(adj)) - 1
+    return _pure(adj) and all(_vd(_restrict(adj, everything & ~(adj[v] | 1 << v)))
+                              for v in range(len(adj)))

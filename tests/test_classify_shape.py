@@ -189,13 +189,25 @@ def test_classify_shape_examples():
 
 
 def test_classify_shape_vacuous_and_disconnected():
+    """A disconnected shape is Buchsbaum, or gCM, only when it is CM.
+
+    Its ring is R_1 (x) R_2 over the field, one factor per component (or
+    group of components).  By the Kunneth formula for local cohomology
+    (Goto-Watanabe 1978), H^t(R_1) (x) H^{d_2}(R_2) is a summand of
+    H^{t + d_2}(R_1 (x) R_2).  When R_1 is not CM, H^t(R_1) != 0 for some
+    t < d_1; every component has dimension d_2 >= 1, so H^{d_2}(R_2) has
+    infinite length and so has that summand, below the dimension
+    d_1 + d_2.  So the ring is not gCM, hence not Buchsbaum.  Two disjoint
+    2 x 2 squares are Buchsbaum each but not CM, so their union is
+    neither; so is a 2 x 2 square beside a single box.
+    """
     assert classify_shape(SkewShape((), ())).vacuous
     flags = classify_shape(SkewShape((2, 1), (1, 0)))
     assert flags.cm  # two single boxes
-    # a disconnected pair of full squares: each factor is Buchsbaum, so the
-    # mixed sum is too, while neither is sequentially Cohen-Macaulay
-    flags = classify_shape(SkewShape((4, 4, 2, 2), (2, 2, 0, 0)))
-    assert flags.unmixed and not flags.scm and not flags.cm and flags.buchsbaum
+    for lam, mu in (((4, 4, 2, 2), (2, 2, 0, 0)), ((3, 3, 1), (1, 1, 0))):
+        flags = classify_shape(SkewShape(lam, mu))
+        assert flags.unmixed and not flags.scm and not flags.cm
+        assert (flags.buchsbaum, flags.gcm) == (False, False)
 
 
 def test_cm_flag_matches_oracles():

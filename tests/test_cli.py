@@ -68,6 +68,17 @@ def test_classify_oracle_matches_classifier_on_filling(shape_file, capsys):
     assert json.loads(out1)["verdicts"] == json.loads(out2)["verdicts"]
 
 
+def test_classify_oracle_on_weight_2_square(shape_file, capsys):
+    """The weight-2 square is gCM but not Buchsbaum on the oracle side too
+    (proof in test_tableau.py::test_classify_tableau_examples)."""
+    spath = shape_file("s.json", {"lambda": [2, 2]})
+    fpath = shape_file("f.json", {"rows": [[2, 2], [2, 2]]})
+    code, out, _ = run_cli(capsys, "classify", "--shape", spath, "--filling", fpath, "--oracle")
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {"unmixed": True, "scm": False, "cm": False,
+                                           "buchsbaum": False, "gcm": True}
+
+
 def test_classify_explain_scm_trace_is_json(shape_file, capsys):
     spath = shape_file("s.json", {"lambda": [5, 5, 4], "mu": [2, 1, 0]})
     code, out, _ = run_cli(capsys, "classify", "--shape", spath,

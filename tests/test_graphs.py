@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from skewtab import (SkewShape, from_shape, is_union_complete_graphs,
+from skewtab import (SkewShape, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable,
                      minimal_vertex_covers)
 from skewtab.graphs import (BipartiteGraph, _adjacency, _is_shedding,
@@ -172,12 +172,11 @@ def test_disjoint_union_properties():
             assert is_unmixed_graph(union) == (len(sizes_a) == 1 and len(sizes_b) == 1)
 
 
-def test_is_union_complete_graphs():
-    assert is_union_complete_graphs([1, 2], [(1, 2)])
-    assert not is_union_complete_graphs([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-    triangle_plus_edge = [(1, 2), (2, 3), (1, 3), (4, 5)]
-    assert is_union_complete_graphs(range(1, 6), triangle_plus_edge)
-    assert not is_union_complete_graphs([1, 2, 3], [(1, 2), (2, 3)])  # induced path
-    assert is_union_complete_graphs([1, 2, 3], [])  # no edges at all
-    with pytest.raises(ValueError):
-        is_union_complete_graphs([1], [(1, 1)])
+def test_is_buchsbaum_graph_examples():
+    """Buchsbaum iff pure with CM vertex links: K_{2,2} is, two disjoint
+    copies or a copy beside an edge are not (their rings are not CM), and a
+    path on four vertices is CM; (3,2) is not even unmixed."""
+    assert is_buchsbaum_graph(complete_bipartite(2, 2))
+    assert is_buchsbaum_graph(BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 2)})))
+    for lam, mu in (((4, 4, 2, 2), (2, 2, 0, 0)), ((3, 3, 1), (1, 1, 0)), ((3, 2), (0, 0))):
+        assert not is_buchsbaum_graph(from_shape(SkewShape(lam, mu))), (lam, mu)

@@ -53,7 +53,7 @@ def test_enumerate_fillings():
         list(enumerate_fillings(one, 0))
 
 
-@pytest.mark.parametrize("prop", ["scm", "unmixed", "cm"])
+@pytest.mark.parametrize("prop", ["scm", "unmixed", "cm", "buchsbaum", "gcm"])
 def test_crosscheck_unweighted_small(prop):
     report = crosscheck(prop, max_boxes=6)
     assert report.ok

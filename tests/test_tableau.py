@@ -156,12 +156,24 @@ def test_explain_scm_tableau():
 
 
 def test_classify_tableau_examples():
+    """The n x n square with constant weight w, n >= 2, is gCM, and it is
+    Buchsbaum only for w = 1; the weight-2 2 x 2 square was once expected
+    Buchsbaum.
+
+    I is the intersection of P = (x_i^w) and Q = (y_j^w).  S/P and S/Q are
+    polynomial rings of dimension n >= 2, so the Mayer-Vietoris sequence
+    0 -> S/I -> S/P + S/Q -> S/(P + Q) -> 0 gives H^1_m(S/I) = S/(P + Q)
+    and H^i_m(S/I) = 0 for i = 0 and 1 < i < n.  S/(P + Q) has finite
+    length, so S/I is gCM.  For w >= 2, x_1 is not in P + Q, so m does not
+    kill H^1: S/I is not quasi-Buchsbaum, hence not Buchsbaum.
+    """
     flags = classify_tableau(SkewTableau(SkewShape((2, 1)), [[1, 2], [3]]))
     assert flags.cm and flags.unmixed and flags.scm and flags.buchsbaum and flags.gcm
 
-    flags = classify_tableau(SkewTableau(SkewShape((2, 2)), [[2, 2], [2, 2]]))
-    assert (flags.unmixed, flags.scm, flags.cm, flags.buchsbaum, flags.gcm) \
-        == (True, False, False, True, True)
+    for n, w, buchsbaum in ((2, 2, False), (2, 1, True), (3, 2, False)):
+        flags = classify_tableau(SkewTableau(SkewShape((n,) * n), [[w] * n] * n))
+        assert (flags.unmixed, flags.scm, flags.cm, flags.buchsbaum, flags.gcm) \
+            == (True, False, False, buchsbaum, True), (n, w)
 
     flags = classify_tableau(SkewTableau(SkewShape((2, 2)), [[1, 2], [2, 1]]))
     assert (flags.unmixed, flags.scm, flags.cm, flags.buchsbaum, flags.gcm) \

@@ -4,8 +4,17 @@ The enumerator streams every normal-form skew shape up to a box budget
 exactly once (conjugates both included).  One table, RULES, gives the
 classifier's and the brute-force oracle's verdict on each of the five flags
 of a shape or a filling; the cross-check compares the two over all
-instances in bounds and reports disagreements.  Work can be spread over
-processes at instance granularity; each worker owns its memo caches.
+instances in bounds and reports disagreements.
+
+The oracle runs once per orbit of the transpose and the half turn, and its
+verdict is reused on the orbit's other instances; the classifier runs on
+every instance.  This is sound because the ideal of a filling is the edge
+ideal of a weighted bipartite graph with an edge x_i y_j of weight w(i,j)
+per box.  The transpose (i,j) -> (j,i) swaps the x's and the y's, and the
+half turn (i,j) -> (n+1-i, m+1-j) reverses both index sets; both carry the
+weights along.  So each image's ideal is the original with its variables
+renamed, and all five flags agree on the four images.  Work can be spread
+over processes, one whole orbit to a worker; each worker owns its memos.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from typing import Iterator
 
 from .shapes import SkewShape
 from .graphs import from_shape, is_buchsbaum_graph, is_unmixed_graph, is_vertex_decomposable
-from .classify import (FLAG_NAMES, classify_shape, is_constant_full_square, is_scm_skew,
-                       is_unmixed_skew)
+from .classify import (FLAG_NAMES, Rows, classify_shape, conjugate_rows, is_constant_full_square,
+                       is_scm_skew, is_unmixed_skew)
 from .ideals import is_scm_weighted_oracle, is_unmixed_ideal, weighted_edge_ideal
 from .tableau import (SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_tableau,
                       to_weighted_graph)
@@ -142,15 +151,49 @@ RULES = {
 }
 
 
+def _shape_images(s: SkewShape) -> tuple[SkewShape, SkewShape, SkewShape, SkewShape]:
+    """``s``, its transpose, its half turn and the transpose of its half turn."""
+    rot = s.rotate180()
+    return s, s.conjugate(), rot, rot.conjugate()
+
+
+def _orbit(images: tuple[SkewShape, ...], rows: Rows = None) -> set[tuple]:
+    """(lam, mu, rows) of an instance and its three images, where ``images``
+    are the :func:`_shape_images` of the instance's shape and ``rows`` its
+    weight rows, None for a bare shape."""
+    s, conj, rot, rot_conj = images
+    if rows is None:
+        return {(t.lam, t.mu, None) for t in images}
+    rot_rows = tuple(tuple(reversed(r)) for r in reversed(rows))
+    return {(s.lam, s.mu, rows), (conj.lam, conj.mu, conjugate_rows(s, rows)),
+            (rot.lam, rot.mu, rot_rows),
+            (rot_conj.lam, rot_conj.mu, conjugate_rows(rot, rot_rows))}
+
+
 def _check_shape_batch(args: tuple) -> tuple[int, list[dict]]:
     prop, weighted, max_weight, shapes = args
     instances = 0
     bad: list[dict] = []
+    # (lam, mu, rows) -> the oracle's verdict, for the images of checked
+    # instances that are still to come.  Each instance comes once, so each
+    # entry is read once, and only the orbits still open are held.  The
+    # images are built once per shape, and only for the first instance of an
+    # orbit: computing them for every instance cost more than the cheap
+    # unweighted oracles they save.
+    pending: dict[tuple, bool] = {}
     for lam, mu in shapes:
         s = SkewShape._trusted(lam, mu)
+        images = None
         for x in (enumerate_fillings(s, max_weight) if weighted else (s,)):
             instances += 1
-            got, want = Verdicts(x, "classifier")[prop], Verdicts(x, "oracle")[prop]
+            got = Verdicts(x, "classifier")[prop]
+            rows = x.rows if weighted else None
+            want = pending.pop((lam, mu, rows), None)
+            if want is None:
+                want = Verdicts(x, "oracle")[prop]
+                images = images or _shape_images(s)
+                for key in _orbit(images, rows) - {(lam, mu, rows)}:
+                    pending[key] = want
             if got != want:
                 bad.append({"instance": x.to_dict(), "classifier": got, "oracle": want})
     return instances, bad
@@ -175,7 +218,12 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
     if jobs <= 1:
         results = [_check_shape_batch((prop, weighted, max_weight, shapes))]
     else:
-        chunks = [shapes[k::jobs] for k in range(jobs)]
+        orbits: dict[tuple, list] = {}
+        for lam, mu in shapes:
+            key = min(_orbit(_shape_images(SkewShape._trusted(lam, mu))))
+            orbits.setdefault(key, []).append((lam, mu))
+        groups = list(orbits.values())
+        chunks = [[shape for group in groups[k::jobs] for shape in group] for k in range(jobs)]
         with Pool(jobs) as pool:
             results = pool.map(_check_shape_batch,
                                [(prop, weighted, max_weight, chunk) for chunk in chunks])

@@ -13,6 +13,7 @@ from itertools import combinations, product
 from skewtab import SkewShape, SkewTableau, enumerate_skew_shapes, normalize
 from skewtab.graphs import _canonical, _restrict
 from skewtab.ideals import MonomialIdeal, _minimalize
+from skewtab.shapes import Block, _runs
 
 
 def boxes_of(s: SkewShape) -> set[tuple[int, int]]:
@@ -161,6 +162,43 @@ def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()):
             lo, hi = s.row_interval(i)
             contents.append(set(range(lo, hi + 1)) - dead_cols)
     return normalize(contents)
+
+
+def blocks_reference(s: SkewShape) -> list[Block]:
+    """Band grid of a connected shape.
+
+    Reference for ``skewtab.shapes.blocks``: it tests every (row band,
+    column band) pair for a box of the shape, O(bands^2), where the library
+    walks each row band's run of column bands.
+    """
+    if s.is_empty:
+        return []
+    if not s.is_connected():
+        raise ValueError("blocks are defined for connected shapes")
+    row_bands = _runs(list(zip(s.lam, s.mu)))
+    col_bands = _runs(list(zip(s.lam_conj(), s.mu_conj())))
+
+    def inside(rb: int, cb: int) -> bool:
+        if not (0 <= rb < len(row_bands) and 0 <= cb < len(col_bands)):
+            return False
+        return s.contains(row_bands[rb][0], col_bands[cb][0])
+
+    out = []
+    for rb in range(len(row_bands)):
+        for cb in range(len(col_bands)):
+            if inside(rb, cb):
+                corner = not inside(rb, cb + 1) and not inside(rb + 1, cb)
+                out.append(Block(rows=row_bands[rb], cols=col_bands[cb], corner=corner))
+    return out
+
+
+def block_containing_reference(s: SkewShape, box: tuple[int, int]) -> Block:
+    """Reference for ``skewtab.shapes.block_containing``: the block of the
+    whole grid that holds ``box``."""
+    for b in blocks_reference(s):
+        if b.rows[0] <= box[0] <= b.rows[1] and b.cols[0] <= box[1] <= b.cols[1]:
+            return b
+    raise ValueError(f"box {box} not in shape")
 
 
 def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialIdeal]:

@@ -7,8 +7,9 @@ from skewtab import (SkewShape, anti_transpose_shape, block_containing,
                      normalize, render)
 from skewtab.shapes import Partition, conjugate_parts
 
-from helpers import (bfs_connected, boxes_of, delete_rows_cols_reference,
-                     partitions_up_to, shape_from_boxes, shapes_up_to)
+from helpers import (bfs_connected, block_containing_reference, blocks_reference, boxes_of,
+                     delete_rows_cols_reference, partitions_up_to, shape_from_boxes,
+                     shapes_up_to)
 
 
 def test_partition_validation():
@@ -262,6 +263,31 @@ def test_blocks_conjugate_transposes_grid():
         got = {(b.cols, b.rows, b.corner) for b in blocks(s.conjugate())}
         want = {(b.rows, b.cols, b.corner) for b in blocks(s)}
         assert got == want
+
+
+def test_blocks_match_reference():
+    """The banded grid and the direct block lookup give the pairwise grid's
+    blocks, in its order and with its corner flags, on every connected shape
+    with <= 9 boxes and on the 150-row staircase."""
+    for s in shapes_up_to(9, connected_only=True):
+        assert blocks(s) == blocks_reference(s)
+        for box in boxes_of(s):
+            assert block_containing(s, box) == block_containing_reference(s, box)
+    stair = SkewShape(tuple(range(150, 0, -1)))
+    grid = blocks_reference(stair)  # 11,325 one-box blocks
+    assert blocks(stair) == grid
+    for b in grid:  # the reference lookup would rebuild the grid per box
+        assert block_containing(stair, (b.rows[0], b.cols[0])) == b
+    assert blocks(SkewShape((), ())) == blocks_reference(SkewShape((), ())) == []
+
+
+def test_block_containing_rejects_bad_boxes():
+    s = SkewShape((3, 3, 1))
+    for box in ((3, 2), (0, 1), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match="not in shape"):
+            block_containing(s, box)
+    with pytest.raises(ValueError, match="connected"):
+        block_containing(SkewShape((4, 2), (2, 0)), (1, 3))
 
 
 def test_blocks_requires_connected():

@@ -7,6 +7,13 @@ property, ``is_unmixed`` the prime-piece test and ``classify_flags`` the
 five flags.  ``unmixed_decomposition`` peels a connected shape into
 alternating prime unmixed pieces glued along shared extremal blocks,
 returning a checkable certificate either way.
+
+A shape's ideal is the sum of its components' ideals in disjoint
+variables, so both tests run per connected component, memoized on its
+(lam, mu, rows) in ``_scm_cache`` and ``_unmixed_cache``.  The unmixed memo
+holds the (unmixed, monotone) booleans only, never a certificate, whose box
+sets would outlive every large shape classified.  ``clear_caches`` empties
+both.
 """
 
 from __future__ import annotations
@@ -387,20 +394,32 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
         frame = _flip(nxt)
 
 
+_unmixed_cache: dict[tuple, tuple[bool, bool]] = {}
+
+
 def _unmixed_connected(s: SkewShape, rows: Rows) -> tuple[bool, bool]:
     """(unmixed, monotone) for a connected shape or filling, both False when
     the shape has no prime-piece decomposition; monotone alone is the
-    filling's half of the direct Cohen-Macaulay criterion."""
+    filling's half of the direct Cohen-Macaulay criterion.  Memoized on
+    (lam, mu, rows) with no conjugate lookup, so that a fault that is not
+    symmetric under the transpose still shows."""
+    key = (s.lam, s.mu, rows)
+    hit = _unmixed_cache.get(key)
+    if hit is not None:
+        return hit
     cert = unmixed_decomposition(s)
     if not cert.ok or rows is None:
-        return cert.ok, cert.ok
-    w = {(i, j): rows[i - 1][j - s.mu[i - 1] - 1] for i, j in s.boxes()}
-    monotone = all(
-        (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
-        for piece in cert.pieces for i, j in piece.boxes
-        for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
-    constant = all(len({w[b] for b in blk.boxes()}) == 1 for blk in blocks(s))
-    return monotone and constant, monotone
+        result = cert.ok, cert.ok
+    else:
+        w = {(i, j): rows[i - 1][j - s.mu[i - 1] - 1] for i, j in s.boxes()}
+        monotone = all(
+            (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
+            for piece in cert.pieces for i, j in piece.boxes
+            for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
+        constant = all(len({w[b] for b in blk.boxes()}) == 1 for blk in blocks(s))
+        result = monotone and constant, monotone
+    _unmixed_cache[key] = result
+    return result
 
 
 def is_unmixed(s: SkewShape, rows: Rows) -> bool:
@@ -587,3 +606,4 @@ def classify_shape(s: SkewShape) -> ShapeFlags:
 
 def clear_caches() -> None:
     _scm_cache.clear()
+    _unmixed_cache.clear()

@@ -218,11 +218,17 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
     if jobs <= 1:
         results = [_check_shape_batch((prop, weighted, max_weight, shapes))]
     else:
-        orbits: dict[tuple, list] = {}
-        for lam, mu in shapes:
-            key = min(_orbit(_shape_images(SkewShape._trusted(lam, mu))))
-            orbits.setdefault(key, []).append((lam, mu))
-        groups = list(orbits.values())
+        # the images of an orbit's first shape place the whole orbit
+        groups: list[list] = []
+        group_of: dict[tuple, list] = {}
+        for shape in shapes:
+            group = group_of.get(shape)
+            if group is None:
+                group = []
+                groups.append(group)
+                for t in _shape_images(SkewShape._trusted(*shape)):
+                    group_of[t.lam, t.mu] = group
+            group.append(shape)
         chunks = [[shape for group in groups[k::jobs] for shape in group] for k in range(jobs)]
         with Pool(jobs) as pool:
             results = pool.map(_check_shape_batch,

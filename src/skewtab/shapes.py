@@ -91,8 +91,10 @@ class SkewShape:
         """The shape lam/mu from tuples already in normal form, unchecked;
         only for shapes derived from a valid one."""
         s = object.__new__(cls)
-        object.__setattr__(s, "lam", lam)
-        object.__setattr__(s, "mu", mu)
+        # straight into the instance dict: half the cost of object.__setattr__
+        fields = s.__dict__
+        fields["lam"] = lam
+        fields["mu"] = mu
         return s
 
     def _validate(self) -> None:
@@ -240,11 +242,11 @@ def _split(intervals: Sequence[tuple[int, int]], row_ids: Sequence[int],
         if k == len(intervals) or intervals[k][1] < intervals[k - 1][0]:
             chunk = intervals[start:k]
             shift = chunk[-1][0] - 1
-            comps.append(Component(
-                shape=SkewShape._trusted(tuple(hi - shift for _, hi in chunk),
-                                         tuple(lo - 1 - shift for lo, _ in chunk)),
-                row_map=tuple(row_ids[start:k]),
-                col_map=tuple(col_ids[shift:chunk[0][1]]),
+            comps.append(Component(  # shape, row_map, col_map
+                SkewShape._trusted(tuple([hi - shift for _, hi in chunk]),
+                                   tuple([lo - 1 - shift for lo, _ in chunk])),
+                tuple(row_ids[start:k]),
+                tuple(col_ids[shift:chunk[0][1]]),
             ))
             start = k
     return comps

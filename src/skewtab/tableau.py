@@ -3,8 +3,8 @@
 A tableau is a shape plus a positive integer weight per box.  Its
 classifiers are those of :mod:`skewtab.classify` run with the filling's
 weight rows, which set the SCM recursion's cuts and add block constancy and
-monotonicity to the unmixed test.  They share one memo, which
-``clear_caches`` (re-exported here) empties.
+monotonicity to the unmixed test.  They share the SCM and unmixed memos,
+which ``clear_caches`` (re-exported here) empties.
 """
 
 from __future__ import annotations

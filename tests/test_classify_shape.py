@@ -2,14 +2,15 @@ import json
 
 import pytest
 
-from skewtab import (SkewShape, classify_shape, explain_scm, from_shape,
-                     is_saturated, is_scm_ferrers, is_scm_skew, is_unmixed_graph,
-                     is_unmixed_skew, is_vertex_decomposable,
-                     unmixed_decomposition, validate_certificate)
+from skewtab import (SkewShape, SkewTableau, classify, classify_shape, classify_tableau,
+                     explain_scm, from_shape, is_saturated, is_scm_ferrers, is_scm_skew,
+                     is_unmixed_graph, is_unmixed_skew, is_unmixed_tableau,
+                     is_vertex_decomposable, tableau, unmixed_decomposition,
+                     validate_certificate)
 from skewtab.classify import clear_caches, scm_pivots
 from skewtab.shapes import Partition
 
-from helpers import boxes_of, partitions_up_to, shapes_up_to
+from helpers import all_fillings, boxes_of, partitions_up_to, shapes_up_to
 
 
 def test_is_saturated_examples():
@@ -245,3 +246,33 @@ def test_classifiers_build_no_validated_shapes(monkeypatch):
         is_scm_skew(s)
         explain_scm(s)
     assert calls == []
+
+
+def test_unmixed_memo_is_faithful():
+    """One unmixed memo for a whole pass, walked forward or backward, gives
+    every instance the verdicts it gets from a cold memo: the 3,909 shapes
+    with <= 8 boxes, disconnected ones included, and the 186 fillings with
+    <= 4 boxes, w <= 2.  The memo holds two booleans per key, never a
+    certificate, and both modules' ``clear_caches`` empty it."""
+    instances = list(shapes_up_to(8))
+    instances += [t for s in shapes_up_to(4, connected_only=True) for t in all_fillings(s, 2)]
+    assert len(instances) == 3909 + 186
+
+    def verdicts(x):
+        if isinstance(x, SkewTableau):
+            return is_unmixed_tableau(x), classify_tableau(x).to_dict()
+        return is_unmixed_skew(x), classify_shape(x).to_dict()
+
+    cold = []
+    for x in instances:
+        clear_caches()
+        cold.append(verdicts(x))
+    memo = classify._unmixed_cache
+    for order in (1, -1):
+        clear_caches()
+        warm = [verdicts(x) for x in instances[::order]]
+        assert warm[::order] == cold
+        assert memo and all(type(v) is tuple and len(v) == 2 and all(type(b) is bool for b in v)
+                            for v in memo.values())
+        (classify if order == 1 else tableau).clear_caches()
+        assert not memo

@@ -1,9 +1,9 @@
 import pytest
 
-from skewtab import (SkewShape, SkewTableau, crosscheck, enumerate_fillings,
-                     enumerate_skew_shapes, harness)
+from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, crosscheck,
+                     enumerate_fillings, enumerate_skew_shapes, harness)
 from skewtab.classify import FLAG_NAMES
-from skewtab.graphs import clear_caches
+from skewtab.graphs import clear_caches, from_shape, is_unmixed_graph
 
 from helpers import all_fillings, boxes_of, constant_filling, shape_from_boxes
 
@@ -57,6 +57,15 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(harness, "Pool", FakePool)
     return made
+
+
+@pytest.fixture
+def cold_classifier():
+    """Empty classifier memos before the test and after it, so that verdicts
+    from a patched classifier do not outlive it."""
+    classify.clear_caches()
+    yield
+    classify.clear_caches()
 
 
 def test_enumerate_counts_snapshot():
@@ -237,3 +246,36 @@ def test_classifier_checked_on_every_orbit_member(monkeypatch, image):
         report = crosscheck("scm", **kwargs)
         assert [d["instance"] for d in report.disagreements] == [wrong.to_dict()]
         assert report.agreements == report.instances - 1
+
+
+def test_crosscheck_decomposes_each_connected_shape_once(monkeypatch, cold_classifier):
+    """The 400 shapes with <= 6 boxes have the 82 connected ones among them
+    as components, 643 in all, and the unmixed memo decomposes each of the
+    82 once."""
+    calls = []
+    real = classify.unmixed_decomposition
+    monkeypatch.setattr(classify, "unmixed_decomposition", lambda s: calls.append(s) or real(s))
+    report = crosscheck("unmixed", 6)
+    assert report.ok and report.instances == 400
+    assert len(calls) == 82
+    assert {(s.lam, s.mu) for s in calls} == \
+        {(s.lam, s.mu) for s in enumerate_skew_shapes(6, connected_only=True)}
+
+
+def test_wrong_component_verdict_reported_wherever_it_applies(monkeypatch, cold_classifier):
+    """A decomposition made wrong on one unmixed connected shape is reported
+    on that shape and on every unmixed disconnected shape that has it as a
+    component, and on no other shape: not on the shapes built from its half
+    turn, and not on its own half turn.  (A shape with a mixed component is
+    mixed either way.)"""
+    wrong = SkewShape((2, 1))
+    assert classify.unmixed_decomposition(wrong).ok and wrong.rotate180() != wrong
+    real = classify.unmixed_decomposition
+    monkeypatch.setattr(classify, "unmixed_decomposition", lambda s: (
+        UnmixedCertificate(ok=False, reason="made wrong") if s == wrong else real(s)))
+    report = crosscheck("unmixed", 6)
+    want = [s.to_dict() for s in enumerate_skew_shapes(6)
+            if wrong in [c.shape for c in s.components()] and is_unmixed_graph(from_shape(s))]
+    assert len(want) > 1
+    assert [d["instance"] for d in report.disagreements] == sorted(want, key=str)
+    assert all(not d["classifier"] and d["oracle"] for d in report.disagreements)

@@ -183,6 +183,7 @@ def test_classify_tableau_examples():
 def test_classify_tableau_decomposes_each_component_once(monkeypatch):
     """The unmixed, cm and direct-criterion flags share one prime-piece
     decomposition per component."""
+    classify_module.clear_caches()
     calls = []
     real = classify_module.unmixed_decomposition
 

@@ -1,9 +1,8 @@
 """Unmixed and sequentially Cohen-Macaulay classification of skew Ferrers
 shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 
-from .shapes import (Block, Component, Partition, SkewShape, anti_transpose_shape,
-                     block_containing, blocks, conjugate, delete_rows_cols,
-                     is_connected, normalize, render)
+from .shapes import (Block, Component, Partition, SkewShape, block_containing, blocks,
+                     delete_rows_cols, normalize, render)
 from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable,
                      minimal_vertex_covers)

@@ -13,7 +13,7 @@ import sys
 
 from .shapes import SkewShape, render
 from .classify import FLAG_NAMES, classify_shape, explain_scm, unmixed_decomposition
-from .harness import Verdicts, crosscheck
+from .harness import crosscheck, oracle_verdict
 from .tableau import SkewTableau, classify_tableau, explain_scm_tableau, rows_from_dict
 
 
@@ -39,8 +39,7 @@ def cmd_classify(args) -> int:
     obj = _load_instance(args)
     weighted = isinstance(obj, SkewTableau)
     if args.oracle:
-        oracle = Verdicts(obj, "oracle")
-        flags = {name: oracle[name] for name in FLAG_NAMES}
+        flags = {f: oracle_verdict(obj, f) for f in FLAG_NAMES}
         out = {"oracle": True, "verdicts": flags}
     else:
         flags = (classify_tableau(obj) if weighted else classify_shape(obj)).to_dict()

@@ -1,10 +1,12 @@
 """Instance enumeration and classifier-vs-oracle cross-checking.
 
 The enumerator streams every normal-form skew shape up to a box budget
-exactly once (conjugates both included).  One table, RULES, gives the
-classifier's and the brute-force oracle's verdict on each of the five flags
-of a shape or a filling; the cross-check compares the two over all
-instances in bounds and reports disagreements.
+exactly once (conjugates both included).  ``classifier_verdict`` and
+``oracle_verdict`` give the classifier's and the brute-force oracle's
+verdict on each of the five flags of a shape or a filling; the cross-check
+compares the two over all instances in bounds and reports disagreements.
+Both look the functions they call up by their names in this module when
+they run, so rebinding one of those names (as a tracer does) takes effect.
 
 The oracle runs once per orbit of the transpose and the half turn, and its
 verdict is reused on the orbit's other instances; the classifier runs on
@@ -92,63 +94,41 @@ class CrossCheckReport:
         return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
-class Verdicts(dict):
-    """Verdicts on a shape or filling ``x`` by one route, "classifier" or
-    "oracle" (brute force).  Each entry is computed on first lookup by its
-    rule in RULES, which reads ``v.x`` and the route's other entries."""
-
-    __slots__ = ("x", "rules")
-
-    def __init__(self, x: SkewShape | SkewTableau, route: str):
-        self.x, self.rules = x, RULES[isinstance(x, SkewTableau), route]
-
-    def __missing__(self, name: str):
-        self[name] = value = self.rules[name](self)
-        return value
+def classifier_verdict(x: SkewShape | SkewTableau, prop: str) -> bool:
+    """The classifier's verdict on flag ``prop`` of a shape or filling."""
+    if prop not in FLAG_NAMES:
+        raise ValueError(f"property must be one of {FLAG_NAMES}")
+    weighted = isinstance(x, SkewTableau)
+    if prop == "unmixed":
+        return is_unmixed_tableau(x) if weighted else is_unmixed_skew(x)
+    if prop == "scm":
+        return is_scm_tableau(x) if weighted else is_scm_skew(x)
+    return getattr(classify_tableau(x) if weighted else classify_shape(x), prop)
 
 
-def _cm(v: Verdicts) -> bool:
-    return v["unmixed"] and v["scm"]
-
-
-# (weighted, route) -> entry -> rule, for each flag of FLAG_NAMES and the
-# oracle's graph.  Rules look module-level functions up when they run, so
-# rebinding one of those names here (as a tracer does) takes effect.
-RULES = {
-    (False, "classifier"): {
-        "unmixed": lambda v: is_unmixed_skew(v.x),
-        "scm": lambda v: is_scm_skew(v.x),
-        "cm": _cm,
-        "buchsbaum": lambda v: classify_shape(v.x).buchsbaum,
-        "gcm": lambda v: classify_shape(v.x).gcm,
-    },
-    (True, "classifier"): {
-        "unmixed": lambda v: is_unmixed_tableau(v.x),
-        "scm": lambda v: is_scm_tableau(v.x),
-        "cm": _cm,
-        "buchsbaum": lambda v: classify_tableau(v.x).buchsbaum,
-        "gcm": lambda v: classify_tableau(v.x).gcm,
-    },
-    (False, "oracle"): {
-        "graph": lambda v: from_shape(v.x),
-        "unmixed": lambda v: is_unmixed_graph(v["graph"]),
-        "scm": lambda v: is_vertex_decomposable(v["graph"]),
-        "cm": _cm,
-        "buchsbaum": lambda v: is_buchsbaum_graph(v["graph"]),
-        "gcm": lambda v: v["buchsbaum"],  # the same property for squarefree ideals
-    },
+def oracle_verdict(x: SkewShape | SkewTableau, prop: str) -> bool:
+    """The brute-force oracle's verdict on flag ``prop`` of a shape or filling."""
+    if prop not in FLAG_NAMES:
+        raise ValueError(f"property must be one of {FLAG_NAMES}")
+    if prop == "cm":
+        return oracle_verdict(x, "unmixed") and oracle_verdict(x, "scm")
+    if not isinstance(x, SkewTableau):
+        g = from_shape(x)
+        if prop == "unmixed":
+            return is_unmixed_graph(g)
+        if prop == "scm":
+            return is_vertex_decomposable(g)
+        return is_buchsbaum_graph(g)  # gcm: the same property for squarefree ideals
+    if prop == "unmixed":
+        return is_unmixed_ideal(weighted_edge_ideal(to_weighted_graph(x)))
+    if prop == "scm":
+        return is_scm_weighted_oracle(to_weighted_graph(x))
     # Buchsbaum/gCM of a filling: the oracle's cm, or the classifier's square
     # rule, which no disconnected filling meets (those are cm, by Kunneth).
     # Not an independent check until a weighted gCM oracle exists.
-    (True, "oracle"): {
-        "graph": lambda v: to_weighted_graph(v.x),
-        "unmixed": lambda v: is_unmixed_ideal(weighted_edge_ideal(v["graph"])),
-        "scm": lambda v: is_scm_weighted_oracle(v["graph"]),
-        "cm": _cm,
-        "buchsbaum": lambda v: v["cm"] or is_constant_full_square(v.x.shape, v.x.rows, 1),
-        "gcm": lambda v: v["cm"] or is_constant_full_square(v.x.shape, v.x.rows),
-    },
-}
+    if prop == "buchsbaum":
+        return oracle_verdict(x, "cm") or is_constant_full_square(x.shape, x.rows, 1)
+    return oracle_verdict(x, "cm") or is_constant_full_square(x.shape, x.rows)
 
 
 def _shape_images(s: SkewShape) -> tuple[SkewShape, SkewShape, SkewShape, SkewShape]:
@@ -186,11 +166,11 @@ def _check_shape_batch(args: tuple) -> tuple[int, list[dict]]:
         images = None
         for x in (enumerate_fillings(s, max_weight) if weighted else (s,)):
             instances += 1
-            got = Verdicts(x, "classifier")[prop]
+            got = classifier_verdict(x, prop)
             rows = x.rows if weighted else None
             want = pending.pop((lam, mu, rows), None)
             if want is None:
-                want = Verdicts(x, "oracle")[prop]
+                want = oracle_verdict(x, prop)
                 images = images or _shape_images(s)
                 for key in _orbit(images, rows) - {(lam, mu, rows)}:
                     pending[key] = want

@@ -136,10 +136,6 @@ class WeightedGraph:
         items.sort(key=lambda it: (index[it[0][0]], index[it[0][1]]))
         return cls(vertices, tuple(items))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.weights)
-
 
 def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
     """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G)."""
@@ -238,9 +234,12 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     (p) and branch once per variable x_k of its support, setting p_k to its
     exponent there; when every generator lies in (p), p is a leaf.  As (p)
     only grows along a branch, generators once in (p) stay there, so no
-    node re-minimalizes.  Leaves containing another leaf are dropped, and a
-    witness-monomial test checks what is left for irredundancy.  Raises
-    ``ValueError`` on the zero and the unit ideal.
+    node re-minimalizes.  Leaves containing another leaf are dropped, and
+    what is left is irredundant: an irreducible monomial ideal Q is
+    meet-prime, since for u in I minus Q and v in J minus Q, lcm(u, v) lies
+    in (I cap J) minus Q (each exponent of the lcm stays below Q's pure
+    powers).  So a leaf Q containing the meet of the others would contain
+    one of them.  Raises ``ValueError`` on the zero and the unit ideal.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("irreducible decomposition needs a proper nonzero ideal")
@@ -271,21 +270,6 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     # k > j, or k == j and e < f
     kept.sort(key=lambda c: [(-k, e) for k, e in reversed(supports[c])])
 
-    # witness filter: C is needed iff the maximal monomial outside C lies in
-    # every other component; membership only compares against bounded
-    # exponents, so a clamp at max exponent + 1 is a faithful stand-in.
-    big = max(max(c) for c in kept) + 1
-    changed = True
-    while changed:
-        changed = False
-        for c in kept:
-            witness = tuple(e - 1 if e else big for e in c)
-            if all(any(witness[k] >= e for k, e in supports[d])
-                   for d in kept if d is not c):
-                continue
-            kept.remove(c)
-            changed = True
-            break
     return [MonomialIdeal(ideal.variables, _pure_powers(c)) for c in kept]
 
 

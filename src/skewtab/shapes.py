@@ -139,10 +139,6 @@ class SkewShape:
         """Inclusive column interval (mu_i+1, lam_i) of row i."""
         return self.mu[i - 1] + 1, self.lam[i - 1]
 
-    def col_interval(self, j: int) -> tuple[int, int]:
-        """Inclusive row interval (mu'_j+1, lam'_j) of column j."""
-        return self.mu_conj()[j - 1] + 1, self.lam_conj()[j - 1]
-
     def contains(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and self.mu[i - 1] < j <= self.lam[i - 1]
 
@@ -252,8 +248,7 @@ def _split(intervals: Sequence[tuple[int, int]], row_ids: Sequence[int],
     return comps
 
 
-def normalize(rows: Sequence, row_ids: Sequence[int] | None = None,
-              col_ids: Sequence[int] | None = None) -> list[Component]:
+def normalize(rows: Sequence) -> list[Component]:
     """Rebuild normal-form components from leftover row contents.
 
     Each entry of ``rows`` is the surviving column content of one row:
@@ -272,16 +267,12 @@ def normalize(rows: Sequence, row_ids: Sequence[int] | None = None,
             cols_per_row.append(set(range(lo, hi + 1)))
         else:
             cols_per_row.append(set(content))
-    if row_ids is None:
-        row_ids = range(1, len(cols_per_row) + 1)
-    row_ids = list(row_ids)
-
     used_cols = sorted(set().union(*cols_per_row)) if cols_per_row else []
     new_col = {c: k + 1 for k, c in enumerate(used_cols)}
 
     intervals: list[tuple[int, int]] = []
     kept_rows: list[int] = []
-    for rid, content in zip(row_ids, cols_per_row):
+    for rid, content in enumerate(cols_per_row, start=1):
         if not content:
             continue
         cols = sorted(new_col[c] for c in content)
@@ -293,8 +284,6 @@ def normalize(rows: Sequence, row_ids: Sequence[int] | None = None,
     for k in range(len(intervals) - 1):
         if intervals[k][0] < intervals[k + 1][0] or intervals[k][1] < intervals[k + 1][1]:
             raise ValueError("rows do not come from a skew shape (intervals not nested)")
-    if col_ids is not None:
-        used_cols = [col_ids[c - 1] for c in used_cols]
     return _split(intervals, kept_rows, used_cols)
 
 
@@ -336,18 +325,6 @@ def delete_rows_cols(s: SkewShape, rows: Iterable[int] = (),
         index[c] = len(used)
     return _split([(index[lo], index[hi]) for _, lo, hi in kept],
                   [i for i, _, _ in kept], used)
-
-
-def conjugate(s: SkewShape) -> SkewShape:
-    return s.conjugate()
-
-
-def anti_transpose_shape(s: SkewShape) -> SkewShape:
-    return s.anti_transpose()
-
-
-def is_connected(s: SkewShape) -> bool:
-    return s.is_connected()
 
 
 # -- block grid ----------------------------------------------------------

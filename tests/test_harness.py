@@ -1,7 +1,8 @@
 import pytest
 
-from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, crosscheck,
-                     enumerate_fillings, enumerate_skew_shapes, harness)
+from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, classify_shape,
+                     classify_tableau, crosscheck, enumerate_fillings, enumerate_skew_shapes,
+                     harness)
 from skewtab.classify import FLAG_NAMES
 from skewtab.graphs import clear_caches, from_shape, is_unmixed_graph
 
@@ -151,6 +152,34 @@ def test_crosscheck_rejects_unknown_property():
         crosscheck("regular", max_boxes=3)
 
 
+@pytest.mark.parametrize("verdict", [harness.classifier_verdict, harness.oracle_verdict])
+@pytest.mark.parametrize("flag", ["regular", "CM", "graph", ""])
+def test_verdicts_reject_unknown_flag(verdict, flag):
+    """A flag outside FLAG_NAMES is an error on a shape and on a filling; it
+    never falls through to another flag's rule."""
+    for x in (SkewShape((2, 1)), SkewTableau(SkewShape((2, 1)), [[1, 2], [2]])):
+        with pytest.raises(ValueError):
+            verdict(x, flag)
+
+
+def test_classifier_verdict_matches_all_flags(cold_classifier):
+    """Each flag's classifier verdict, through the unmixed/scm tests or the
+    full flag set, equals that flag of classify_shape/classify_tableau on
+    the 400 shapes with <= 6 boxes and the fillings with <= 3 boxes,
+    weights 1..2.  The memos are emptied before each verdict, so neither
+    side reads the other's."""
+    shapes = list(enumerate_skew_shapes(6))
+    fillings = [t for s in enumerate_skew_shapes(3) for t in enumerate_fillings(s, 2)]
+    assert (len(shapes), len(fillings)) == (400, 86)
+    for x in shapes + fillings:
+        for flag in FLAG_NAMES:
+            classify.clear_caches()
+            got = harness.classifier_verdict(x, flag)
+            classify.clear_caches()
+            flags = classify_tableau(x) if isinstance(x, SkewTableau) else classify_shape(x)
+            assert got == getattr(flags, flag), (x, flag)
+
+
 def test_report_to_dict():
     report = crosscheck("unmixed", max_boxes=3)
     d = report.to_dict()
@@ -194,9 +223,8 @@ def test_oracle_flags_agree_on_the_four_images():
         clear_caches()
         orbit = images(x) if isinstance(x, SkewTableau) else \
             [t.shape for t in images(constant_filling(x))]
-        verdicts = [harness.Verdicts(t, "oracle") for t in orbit]
         for flag in FLAG_NAMES:
-            assert len({v[flag] for v in verdicts}) == 1, (x, flag)
+            assert len({harness.oracle_verdict(t, flag) for t in orbit}) == 1, (x, flag)
 
 
 def test_orbit_is_the_same_from_each_image():

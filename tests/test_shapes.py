@@ -2,9 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from skewtab import (SkewShape, anti_transpose_shape, block_containing,
-                     blocks, conjugate, delete_rows_cols, is_connected,
-                     normalize, render)
+from skewtab import SkewShape, block_containing, blocks, delete_rows_cols, normalize, render
 from skewtab.shapes import Partition, conjugate_parts
 
 from helpers import (bfs_connected, block_containing_reference, blocks_reference, boxes_of,
@@ -80,34 +78,34 @@ def test_conjugate_parts_matches_counting_formula():
 
 def test_conjugate_involution_small():
     for s in shapes_up_to(7):
-        assert conjugate(conjugate(s)) == s
+        assert s.conjugate().conjugate() == s
 
 
 def test_anti_transpose_box_map():
     for s in shapes_up_to(7):
         n, m = s.n, s.m
         expected = {(m + 1 - j, n + 1 - i) for i, j in boxes_of(s)}
-        assert boxes_of(anti_transpose_shape(s)) == expected
-        assert anti_transpose_shape(anti_transpose_shape(s)) == s
+        assert boxes_of(s.anti_transpose()) == expected
+        assert s.anti_transpose().anti_transpose() == s
 
 
 def test_anti_transpose_examples():
     # the flipped staircase is the complementary corner, not the staircase
-    assert anti_transpose_shape(SkewShape((2, 1))) == SkewShape((2, 2), (1, 0))
-    assert anti_transpose_shape(SkewShape((2, 2))) == SkewShape((2, 2))
+    assert SkewShape((2, 1)).anti_transpose() == SkewShape((2, 2), (1, 0))
+    assert SkewShape((2, 2)).anti_transpose() == SkewShape((2, 2))
     # derived by reflecting the box set
-    assert anti_transpose_shape(SkewShape((3, 1))) == SkewShape((2, 2, 2), (1, 1, 0))
+    assert SkewShape((3, 1)).anti_transpose() == SkewShape((2, 2, 2), (1, 1, 0))
 
 
 def test_is_connected_formula_vs_bfs():
     for s in shapes_up_to(8):
-        assert is_connected(s) == bfs_connected(s), s
+        assert s.is_connected() == bfs_connected(s), s
 
 
 def test_is_connected_examples():
-    assert is_connected(SkewShape((5, 4, 4), (2, 1, 0)))
-    assert not is_connected(SkewShape((4, 2), (2, 0)))
-    assert is_connected(SkewShape((7,)))
+    assert SkewShape((5, 4, 4), (2, 1, 0)).is_connected()
+    assert not SkewShape((4, 2), (2, 0)).is_connected()
+    assert SkewShape((7,)).is_connected()
 
 
 def test_components_disconnected():

@@ -15,8 +15,8 @@ ideal of a weighted bipartite graph with an edge x_i y_j of weight w(i,j)
 per box.  The transpose (i,j) -> (j,i) swaps the x's and the y's, and the
 half turn (i,j) -> (n+1-i, m+1-j) reverses both index sets; both carry the
 weights along.  So each image's ideal is the original with its variables
-renamed, and all five flags agree on the four images.  Work can be spread
-over processes, one whole orbit to a worker; each worker owns its memos.
+renamed, and all five flags agree on the four images.  Each worker walks the
+whole stream and checks the orbits dealt to it in turn, with its own memos.
 """
 
 from __future__ import annotations
@@ -150,29 +150,37 @@ def _orbit(images: tuple[SkewShape, ...], rows: Rows = None) -> set[tuple]:
             (rot_conj.lam, rot_conj.mu, conjugate_rows(rot, rot_rows))}
 
 
-def _check_shape_batch(args: tuple) -> tuple[int, list[dict]]:
-    prop, weighted, max_weight, shapes = args
-    instances = 0
+def _check_share(args: tuple) -> tuple[int, list[dict]]:
+    """Check worker ``share`` of ``jobs``: walking the whole enumeration, it
+    takes the k-th orbit of shapes to appear, in full, when k % jobs == share."""
+    prop, weighted, max_boxes, max_weight, share, jobs = args
+    instances = orbits = 0
     bad: list[dict] = []
+    owner: dict[tuple, int] = {}  # (lam, mu) -> its worker, for the shapes of open orbits
     # (lam, mu, rows) -> the oracle's verdict, for the images of checked
     # instances that are still to come.  Each instance comes once, so each
     # entry is read once, and only the orbits still open are held.  The
-    # images are built once per shape, and only for the first instance of an
-    # orbit: computing them for every instance cost more than the cheap
-    # unweighted oracles they save.
+    # images are built only for the first shape of an orbit: computing them
+    # for every instance cost more than the cheap unweighted oracles they save.
     pending: dict[tuple, bool] = {}
-    for lam, mu in shapes:
-        s = SkewShape._trusted(lam, mu)
+    for s in enumerate_skew_shapes(max_boxes, connected_only=weighted):
         images = None
+        if jobs > 1:
+            if (s.lam, s.mu) not in owner:
+                images = _shape_images(s)
+                owner.update(((t.lam, t.mu), orbits % jobs) for t in images)
+                orbits += 1
+            if owner.pop((s.lam, s.mu)) != share:
+                continue
         for x in (enumerate_fillings(s, max_weight) if weighted else (s,)):
             instances += 1
             got = classifier_verdict(x, prop)
             rows = x.rows if weighted else None
-            want = pending.pop((lam, mu, rows), None)
+            want = pending.pop((s.lam, s.mu, rows), None)
             if want is None:
                 want = oracle_verdict(x, prop)
                 images = images or _shape_images(s)
-                for key in _orbit(images, rows) - {(lam, mu, rows)}:
+                for key in _orbit(images, rows) - {(s.lam, s.mu, rows)}:
                     pending[key] = want
             if got != want:
                 bad.append({"instance": x.to_dict(), "classifier": got, "oracle": want})
@@ -190,29 +198,20 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
     """
     if prop not in FLAG_NAMES:
         raise ValueError(f"property must be one of {FLAG_NAMES}")
+    for name, bound in (("max_boxes", max_boxes), ("jobs", jobs),
+                        ("max_weight", max_weight if weighted else 1)):
+        if bound < 1:
+            raise ValueError(f"{name} must be >= 1")
     t0 = time.monotonic()
-    shapes = [(s.lam, s.mu) for s in enumerate_skew_shapes(max_boxes, connected_only=weighted)]
     report = CrossCheckReport(property=prop, weighted=weighted, max_boxes=max_boxes,
                               max_weight=max_weight if weighted else None)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        results = [_check_shape_batch((prop, weighted, max_weight, shapes))]
+    tasks = [(prop, weighted, max_boxes, max_weight, share, jobs) for share in range(jobs)]
+    if jobs == 1:
+        results = [_check_share(tasks[0])]
     else:
-        # the images of an orbit's first shape place the whole orbit
-        groups: list[list] = []
-        group_of: dict[tuple, list] = {}
-        for shape in shapes:
-            group = group_of.get(shape)
-            if group is None:
-                group = []
-                groups.append(group)
-                for t in _shape_images(SkewShape._trusted(*shape)):
-                    group_of[t.lam, t.mu] = group
-            group.append(shape)
-        chunks = [[shape for group in groups[k::jobs] for shape in group] for k in range(jobs)]
         with Pool(jobs) as pool:
-            results = pool.map(_check_shape_batch,
-                               [(prop, weighted, max_weight, chunk) for chunk in chunks])
+            results = pool.map(_check_share, tasks)
     for instances, bad in results:
         report.instances += instances
         report.agreements += instances - len(bad)

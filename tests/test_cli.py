@@ -136,6 +136,17 @@ def test_crosscheck_exit_code_and_report(shape_file, capsys):
     assert data["instances"] == 41 and data["disagreements"] == []
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--max-boxes", "0"], ["--max-boxes", "-2"],
+    ["--max-boxes", "3", "--jobs", "0"], ["--max-boxes", "3", "--jobs", "-3"],
+    ["--max-boxes", "3", "--weighted", "--max-weight", "0"],
+])
+def test_crosscheck_bad_bounds_exit_2(capsys, bounds):
+    """A bound below 1 is invalid input, also --jobs, which is not taken as 1."""
+    code, out, err = run_cli(capsys, "crosscheck", "--property", "scm", *bounds)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_invalid_inputs_exit_2(shape_file, capsys):
     code, _, err = run_cli(capsys, "classify", "--shape", "/does/not/exist.json")
     assert code == 2 and "error:" in err

@@ -37,9 +37,20 @@ def small_fillings():
     return [t for s in enumerate_skew_shapes(4, connected_only=True) for t in all_fillings(s, 2)]
 
 
+def shape_of(x) -> tuple:
+    s = x.shape if isinstance(x, SkewTableau) else x
+    return s.lam, s.mu
+
+
+def shape_orbit_count(shapes) -> int:
+    """Orbits of (lam, mu) pairs under the symmetries."""
+    return len({min(shape_of(t) for t in harness._shape_images(SkewShape(*s))) for s in shapes})
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """Run the worker pool in-process; lists each pool's size and chunks."""
+    """Run the worker pool in-process.  Lists each pool's size and, per
+    worker, its share and the set of shapes it classified."""
     made = []
 
     class FakePool:
@@ -53,8 +64,17 @@ def pools(monkeypatch):
             return False
 
         def map(self, fn, args):
-            made.append((self.size, [a[-1] for a in args]))
-            return [fn(a) for a in args]
+            workers, out = [], []
+            made.append((self.size, workers))
+            for a in args:
+                seen: set = set()
+                workers.append((a[-2], seen))
+                verdict = harness.classifier_verdict
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "classifier_verdict",
+                              lambda x, prop: seen.add(shape_of(x)) or verdict(x, prop))
+                    out.append(fn(a))
+            return out
 
     monkeypatch.setattr(harness, "Pool", FakePool)
     return made
@@ -255,8 +275,40 @@ def test_oracle_runs_once_per_orbit(monkeypatch, pools, jobs):
         report = crosscheck("scm", jobs=jobs, **kwargs)
         assert report.ok and report.instances == len(instances)
         assert len(calls) == orbit_count(instances) < len(instances)
-    assert all(size == 2 and len(chunks) == 2 and all(chunks) for size, chunks in pools)
     assert len(pools) == (2 if jobs == 2 else 0)
+    for size, workers in pools:
+        assert size == 2 and [share for share, _ in workers] == [0, 1]
+        counts = [shape_orbit_count(seen) for _, seen in workers]
+        assert min(counts) > 0 and max(counts) - min(counts) <= 1
+        # each orbit is checked whole, by one worker
+        assert shape_orbit_count(workers[0][1] | workers[1][1]) == sum(counts)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_crosscheck_streams_the_enumeration(monkeypatch, pools, jobs):
+    """Each enumeration of the shapes has its first instance classified
+    before it is exhausted: no list of the shapes is built first."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    events = []
+    enumerate_shapes, verdict = harness.enumerate_skew_shapes, harness.classifier_verdict
+
+    def counting(*args, **kwargs):
+        events.append("start")
+        for s in enumerate_shapes(*args, **kwargs):
+            events.append("shape")
+            yield s
+        events.append("end")
+
+    monkeypatch.setattr(harness, "enumerate_skew_shapes", counting)
+    monkeypatch.setattr(harness, "classifier_verdict",
+                        lambda x, prop: events.append("classify") or verdict(x, prop))
+    for kwargs in ({"max_boxes": 5}, {"max_boxes": 3, "weighted": True}):
+        events.clear()
+        assert crosscheck("scm", jobs=jobs, **kwargs).ok
+        runs = " ".join(events).split("start")[1:]
+        assert len(runs) == jobs
+        for run in map(str.split, runs):
+            assert run.index("classify") < run.index("end")
 
 
 @pytest.mark.parametrize("image", range(4))

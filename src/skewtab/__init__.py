@@ -11,12 +11,11 @@ from .ideals import (MonomialIdeal, WeightedGraph, associated_primes,
                      irreducible_decomposition, is_scm_weighted_oracle,
                      is_unmixed_ideal, weighted_edge_ideal)
 from .classify import (PrimeShapePiece, ShapeFlags, UnmixedCertificate,
-                       classify_shape, explain_scm, is_saturated, is_scm_ferrers,
-                       is_scm_skew, is_unmixed_skew, unmixed_decomposition,
+                       classify_shape, is_saturated, is_scm_ferrers, is_scm_skew,
+                       is_unmixed_skew, scm_trace, unmixed_decomposition,
                        validate_certificate)
-from .tableau import (SkewTableau, TableauError, classify_tableau,
-                      explain_scm_tableau, is_scm_tableau, is_unmixed_tableau,
-                      to_weighted_graph, validate)
+from .tableau import (SkewTableau, TableauError, classify_tableau, is_scm_tableau,
+                      is_unmixed_tableau, to_weighted_graph, validate)
 from .harness import (CrossCheckReport, crosscheck, enumerate_fillings,
                       enumerate_skew_shapes)
 

@@ -9,11 +9,12 @@ alternating prime unmixed pieces glued along shared extremal blocks,
 returning a checkable certificate either way.
 
 A shape's ideal is the sum of its components' ideals in disjoint
-variables, so both tests run per connected component, memoized on its
-(lam, mu, rows) in ``_scm_cache`` and ``_unmixed_cache``.  The unmixed memo
-holds the (unmixed, monotone) booleans only, never a certificate, whose box
-sets would outlive every large shape classified.  ``clear_caches`` empties
-both.
+variables, so both tests run per connected component.  ``_scm_cache``
+memoizes the SCM verdict on a component's (lam, mu, rows).
+``_unmixed_cache`` memoizes on a component's (lam, mu) whether the shape
+decomposes: one boolean, never a certificate, whose box sets would outlive
+every large shape classified.  A filling's weights are checked against the
+pieces on each call.  ``clear_caches`` empties both memos.
 """
 
 from __future__ import annotations
@@ -203,11 +204,6 @@ def is_scm_skew(s: SkewShape) -> bool:
     return is_scm(s, None)
 
 
-def explain_scm(s: SkewShape) -> dict:
-    """Decision-tree trace of the SCM recursion of a shape, JSON-ready."""
-    return scm_trace(s, None)
-
-
 # -- unmixed decomposition ------------------------------------------------------
 
 
@@ -394,32 +390,33 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
         frame = _flip(nxt)
 
 
-_unmixed_cache: dict[tuple, tuple[bool, bool]] = {}
+_unmixed_cache: dict[tuple, bool] = {}
 
 
 def _unmixed_connected(s: SkewShape, rows: Rows) -> tuple[bool, bool]:
     """(unmixed, monotone) for a connected shape or filling, both False when
     the shape has no prime-piece decomposition; monotone alone is the
-    filling's half of the direct Cohen-Macaulay criterion.  Memoized on
-    (lam, mu, rows) with no conjugate lookup, so that a fault that is not
-    symmetric under the transpose still shows."""
-    key = (s.lam, s.mu, rows)
-    hit = _unmixed_cache.get(key)
-    if hit is not None:
-        return hit
-    cert = unmixed_decomposition(s)
-    if not cert.ok or rows is None:
-        result = cert.ok, cert.ok
-    else:
-        w = {(i, j): rows[i - 1][j - s.mu[i - 1] - 1] for i, j in s.boxes()}
-        monotone = all(
-            (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
-            for piece in cert.pieces for i, j in piece.boxes
-            for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
-        constant = all(len({w[b] for b in blk.boxes()}) == 1 for blk in blocks(s))
-        result = monotone and constant, monotone
-    _unmixed_cache[key] = result
-    return result
+    filling's half of the direct Cohen-Macaulay criterion.  Whether the
+    shape decomposes is memoized on (lam, mu) with no conjugate lookup, so
+    that a fault that is not symmetric under the transpose still shows; a
+    filling of an unmixed shape has its weights checked on every call."""
+    key = (s.lam, s.mu)
+    ok = _unmixed_cache.get(key)
+    cert = None
+    if ok is None:
+        cert = unmixed_decomposition(s)
+        ok = _unmixed_cache[key] = cert.ok
+    if not ok or rows is None:
+        return ok, ok
+    if cert is None:
+        cert = unmixed_decomposition(s)
+    w = {(i, j): rows[i - 1][j - s.mu[i - 1] - 1] for i, j in s.boxes()}
+    monotone = all(
+        (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
+        for piece in cert.pieces for i, j in piece.boxes
+        for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
+    constant = all(len({w[b] for b in blk.boxes()}) == 1 for blk in blocks(s))
+    return monotone and constant, monotone
 
 
 def is_unmixed(s: SkewShape, rows: Rows) -> bool:

@@ -8,13 +8,14 @@ disagreement, 2 = invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .shapes import SkewShape, render
-from .classify import FLAG_NAMES, classify_shape, explain_scm, unmixed_decomposition
+from .classify import FLAG_NAMES, classify_shape, scm_trace, unmixed_decomposition
 from .harness import crosscheck, oracle_verdict
-from .tableau import SkewTableau, classify_tableau, explain_scm_tableau, rows_from_dict
+from .tableau import SkewTableau, classify_tableau, rows_from_dict
 
 
 def _load_json(path: str) -> dict:
@@ -30,7 +31,8 @@ def _load_instance(args) -> SkewShape | SkewTableau:
     rows = rows_from_dict(data)
     if "lambda" in data and data["lambda"] != list(shape.lam):
         raise ValueError("filling and shape disagree on the outer partition")
-    if "mu" in data and (data["mu"] or []) not in ([], list(shape.mu)):
+    mu = data.get("mu") or []  # padded with zeros, as a shape's mu is
+    if not isinstance(mu, list) or mu and mu + [0] * (shape.n - len(mu)) != list(shape.mu):
         raise ValueError("filling and shape disagree on the inner partition")
     return SkewTableau(shape, rows)
 
@@ -48,14 +50,13 @@ def cmd_classify(args) -> int:
         out["property"] = args.property
         out["verdict"] = flags[args.property]
     if not args.oracle and args.explain:
-        shape = obj.shape if weighted else obj
+        shape, rows = (obj.shape, obj.rows) if weighted else (obj, None)
         explain: dict = {}
         if args.property != "scm":
             explain["unmixed_certificates"] = [
                 unmixed_decomposition(c.shape).to_dict() for c in shape.components()]
         if args.property != "unmixed":
-            explain["scm_trace"] = (explain_scm_tableau(obj) if weighted
-                                    else explain_scm(shape))
+            explain["scm_trace"] = scm_trace(shape, rows)
         out["explain"] = explain
     print(json.dumps(out, indent=2))
     return 0
@@ -88,6 +89,7 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewtab",

@@ -4,6 +4,10 @@ radicals, irreducible decomposition and the weighted brute-force oracles.
 Monomials are exponent tuples over an ordered variable list.  Generating
 sets are stored minimally (no generator divides another).  The unit ideal
 is represented explicitly by the zero exponent vector.
+``MonomialIdeal.make`` checks and minimalizes generators from outside the
+package; the weighted edge ideal and its associated radicals are minimal as
+built and skip it.  A ``WeightedGraph`` carries its edges as
+(index of u, index of v, weight) triples, so no oracle maps names again.
 
 Inside the irreducible decomposition an irreducible ideal is one
 pure-power vector p: the ideal (x_k^(p_k) | p_k > 0), with p_k = 0 meaning
@@ -114,7 +118,7 @@ class WeightedGraph:
     """Simple graph with a positive integer weight on every edge."""
 
     vertices: tuple[str, ...]
-    weights: tuple[tuple[tuple[str, str], int], ...]  # ((u, v), w) with u, v as given
+    edges: tuple[tuple[int, int, int], ...]  # (index of u, index of v, w), u and v as given
 
     @classmethod
     def make(cls, vertices: Sequence[str],
@@ -122,7 +126,7 @@ class WeightedGraph:
         vertices = tuple(vertices)
         index = {v: k for k, v in enumerate(vertices)}
         seen = set()
-        items = []
+        edges = []
         for (u, v), w in weights.items():
             if u not in index or v not in index or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
@@ -132,21 +136,23 @@ class WeightedGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            items.append(((u, v), w))
-        items.sort(key=lambda it: (index[it[0][0]], index[it[0][1]]))
-        return cls(vertices, tuple(items))
+            edges.append((index[u], index[v], w))
+        return cls(vertices, tuple(sorted(edges)))
 
 
 def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
-    """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G)."""
-    index = {v: k for k, v in enumerate(g.vertices)}
+    """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G).
+
+    The generators are minimal as built: ``WeightedGraph.make`` rejects
+    loops and repeated pairs, so they have distinct 2-element supports, and
+    a monomial divides another only if its support lies in the other's.
+    """
     gens = []
-    for (u, v), w in g.weights:
+    for iu, iv, w in g.edges:
         e = [0] * len(g.vertices)
-        e[index[u]] = w
-        e[index[v]] = w
+        e[iu] = e[iv] = w
         gens.append(tuple(e))
-    return MonomialIdeal.make(g.vertices, gens)
+    return MonomialIdeal(g.vertices, frozenset(gens))
 
 
 def associated_radical(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
@@ -164,17 +170,15 @@ def _threshold_u_sets(g: WeightedGraph) -> Iterator[frozenset[int]]:
     that vertex.  Vectors with x^a in the ideal are skipped; each distinct U
     (as vertex indices) is yielded once, in the order of first appearance.
     """
-    index = {v: k for k, v in enumerate(g.vertices)}
-    edges = [(index[u], index[v], w) for (u, v), w in g.weights]
     candidates: list[list[int]] = [[0] for _ in g.vertices]
-    for iu, iv, w in edges:
+    for iu, iv, w in g.edges:
         for k in (iu, iv):
             if w not in candidates[k]:
                 candidates[k].append(w)
     seen: set[frozenset[int]] = set()
     for a in product(*candidates):
         u_set = set()
-        for iu, iv, w in edges:
+        for iu, iv, w in g.edges:
             au, av = a[iu], a[iv]
             if au >= w and av >= w:
                 break  # x^a lies in I(G, w)
@@ -190,23 +194,27 @@ def _threshold_u_sets(g: WeightedGraph) -> Iterator[frozenset[int]]:
 
 
 def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
-    """All associated radicals of I(G,w), one per threshold U-set."""
-    index = {v: k for k, v in enumerate(g.vertices)}
-    edges = [(index[u], index[v]) for (u, v), _ in g.weights]
+    """All associated radicals of I(G,w), one per threshold U-set.
+
+    The generators are minimal as built: x_u x_v for the edges with u, v not
+    in U, which are distinct squarefree pairs, and x_i for i in U.  x_i
+    cannot divide such an x_u x_v, as i is neither u nor v, and a degree-2
+    monomial cannot divide a variable.
+    """
     nvars = len(g.vertices)
     out = set()
     for u_set in _threshold_u_sets(g):
         gens = []
-        for iu, iv in edges:
+        for iu, iv, _ in g.edges:
             if iu not in u_set and iv not in u_set:
                 e = [0] * nvars
                 e[iu] = e[iv] = 1
-                gens.append(e)
+                gens.append(tuple(e))
         for i in u_set:
             e = [0] * nvars
             e[i] = 1
-            gens.append(e)
-        out.add(MonomialIdeal.make(g.vertices, gens))
+            gens.append(tuple(e))
+        out.add(MonomialIdeal(g.vertices, frozenset(gens)))
     return frozenset(out)
 
 
@@ -296,12 +304,12 @@ def is_unmixed_ideal(ideal: MonomialIdeal) -> bool:
 
 def _bipartition(g: WeightedGraph) -> None:
     """Raise unless the graph is bipartite (2-colorable)."""
-    color: dict[str, int] = {}
-    nbr: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for (u, v), _ in g.weights:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    for root in g.vertices:
+    color: dict[int, int] = {}
+    nbr: list[list[int]] = [[] for _ in g.vertices]
+    for iu, iv, _ in g.edges:
+        nbr[iu].append(iv)
+        nbr[iv].append(iu)
+    for root in range(len(g.vertices)):
         if root in color:
             continue
         color[root] = 0
@@ -324,11 +332,9 @@ def is_scm_weighted_oracle(g: WeightedGraph) -> bool:
     subgraphs is vertex decomposable.
     """
     _bipartition(g)
-    index = {v: k for k, v in enumerate(g.vertices)}
-    edges = [(index[u], index[v]) for (u, v), _ in g.weights]
     for u_set in _threshold_u_sets(g):
         adj = [0] * len(g.vertices)
-        for iu, iv in edges:
+        for iu, iv, _ in g.edges:
             if iu not in u_set and iv not in u_set:
                 adj[iu] |= 1 << iv
                 adj[iv] |= 1 << iu

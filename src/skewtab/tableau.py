@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .shapes import Component, SkewShape, delete_rows_cols, render
 from .classify import (ShapeFlags, classify_flags, clear_caches, component_rows,
-                       conjugate_rows, is_scm, is_unmixed, scm_trace)
+                       conjugate_rows, is_scm, is_unmixed)
 from .ideals import WeightedGraph
 
 
@@ -122,11 +122,6 @@ def to_weighted_graph(t: SkewTableau) -> WeightedGraph:
 def is_scm_tableau(t: SkewTableau) -> bool:
     """Sequentially Cohen-Macaulay test for a filling (:func:`classify.is_scm`)."""
     return is_scm(t.shape, t.rows)
-
-
-def explain_scm_tableau(t: SkewTableau) -> dict:
-    """Decision-tree trace of the weighted recursion, JSON-ready."""
-    return scm_trace(t.shape, t.rows)
 
 
 def is_unmixed_tableau(t: SkewTableau) -> bool:

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from skewtab import (SkewShape, SkewTableau, classify, classify_shape, classify_tableau,
-                     explain_scm, from_shape, is_saturated, is_scm_ferrers, is_scm_skew,
+                     from_shape, is_saturated, is_scm_ferrers, is_scm_skew,
                      is_unmixed_graph, is_unmixed_skew, is_unmixed_tableau,
-                     is_vertex_decomposable, tableau, unmixed_decomposition,
+                     is_vertex_decomposable, scm_trace, tableau, unmixed_decomposition,
                      validate_certificate)
 from skewtab.classify import clear_caches, scm_pivots
 from skewtab.shapes import Partition
@@ -88,7 +88,7 @@ EXPLAIN_554 = {
 
 
 def test_explain_scm_trace():
-    trace = explain_scm(SkewShape((5, 5, 4), (2, 1, 0)))
+    trace = scm_trace(SkewShape((5, 5, 4), (2, 1, 0)), None)
     assert trace["scm"] is True
     assert trace["pivot"] == ["row", 3]
     assert trace["case"] == 4
@@ -96,7 +96,7 @@ def test_explain_scm_trace():
     # the whole tree, key order included, as the CLI prints it
     assert trace == EXPLAIN_554
     assert json.dumps(trace) == json.dumps(EXPLAIN_554)
-    bad = explain_scm(SkewShape((2, 2)))
+    bad = scm_trace(SkewShape((2, 2)), None)
     assert bad["scm"] is False and bad["pivots"] == []
 
 
@@ -244,7 +244,7 @@ def test_classifiers_build_no_validated_shapes(monkeypatch):
         clear_caches()
         classify_shape(s)
         is_scm_skew(s)
-        explain_scm(s)
+        scm_trace(s, None)
     assert calls == []
 
 
@@ -252,8 +252,9 @@ def test_unmixed_memo_is_faithful():
     """One unmixed memo for a whole pass, walked forward or backward, gives
     every instance the verdicts it gets from a cold memo: the 3,909 shapes
     with <= 8 boxes, disconnected ones included, and the 186 fillings with
-    <= 4 boxes, w <= 2.  The memo holds two booleans per key, never a
-    certificate, and both modules' ``clear_caches`` empty it."""
+    <= 4 boxes, w <= 2.  The memo holds one boolean per key, whether the
+    shape decomposes, never a certificate and nothing per filling, and both
+    modules' ``clear_caches`` empty it."""
     instances = list(shapes_up_to(8))
     instances += [t for s in shapes_up_to(4, connected_only=True) for t in all_fillings(s, 2)]
     assert len(instances) == 3909 + 186
@@ -272,7 +273,6 @@ def test_unmixed_memo_is_faithful():
         clear_caches()
         warm = [verdicts(x) for x in instances[::order]]
         assert warm[::order] == cold
-        assert memo and all(type(v) is tuple and len(v) == 2 and all(type(b) is bool for b in v)
-                            for v in memo.values())
+        assert memo and all(type(v) is bool for v in memo.values())
         (classify if order == 1 else tableau).clear_caches()
         assert not memo

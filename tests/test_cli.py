@@ -159,6 +159,21 @@ def test_invalid_inputs_exit_2(shape_file, capsys):
     assert code == 2
 
 
+def test_filling_mu_padded_with_zeros(shape_file, capsys):
+    """A filling may repeat the shape's mu without its trailing zeros, as a
+    shape may give it; a mu that differs once padded is still exit 2."""
+    spath = shape_file("s.json", {"lambda": [3, 2, 2], "mu": [1]})
+    rows = [[1, 1], [1, 1], [1, 1]]
+    argv = ["classify", "--shape", spath, "--explain", "--filling"]
+    bare = run_cli(capsys, *argv, shape_file("f.json", {"lambda": [3, 2, 2], "rows": rows}))
+    assert bare[0] == 0
+    short = shape_file("short.json", {"lambda": [3, 2, 2], "mu": [1], "rows": rows})
+    assert run_cli(capsys, *argv, short) == bare
+    wrong = shape_file("wrong.json", {"lambda": [3, 2, 2], "mu": [1, 1], "rows": rows})
+    code, out, err = run_cli(capsys, *argv, wrong)
+    assert code == 2 and out == "" and "inner partition" in err
+
+
 @pytest.mark.parametrize("shape, filling", [
     ({"lambda": [True, 1]}, None),
     ({"lambda": [2, 1], "mu": [True, False]}, None),

@@ -328,18 +328,25 @@ def test_classifier_checked_on_every_orbit_member(monkeypatch, image):
         assert report.agreements == report.instances - 1
 
 
-def test_crosscheck_decomposes_each_connected_shape_once(monkeypatch, cold_classifier):
+@pytest.mark.parametrize("weighted, instances, decompositions",
+                         [(False, 400, 82), (True, 3770, 300)], ids=["shapes", "fillings"])
+def test_crosscheck_decomposes_each_connected_shape_once(monkeypatch, cold_classifier,
+                                                         weighted, instances, decompositions):
     """The 400 shapes with <= 6 boxes have the 82 connected ones among them
     as components, 643 in all, and the unmixed memo decomposes each of the
-    82 once."""
+    82 once.  The memo is keyed on the shape alone, so the 3,770 fillings of
+    the 82 with w <= 2 leave one entry per shape.  A filling of one of the 8
+    unmixed shapes needs the pieces to check its weights, so each of their
+    226 fillings but the first decomposes again: 82 + 226 - 8 = 300."""
     calls = []
     real = classify.unmixed_decomposition
     monkeypatch.setattr(classify, "unmixed_decomposition", lambda s: calls.append(s) or real(s))
-    report = crosscheck("unmixed", 6)
-    assert report.ok and report.instances == 400
-    assert len(calls) == 82
-    assert {(s.lam, s.mu) for s in calls} == \
-        {(s.lam, s.mu) for s in enumerate_skew_shapes(6, connected_only=True)}
+    report = crosscheck("unmixed", 6, weighted=weighted)
+    assert report.ok and report.instances == instances
+    assert len(calls) == decompositions
+    connected = {(s.lam, s.mu) for s in enumerate_skew_shapes(6, connected_only=True)}
+    assert {(s.lam, s.mu) for s in calls} == connected
+    assert set(classify._unmixed_cache) == connected
 
 
 def test_wrong_component_verdict_reported_wherever_it_applies(monkeypatch, cold_classifier):

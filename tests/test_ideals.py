@@ -8,6 +8,7 @@ from skewtab import (MonomialIdeal, WeightedGraph, associated_primes,
                      enumerate_fillings, enumerate_skew_shapes,
                      irreducible_decomposition, is_scm_weighted_oracle,
                      is_unmixed_ideal, to_weighted_graph, weighted_edge_ideal)
+from skewtab.ideals import _minimalize
 
 from helpers import irreducible_decomposition_reference
 
@@ -28,7 +29,7 @@ def brute_radicals(g: WeightedGraph) -> set[MonomialIdeal]:
     capped at the maximum weight reach every associated radical.
     """
     I = weighted_edge_ideal(g)
-    cap = max(w for _, w in g.weights)
+    cap = max(w for _, _, w in g.edges)
     out = set()
     for a in product(range(cap + 1), repeat=len(g.vertices)):
         if not I.contains(a):
@@ -239,6 +240,8 @@ def test_irreducible_decomposition_matches_reference():
                    for t in enumerate_fillings(s, 2)]
     assert len(edge_ideals) == 826
     for I in edge_ideals + list(random_ideals()):
+        # the edge ideals are built without MonomialIdeal.make: minimal all the same
+        assert I.generators == _minimalize(I.generators), I.format()
         assert (components(irreducible_decomposition, I)
                 == components(irreducible_decomposition_reference, I)), I.format()
 

@@ -4,10 +4,10 @@ import pytest
 
 from skewtab import classify as classify_module, tableau as tableau_module
 from skewtab import (SkewShape, SkewTableau, TableauError,
-                     classify_tableau, explain_scm_tableau, is_scm_skew,
-                     is_scm_tableau, is_scm_weighted_oracle, is_unmixed_ideal,
-                     is_unmixed_skew, is_unmixed_tableau, to_weighted_graph,
-                     validate, weighted_edge_ideal)
+                     classify_tableau, is_scm_skew, is_scm_tableau,
+                     is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
+                     is_unmixed_tableau, scm_trace, to_weighted_graph, validate,
+                     weighted_edge_ideal)
 
 from helpers import all_fillings, constant_filling, shapes_up_to
 
@@ -143,7 +143,7 @@ EXPLAIN_21 = {
 
 
 def test_explain_scm_tableau():
-    trace = explain_scm_tableau(SkewTableau(SkewShape((2, 1)), [[1, 2], [3]]))
+    trace = scm_trace(SkewShape((2, 1)), ((1, 2), (3,)))
     assert trace["scm"] is True
     assert trace["pivot"] in (["row", 1], ["col", 1], ["col", 2], ["row", 2])
     assert "deletions" in trace
@@ -151,7 +151,7 @@ def test_explain_scm_tableau():
     # then its weight-1 neighbor (level 1), then both neighbors (level 2)
     assert trace == EXPLAIN_21
     assert json.dumps(trace) == json.dumps(EXPLAIN_21)
-    bad = explain_scm_tableau(SkewTableau(SkewShape((2, 2)), [[1, 1], [1, 1]]))
+    bad = scm_trace(SkewShape((2, 2)), ((1, 1), (1, 1)))
     assert bad["scm"] is False and bad["pivots"] == []
 
 

@@ -1,7 +1,7 @@
 """Unmixed and sequentially Cohen-Macaulay classification of skew Ferrers
 shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 
-from .shapes import (Block, Component, Partition, SkewShape, block_containing, blocks,
+from .shapes import (Block, Component, SkewShape, block_containing, blocks,
                      delete_rows_cols, normalize, render)
 from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable,
@@ -11,7 +11,7 @@ from .ideals import (MonomialIdeal, WeightedGraph, associated_primes,
                      irreducible_decomposition, is_scm_weighted_oracle,
                      is_unmixed_ideal, weighted_edge_ideal)
 from .classify import (PrimeShapePiece, ShapeFlags, UnmixedCertificate,
-                       classify_shape, is_saturated, is_scm_ferrers, is_scm_skew,
+                       classify_shape, is_saturated, is_scm_skew,
                        is_unmixed_skew, scm_trace, unmixed_decomposition,
                        validate_certificate)
 from .tableau import (SkewTableau, TableauError, classify_tableau, is_scm_tableau,

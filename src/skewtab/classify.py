@@ -9,8 +9,9 @@ alternating prime unmixed pieces glued along shared extremal blocks,
 returning a checkable certificate either way.
 
 A shape's ideal is the sum of its components' ideals in disjoint
-variables, so both tests run per connected component.  ``_scm_cache``
-memoizes the SCM verdict on a component's (lam, mu, rows).
+variables, so every classifier runs per connected component, each split off
+by ``connected_parts``.  ``_scm_cache`` memoizes the SCM verdict on a
+component's (lam, mu, rows) and on its transpose's.
 ``_unmixed_cache`` memoizes on a component's (lam, mu) whether the shape
 decomposes: one boolean, never a certificate, whose box sets would outlive
 every large shape classified.  A filling's weights are checked against the
@@ -20,29 +21,22 @@ pieces on each call.  ``clear_caches`` empties both memos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .shapes import (Component, Partition, SkewShape, block_containing, blocks,
-                     delete_rows_cols)
+from .shapes import Component, SkewShape, block_containing, blocks, delete_rows_cols
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
 
 
-def is_saturated(p: Partition | Iterable[int]) -> bool:
-    """Strictly decreasing, or the parts contain the full staircase below
-    the first repeated part."""
-    parts = tuple(p.parts if isinstance(p, Partition) else p)
+def is_saturated(parts: Sequence[int]) -> bool:
+    """Whether a partition is saturated: strictly decreasing, or its parts
+    contain the full staircase below the first repeated part.  A Ferrers
+    ideal is sequentially Cohen-Macaulay iff its partition is saturated."""
     for i in range(len(parts) - 1):
         if parts[i] == parts[i + 1]:
             return set(range(1, parts[i] + 1)) <= set(parts)
     return True
-
-
-def is_scm_ferrers(p: Partition | Iterable[int]) -> bool:
-    """A Ferrers ideal is sequentially Cohen-Macaulay iff its partition is
-    saturated."""
-    return is_saturated(p)
 
 
 # -- weights carried to derived shapes ------------------------------------------
@@ -53,9 +47,22 @@ def is_scm_ferrers(p: Partition | Iterable[int]) -> bool:
 Rows = tuple[tuple[int, ...], ...] | None
 
 
+def connected_parts(s: SkewShape, rows: Rows) -> list[tuple[SkewShape, Rows]]:
+    """The connected components of ``s`` with their weight rows: ``[(s,
+    rows)]`` for a connected shape, ``[]`` for the empty one.  A component
+    of ``s`` is a run of whole rows of ``s``, so its weight rows are a
+    slice of ``rows``."""
+    if s.is_empty:
+        return []
+    if s.is_connected():
+        return [(s, rows)]
+    return [(c.shape, None if rows is None else rows[c.row_map[0] - 1:c.row_map[-1]])
+            for c in s.components()]
+
+
 def component_rows(s: SkewShape, rows: Rows, comp: Component) -> Rows:
-    """Weight rows of ``comp``, a component of ``s`` or of a shape derived
-    from ``s`` by deleting lines, read off through its index maps."""
+    """Weight rows of ``comp``, a component of a shape derived from ``s``
+    by deleting lines, read off through its index maps."""
     if rows is None:
         return None
     mu, cols = s.mu, comp.col_map
@@ -141,14 +148,14 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     Empty shapes are vacuously true; disconnected shapes are conjunctions
     over their components (mixed sums).  A connected shape or filling
     succeeds iff some pivot (:func:`scm_pivots`) has all of its derived
-    shapes sequentially Cohen-Macaulay.  Memoized on (lam, mu, rows), with
-    conjugate lookup.
+    shapes sequentially Cohen-Macaulay.  Memoized on (lam, mu, rows) and on
+    the transpose's key.
     """
-    if s.is_empty:
-        return True
-    if s.is_connected():
-        return _scm_connected(s, rows)
-    return all(is_scm(c.shape, component_rows(s, rows, c)) for c in s.components())
+    # a loop, not all() over a generator, which would add a frame per level
+    for part in connected_parts(s, rows):
+        if not _scm_connected(*part):
+            return False
+    return True
 
 
 def _scm_connected(s: SkewShape, rows: Rows) -> bool:
@@ -156,18 +163,16 @@ def _scm_connected(s: SkewShape, rows: Rows) -> bool:
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
-    conj_key = (s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows))
-    hit = _scm_cache.get(conj_key)
-    if hit is not None:
-        return hit
-
     result = False
     for piv in scm_pivots(s, rows):
         if all(is_scm(*u) for group in _derived(s, rows, piv) for u in group):
             result = True
             break
+    # The verdict is stored under the transpose's key too.  Every write is
+    # such a pair and the transpose is an involution on (lam, mu, rows), so
+    # a verdict found for either key is already under this one: one lookup.
     _scm_cache[key] = result
-    _scm_cache[conj_key] = result
+    _scm_cache[s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows)] = result
     return result
 
 
@@ -175,12 +180,12 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
     """Decision-tree trace of the SCM recursion, JSON-ready."""
     node: dict = {"shape" if rows is None else "tableau": _as_dict(s, rows),
                   "scm": is_scm(s, rows)}
-    if s.is_empty:
+    parts = connected_parts(s, rows)
+    if not parts:
         node["empty"] = True
         return node
-    if not s.is_connected():
-        node["components"] = [scm_trace(c.shape, component_rows(s, rows, c))
-                              for c in s.components()]
+    if len(parts) > 1:
+        node["components"] = [scm_trace(*part) for part in parts]
         return node
     pivots = scm_pivots(s, rows)
     node["pivots"] = [list(p["pivot"]) for p in pivots]
@@ -424,10 +429,7 @@ def is_unmixed(s: SkewShape, rows: Rows) -> bool:
     and the weights are constant on every block and monotone, i.e. weakly
     increasing along rows and columns of upper pieces, weakly decreasing
     along lower ones."""
-    if s.is_connected():
-        return _unmixed_connected(s, rows)[0]
-    return all(_unmixed_connected(c.shape, component_rows(s, rows, c))[0]
-               for c in s.components())
+    return all(_unmixed_connected(*part)[0] for part in connected_parts(s, rows))
 
 
 def is_unmixed_skew(s: SkewShape) -> bool:
@@ -575,13 +577,13 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     (Cohen-Macaulay shape plus monotone weights on its pieces); the two
     must agree.
     """
-    if s.is_empty:
+    parts = connected_parts(s, rows)
+    if not parts:
         return ShapeFlags(True, True, True, True, True, vacuous=True)
-    if not s.is_connected():
-        parts = [classify_flags(c.shape, component_rows(s, rows, c))
-                 for c in s.components()]
-        cm = all(p.cm for p in parts)
-        return ShapeFlags(all(p.unmixed for p in parts), all(p.scm for p in parts), cm, cm, cm)
+    if len(parts) > 1:
+        flags = [classify_flags(*part) for part in parts]
+        cm = all(f.cm for f in flags)
+        return ShapeFlags(all(f.unmixed for f in flags), all(f.scm for f in flags), cm, cm, cm)
     unmixed, monotone = _unmixed_connected(s, rows)
     scm = _scm_connected(s, rows)
     cm = unmixed and scm

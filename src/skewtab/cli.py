@@ -31,8 +31,9 @@ def _load_instance(args) -> SkewShape | SkewTableau:
     rows = rows_from_dict(data)
     if "lambda" in data and data["lambda"] != list(shape.lam):
         raise ValueError("filling and shape disagree on the outer partition")
-    mu = data.get("mu") or []  # padded with zeros, as a shape's mu is
-    if not isinstance(mu, list) or mu and mu + [0] * (shape.n - len(mu)) != list(shape.mu):
+    mu = data.get("mu")  # absent or null: not compared; a list is padded with zeros
+    if mu is not None and (not isinstance(mu, list)
+                           or mu + [0] * (shape.n - len(mu)) != list(shape.mu)):
         raise ValueError("filling and shape disagree on the inner partition")
     return SkewTableau(shape, rows)
 

@@ -1,4 +1,4 @@
-"""Partitions, skew shapes and their geometry.
+"""Skew shapes and their geometry.
 
 Rows and columns are 1-based throughout.  A skew shape is kept in normal
 form: the inner boundary is weakly decreasing with last entry zero, every
@@ -19,7 +19,7 @@ check.  Each shape computes its conjugate parts once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[int, ...]:
@@ -41,33 +41,6 @@ def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[in
 
 def _weakly_decreasing(seq: Sequence[int]) -> bool:
     return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive integer parts."""
-
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Iterable[int]):
-        object.__setattr__(self, "parts", tuple(parts))
-        if not all(type(p) is int and p >= 1 for p in self.parts):
-            raise ValueError(f"partition parts must be positive integers: {self.parts}")
-        if not _weakly_decreasing(self.parts):
-            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def conjugate(self) -> "Partition":
-        return Partition(conjugate_parts(self.parts))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .shapes import Component, SkewShape, delete_rows_cols, render
+from .shapes import SkewShape, delete_rows_cols, render
 from .classify import (ShapeFlags, classify_flags, clear_caches, component_rows,
-                       conjugate_rows, is_scm, is_unmixed)
+                       conjugate_rows, connected_parts, is_scm, is_unmixed)
 from .ideals import WeightedGraph
 
 
@@ -64,14 +64,12 @@ class SkewTableau:
         return SkewTableau(self.shape.conjugate(), conjugate_rows(self.shape, self.rows))
 
     def components(self) -> list["SkewTableau"]:
-        return [self._restrict(comp) for comp in self.shape.components()]
-
-    def _restrict(self, comp: Component) -> "SkewTableau":
-        return SkewTableau(comp.shape, component_rows(self.shape, self.rows, comp))
+        return [SkewTableau(*part) for part in connected_parts(self.shape, self.rows)]
 
     def delete(self, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> list["SkewTableau"]:
         """Delete rows/columns, renormalize, and carry the weights along."""
-        return [self._restrict(comp) for comp in delete_rows_cols(self.shape, rows, cols)]
+        return [SkewTableau(c.shape, component_rows(self.shape, self.rows, c))
+                for c in delete_rows_cols(self.shape, rows, cols)]
 
     def to_dict(self) -> dict:
         return {"lambda": list(self.shape.lam), "mu": list(self.shape.mu),

@@ -3,12 +3,12 @@ import json
 import pytest
 
 from skewtab import (SkewShape, SkewTableau, classify, classify_shape, classify_tableau,
-                     from_shape, is_saturated, is_scm_ferrers, is_scm_skew,
+                     from_shape, is_saturated, is_scm_skew,
                      is_unmixed_graph, is_unmixed_skew, is_unmixed_tableau,
                      is_vertex_decomposable, scm_trace, tableau, unmixed_decomposition,
                      validate_certificate)
-from skewtab.classify import clear_caches, scm_pivots
-from skewtab.shapes import Partition
+from skewtab.classify import clear_caches, is_scm, scm_pivots
+from skewtab.shapes import conjugate_parts
 
 from helpers import all_fillings, boxes_of, partitions_up_to, shapes_up_to
 
@@ -17,25 +17,20 @@ def test_is_saturated_examples():
     assert is_saturated((3, 3, 2, 1))
     assert not is_saturated((4, 3, 3, 1))
     assert is_saturated((5, 4, 2, 1))  # strictly decreasing
-    assert is_saturated(Partition((2, 1)))
+    assert is_saturated([2, 1])  # any sequence of parts
     assert not is_saturated((2, 2))
 
 
 def test_is_saturated_conjugation_invariant():
     for p in partitions_up_to(12):
-        q = Partition(p).conjugate().parts
+        q = conjugate_parts(p)
         assert is_saturated(p) == is_saturated(q), p
 
 
-def test_is_scm_ferrers():
-    assert is_scm_ferrers((3, 3, 2, 1))
-    assert not is_scm_ferrers((4, 3, 3, 1))
-    assert not is_scm_ferrers((2, 2))
-
-
-def test_is_scm_ferrers_matches_recursion():
+def test_is_saturated_matches_recursion():
+    """A Ferrers shape is sequentially Cohen-Macaulay iff saturated."""
     for p in partitions_up_to(11):
-        assert is_scm_ferrers(p) == is_scm_skew(SkewShape(p)), p
+        assert is_saturated(p) == is_scm_skew(SkewShape(p)), p
 
 
 def test_is_scm_skew_paper_examples():
@@ -276,3 +271,33 @@ def test_unmixed_memo_is_faithful():
         assert memo and all(type(v) is bool for v in memo.values())
         (classify if order == 1 else tableau).clear_caches()
         assert not memo
+
+
+def test_scm_memo_holds_transpose_pairs():
+    """Every SCM verdict sits under its key and under its transpose's key,
+    so the recursion's one memo lookup finds a verdict reached from either
+    side.  The memo is filled from one instance of each transpose pair, so
+    that no transpose gets there by a call of its own: of the shapes with
+    <= 7 boxes and of the fillings with <= 4 boxes, w <= 2.  The transpose
+    is taken box by box."""
+    def transpose(lam, mu, rows):
+        s = SkewShape(lam, mu)
+        conj = s.conjugate()
+        if rows is not None:
+            weights = SkewTableau(s, rows).weights()
+            rows = SkewTableau.from_weights(
+                conj, {(j, i): w for (i, j), w in weights.items()}).rows
+        return conj.lam, conj.mu, rows
+
+    keys = [(s.lam, s.mu, None) for s in shapes_up_to(7)]
+    keys += [(t.shape.lam, t.shape.mu, t.rows) for s in shapes_up_to(4)
+             for t in all_fillings(s, 2)]
+    firsts = [key for key in keys if key <= transpose(*key)]
+    assert (len(keys), len(firsts)) == (1250 + 534, 939)
+    clear_caches()
+    for lam, mu, rows in firsts:
+        is_scm(SkewShape(lam, mu), rows)
+    memo = classify._scm_cache
+    assert any(rows is not None for _, _, rows in memo)  # fillings reached it
+    for key, verdict in memo.items():
+        assert memo[transpose(*key)] == verdict, key

@@ -161,7 +161,8 @@ def test_invalid_inputs_exit_2(shape_file, capsys):
 
 def test_filling_mu_padded_with_zeros(shape_file, capsys):
     """A filling may repeat the shape's mu without its trailing zeros, as a
-    shape may give it; a mu that differs once padded is still exit 2."""
+    shape may give it; any mu list, the empty one included, is padded and
+    compared, so one that differs once padded is exit 2."""
     spath = shape_file("s.json", {"lambda": [3, 2, 2], "mu": [1]})
     rows = [[1, 1], [1, 1], [1, 1]]
     argv = ["classify", "--shape", spath, "--explain", "--filling"]
@@ -169,9 +170,18 @@ def test_filling_mu_padded_with_zeros(shape_file, capsys):
     assert bare[0] == 0
     short = shape_file("short.json", {"lambda": [3, 2, 2], "mu": [1], "rows": rows})
     assert run_cli(capsys, *argv, short) == bare
-    wrong = shape_file("wrong.json", {"lambda": [3, 2, 2], "mu": [1, 1], "rows": rows})
-    code, out, err = run_cli(capsys, *argv, wrong)
-    assert code == 2 and out == "" and "inner partition" in err
+    for mu in ([1, 1], [], [0]):
+        wrong = shape_file("wrong.json", {"lambda": [3, 2, 2], "mu": mu, "rows": rows})
+        code, out, err = run_cli(capsys, *argv, wrong)
+        assert code == 2 and out == "" and "inner partition" in err, mu
+
+    spath = shape_file("s.json", {"lambda": [2, 1]})
+    rows = [[1, 2], [1]]
+    bare = run_cli(capsys, *argv, shape_file("f.json", {"rows": rows}))
+    assert bare[0] == 0
+    for mu in ([], [0]):
+        zero = shape_file("zero.json", {"mu": mu, "rows": rows})
+        assert run_cli(capsys, *argv, zero) == bare, mu
 
 
 @pytest.mark.parametrize("shape, filling", [

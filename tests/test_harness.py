@@ -200,6 +200,19 @@ def test_classifier_verdict_matches_all_flags(cold_classifier):
             assert got == getattr(flags, flag), (x, flag)
 
 
+def test_disconnected_fillings_match_the_oracle(cold_classifier):
+    """The weighted cross-check enumerates connected shapes only, so here
+    every flag of the 348 fillings of disconnected shapes with <= 4 boxes,
+    weights 1..2, is checked against the oracle."""
+    fillings = [t for s in enumerate_skew_shapes(4) if not s.is_connected()
+                for t in enumerate_fillings(s, 2)]
+    assert len(fillings) == 348
+    for t in fillings:
+        for flag in FLAG_NAMES:
+            assert harness.classifier_verdict(t, flag) == harness.oracle_verdict(t, flag), \
+                (t, flag)
+
+
 def test_report_to_dict():
     report = crosscheck("unmixed", max_boxes=3)
     d = report.to_dict()

@@ -3,26 +3,20 @@ from itertools import combinations
 import pytest
 
 from skewtab import SkewShape, block_containing, blocks, delete_rows_cols, normalize, render
-from skewtab.shapes import Partition, conjugate_parts
+from skewtab.shapes import conjugate_parts
 
 from helpers import (bfs_connected, block_containing_reference, blocks_reference, boxes_of,
                      delete_rows_cols_reference, partitions_up_to, shape_from_boxes,
                      shapes_up_to)
 
 
-def test_partition_validation():
-    Partition((3, 3, 1))
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    with pytest.raises(ValueError):
-        Partition((2, True))  # bool is not an integer part
-
-
 def test_shape_validation():
     SkewShape((5, 4, 4), (2, 1, 0))
     SkewShape((), ())  # empty shape is a valid degenerate value
+    with pytest.raises(ValueError):
+        SkewShape((1, 2))  # outer shape not weakly decreasing
+    with pytest.raises(ValueError):
+        SkewShape((2, 0))  # zero outer part
     with pytest.raises(ValueError):
         SkewShape((3, 3), (3, 0))  # empty row
     with pytest.raises(ValueError):

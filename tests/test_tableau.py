@@ -8,6 +8,7 @@ from skewtab import (SkewShape, SkewTableau, TableauError,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
                      is_unmixed_tableau, scm_trace, to_weighted_graph, validate,
                      weighted_edge_ideal)
+from skewtab.classify import component_rows
 
 from helpers import all_fillings, constant_filling, shapes_up_to
 
@@ -208,9 +209,16 @@ def test_classify_tableau_vacuous_and_disconnected():
 
 
 def test_components_carry_weights():
+    """A filling's components slice its weight rows; the slices equal the
+    rows read box by box through each shape component's index maps, on
+    every filling of the shapes with <= 4 boxes, w <= 2."""
     t = SkewTableau(SkewShape((2, 1), (1, 0)), [[4], [7]])
     comps = t.components()
     assert [c.rows for c in comps] == [((4,),), ((7,),)]
+    for s in shapes_up_to(4):
+        for t in all_fillings(s, 2):
+            assert [(c.shape, c.rows) for c in t.components()] == [
+                (c.shape, component_rows(s, t.rows, c)) for c in s.components()], t
 
 
 def test_delete_carries_weights():

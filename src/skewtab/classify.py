@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .shapes import Component, SkewShape, block_containing, blocks, delete_rows_cols
+from .shapes import (Component, SkewShape, _cuts, _pieces, block_containing, blocks,
+                     delete_rows_cols)
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
@@ -51,13 +52,13 @@ def connected_parts(s: SkewShape, rows: Rows) -> list[tuple[SkewShape, Rows]]:
     """The connected components of ``s`` with their weight rows: ``[(s,
     rows)]`` for a connected shape, ``[]`` for the empty one.  A component
     of ``s`` is a run of whole rows of ``s``, so its weight rows are a
-    slice of ``rows``."""
-    if s.is_empty:
-        return []
-    if s.is_connected():
-        return [(s, rows)]
-    return [(c.shape, None if rows is None else rows[c.row_map[0] - 1:c.row_map[-1]])
-            for c in s.components()]
+    slice of ``rows``; no index maps are built."""
+    lam, mu = s.lam, s.mu
+    cuts = _cuts(lam, mu)
+    if not cuts:
+        return [(s, rows)] if lam else []
+    return [(piece, None if rows is None else rows[start:stop])
+            for piece, start, stop in _pieces(lam, mu, cuts)]
 
 
 def component_rows(s: SkewShape, rows: Rows, comp: Component) -> Rows:

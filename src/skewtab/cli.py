@@ -23,17 +23,24 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _same_parts(given, parts: tuple[int, ...]) -> bool:
+    """Whether the JSON value ``given`` is the list ``parts``, padded with
+    zeros.  JSON true and false are not integers, although Python's ``==``
+    takes them for 1 and 0."""
+    return (isinstance(given, list) and all(type(p) is int for p in given)
+            and given + [0] * (len(parts) - len(given)) == list(parts))
+
+
 def _load_instance(args) -> SkewShape | SkewTableau:
     shape = SkewShape.from_dict(_load_json(args.shape))
     if getattr(args, "filling", None) is None:
         return shape
     data = _load_json(args.filling)
     rows = rows_from_dict(data)
-    if "lambda" in data and data["lambda"] != list(shape.lam):
+    if "lambda" in data and not _same_parts(data["lambda"], shape.lam):
         raise ValueError("filling and shape disagree on the outer partition")
-    mu = data.get("mu")  # absent or null: not compared; a list is padded with zeros
-    if mu is not None and (not isinstance(mu, list)
-                           or mu + [0] * (shape.n - len(mu)) != list(shape.mu)):
+    mu = data.get("mu")  # absent or null: not compared
+    if mu is not None and not _same_parts(mu, shape.mu):
         raise ValueError("filling and shape disagree on the inner partition")
     return SkewTableau(shape, rows)
 

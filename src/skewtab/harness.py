@@ -1,12 +1,15 @@
 """Instance enumeration and classifier-vs-oracle cross-checking.
 
 The enumerator streams every normal-form skew shape up to a box budget
-exactly once (conjugates both included).  ``classifier_verdict`` and
-``oracle_verdict`` give the classifier's and the brute-force oracle's
-verdict on each of the five flags of a shape or a filling; the cross-check
-compares the two over all instances in bounds and reports disagreements.
-Both look the functions they call up by their names in this module when
-they run, so rebinding one of those names (as a tracer does) takes effect.
+exactly once (conjugates both included).  It grows a shape row by row and
+enters only the row prefixes that can still be completed within the
+budget and, for connected shapes only, that are connected.
+``classifier_verdict`` and ``oracle_verdict`` give the classifier's and
+the brute-force oracle's verdict on each of the five flags of a shape or
+a filling; the cross-check compares the two over all instances in bounds
+and reports disagreements.  Both look the functions they call up by their
+names in this module when they run, so rebinding one of those names (as a
+tracer does) takes effect.
 
 The oracle runs once per orbit of the transpose and the half turn, and its
 verdict is reused on the orbit's other instances; the classifier runs on
@@ -39,28 +42,32 @@ from .tableau import (SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_
 
 def enumerate_skew_shapes(max_boxes: int, connected_only: bool = False) -> Iterator[SkewShape]:
     """All normal-form skew shapes with at most ``max_boxes`` boxes, each
-    exactly once, in a deterministic order."""
+    exactly once, in a deterministic order.
+
+    The shape grows row by row, each row an interval lo..hi of columns
+    nested in the one above; it is complete once a row starts at column 1.
+    A prefix whose last row starts at column lo still needs a box in each
+    of the columns 1..lo-1, so a new row lo..hi is entered only when the
+    boxes so far plus hi fit the budget.  A row that shares no column with
+    the one above (hi < lo) stays disconnected from it in every extension,
+    so ``connected_only`` never enters one.
+    """
     if max_boxes < 1:
         raise ValueError("max_boxes must be >= 1")
+    trusted = SkewShape._trusted
+    gap = 0 if connected_only else 1  # how far a row may end left of the one above
 
-    def rec(rows: list[tuple[int, int]], boxes: int) -> Iterator[SkewShape]:
-        lo, hi = rows[-1]
+    def rec(lam: tuple[int, ...], mu: tuple[int, ...], lo: int, boxes: int) -> Iterator[SkewShape]:
         if lo == 1:
-            s = SkewShape._trusted(tuple(b for _, b in rows), tuple(a - 1 for a, _ in rows))
-            if not connected_only or s.is_connected():
-                yield s
-        for nhi in range(hi, 0, -1):
-            if nhi < lo - 1:
-                break  # would leave an empty column
-            for nlo in range(1, min(nhi, lo) + 1):
-                size = nhi - nlo + 1
-                if boxes + size <= max_boxes:
-                    yield from rec(rows + [(nlo, nhi)], boxes + size)
+            yield trusted(lam, mu)
+        # hi >= lo - 1: a row ending further left would leave a column empty
+        for hi in range(min(lam[-1], max_boxes - boxes), max(lo - gap, 1) - 1, -1):
+            for nlo in range(1, min(hi, lo) + 1):
+                yield from rec(lam + (hi,), mu + (nlo - 1,), nlo, boxes + hi - nlo + 1)
 
     for hi in range(1, max_boxes + 1):
         for lo in range(1, hi + 1):
-            if hi - lo + 1 <= max_boxes:
-                yield from rec([(lo, hi)], hi - lo + 1)
+            yield from rec((hi,), (lo - 1,), lo, hi - lo + 1)
 
 
 def enumerate_fillings(s: SkewShape, max_weight: int) -> Iterator[SkewTableau]:

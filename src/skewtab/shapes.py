@@ -19,7 +19,7 @@ check.  Each shape computes its conjugate parts once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[int, ...]:
@@ -158,17 +158,12 @@ class SkewShape:
 
     def is_connected(self) -> bool:
         """True iff mu_{i-1} <= lam_i - 1 for all 2 <= i <= n."""
-        return all(self.mu[i - 1] <= self.lam[i] - 1 for i in range(1, self.n))
+        return not _cuts(self.lam, self.mu)
 
     def components(self) -> list["Component"]:
         """Connected components, each a normal-form shape with index maps; a
-        connected shape is its own component."""
-        if self.is_empty:
-            return []
-        if self.is_connected():
-            return [Component(self, tuple(range(1, self.n + 1)), tuple(range(1, self.m + 1)))]
-        return _split([(m + 1, l) for l, m in zip(self.lam, self.mu)],
-                      range(1, self.n + 1), range(1, self.m + 1))
+        connected shape is one component, equal to the shape."""
+        return _split(self.lam, self.mu, range(1, self.n + 1), range(1, self.m + 1))
 
     # -- serialization / rendering ----------------------------------------
 
@@ -199,26 +194,41 @@ class Component:
         return self.row_map[i - 1], self.col_map[j - 1]
 
 
-def _split(intervals: Sequence[tuple[int, int]], row_ids: Sequence[int],
+def _cuts(lam: Sequence[int], mu: Sequence[int]) -> list[int]:
+    """The rows (0-based) at which a new connected component of the rows
+    lam/mu starts, in one pass.  Row k is the interval mu_k+1..lam_k; the
+    intervals are nested, so the shape falls apart exactly where a row
+    shares no column with the row above it: mu_{k-1} >= lam_k."""
+    return [k for k in range(1, len(lam)) if mu[k - 1] >= lam[k]]
+
+
+def _pieces(lam: tuple[int, ...], mu: tuple[int, ...],
+            cuts: list[int]) -> Iterator[tuple[SkewShape, int, int]]:
+    """The components of the nonempty rows lam/mu cut at ``cuts``, as
+    (shape, start, stop): rows start..stop-1 (0-based), moved left by their
+    last inner part mu_{stop-1} into normal form.  lam and mu are tuples,
+    since the last component keeps its slices as they are."""
+    start = 0
+    for stop in (*cuts, len(lam)):
+        shift = mu[stop - 1]
+        if shift:
+            piece = SkewShape._trusted(tuple([l - shift for l in lam[start:stop]]),
+                                       tuple([m - shift for m in mu[start:stop]]))
+        else:  # the last component, already in place
+            piece = SkewShape._trusted(lam[start:stop], mu[start:stop])
+        yield piece, start, stop
+        start = stop
+
+
+def _split(lam: tuple[int, ...], mu: tuple[int, ...], row_ids: Sequence[int],
            col_ids: Sequence[int]) -> list[Component]:
-    """Connected components of nested row intervals over columns 1..K, each
+    """Connected components of the rows lam/mu over columns 1..K, each
     column used by some row; ``row_ids``/``col_ids`` map each row and
     column (0-based position) back to the ambient shape."""
-    comps: list[Component] = []
-    start = 0
-    # split where consecutive intervals do not even touch a common column
-    for k in range(1, len(intervals) + 1):
-        if k == len(intervals) or intervals[k][1] < intervals[k - 1][0]:
-            chunk = intervals[start:k]
-            shift = chunk[-1][0] - 1
-            comps.append(Component(  # shape, row_map, col_map
-                SkewShape._trusted(tuple([hi - shift for _, hi in chunk]),
-                                   tuple([lo - 1 - shift for lo, _ in chunk])),
-                tuple(row_ids[start:k]),
-                tuple(col_ids[shift:chunk[0][1]]),
-            ))
-            start = k
-    return comps
+    if not lam:
+        return []
+    return [Component(piece, tuple(row_ids[start:stop]), tuple(col_ids[mu[stop - 1]:lam[start]]))
+            for piece, start, stop in _pieces(lam, mu, _cuts(lam, mu))]
 
 
 def normalize(rows: Sequence) -> list[Component]:
@@ -257,7 +267,8 @@ def normalize(rows: Sequence) -> list[Component]:
     for k in range(len(intervals) - 1):
         if intervals[k][0] < intervals[k + 1][0] or intervals[k][1] < intervals[k + 1][1]:
             raise ValueError("rows do not come from a skew shape (intervals not nested)")
-    return _split(intervals, kept_rows, used_cols)
+    return _split(tuple([hi for _, hi in intervals]), tuple([lo - 1 for lo, _ in intervals]),
+                  kept_rows, used_cols)
 
 
 def delete_rows_cols(s: SkewShape, rows: Iterable[int] = (),
@@ -296,8 +307,8 @@ def delete_rows_cols(s: SkewShape, rows: Iterable[int] = (),
         if depth and c not in dead_cols:
             used.append(c)
         index[c] = len(used)
-    return _split([(index[lo], index[hi]) for _, lo, hi in kept],
-                  [i for i, _, _ in kept], used)
+    return _split(tuple([index[hi] for _, _, hi in kept]),
+                  tuple([index[lo] - 1 for _, lo, _ in kept]), [i for i, _, _ in kept], used)
 
 
 # -- block grid ----------------------------------------------------------

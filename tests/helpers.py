@@ -139,6 +139,33 @@ def partitions_up_to(total: int):
         yield from rec(n, n)
 
 
+def enumerate_skew_shapes_reference(max_boxes: int, connected_only: bool = False):
+    """The plain enumerator: every row interval nested in the one above,
+    each shape built from the list of rows it ends on, no pruning.  The
+    package's enumerator must yield the same shapes in the same order."""
+    if max_boxes < 1:
+        raise ValueError("max_boxes must be >= 1")
+
+    def rec(rows: list[tuple[int, int]], boxes: int):
+        lo, hi = rows[-1]
+        if lo == 1:
+            s = SkewShape._trusted(tuple(b for _, b in rows), tuple(a - 1 for a, _ in rows))
+            if not connected_only or s.is_connected():
+                yield s
+        for nhi in range(hi, 0, -1):
+            if nhi < lo - 1:
+                break  # would leave an empty column
+            for nlo in range(1, min(nhi, lo) + 1):
+                size = nhi - nlo + 1
+                if boxes + size <= max_boxes:
+                    yield from rec(rows + [(nlo, nhi)], boxes + size)
+
+    for hi in range(1, max_boxes + 1):
+        for lo in range(1, hi + 1):
+            if hi - lo + 1 <= max_boxes:
+                yield from rec([(lo, hi)], hi - lo + 1)
+
+
 def shapes_up_to(max_boxes: int, connected_only: bool = False):
     yield from enumerate_skew_shapes(max_boxes, connected_only=connected_only)
 

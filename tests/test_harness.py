@@ -6,7 +6,8 @@ from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, class
 from skewtab.classify import FLAG_NAMES
 from skewtab.graphs import clear_caches, from_shape, is_unmixed_graph
 
-from helpers import all_fillings, boxes_of, constant_filling, shape_from_boxes
+from helpers import (all_fillings, boxes_of, constant_filling, enumerate_skew_shapes_reference,
+                     shape_from_boxes)
 
 # The transpose, the half turn and the transpose of the half turn of an
 # n x m diagram, box by box.
@@ -91,12 +92,22 @@ def cold_classifier():
 
 def test_enumerate_counts_snapshot():
     # committed regression counts; see also the duplicate-freeness test
-    all_counts = {1: 1, 2: 4, 3: 13, 4: 41, 5: 128, 6: 400}
-    conn_counts = {1: 1, 2: 3, 3: 7, 4: 16, 5: 36, 6: 82}
+    all_counts = {1: 1, 2: 4, 3: 13, 4: 41, 5: 128, 6: 400, 7: 1250, 8: 3909, 9: 12227,
+                  10: 38252}
+    conn_counts = {1: 1, 2: 3, 3: 7, 4: 16, 5: 36, 6: 82, 7: 187, 8: 429, 9: 986, 10: 2271}
     for n, want in all_counts.items():
         assert sum(1 for _ in enumerate_skew_shapes(n)) == want
     for n, want in conn_counts.items():
         assert sum(1 for _ in enumerate_skew_shapes(n, connected_only=True)) == want
+
+
+def test_enumerate_matches_reference():
+    """The pruned enumerator yields the plain one's shapes in the same order."""
+    for n in range(1, 10):
+        for connected_only in (False, True):
+            assert [(s.lam, s.mu) for s in enumerate_skew_shapes(n, connected_only)] == [
+                (s.lam, s.mu) for s in enumerate_skew_shapes_reference(n, connected_only)], (
+                n, connected_only)
 
 
 def test_enumerate_small_listing():

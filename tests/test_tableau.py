@@ -8,7 +8,7 @@ from skewtab import (SkewShape, SkewTableau, TableauError,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
                      is_unmixed_tableau, scm_trace, to_weighted_graph, validate,
                      weighted_edge_ideal)
-from skewtab.classify import component_rows
+from skewtab.classify import component_rows, connected_parts
 
 from helpers import all_fillings, constant_filling, shapes_up_to
 
@@ -211,11 +211,14 @@ def test_classify_tableau_vacuous_and_disconnected():
 def test_components_carry_weights():
     """A filling's components slice its weight rows; the slices equal the
     rows read box by box through each shape component's index maps, on
-    every filling of the shapes with <= 4 boxes, w <= 2."""
+    every filling of the shapes with <= 5 boxes, w <= 2.  The bare split
+    gives the shape components on every shape with <= 9 boxes."""
     t = SkewTableau(SkewShape((2, 1), (1, 0)), [[4], [7]])
     comps = t.components()
     assert [c.rows for c in comps] == [((4,),), ((7,),)]
-    for s in shapes_up_to(4):
+    for s in shapes_up_to(9):
+        assert connected_parts(s, None) == [(c.shape, None) for c in s.components()], s
+    for s in shapes_up_to(5):
         for t in all_fillings(s, 2):
             assert [(c.shape, c.rows) for c in t.components()] == [
                 (c.shape, component_rows(s, t.rows, c)) for c in s.components()], t

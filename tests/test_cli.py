@@ -188,9 +188,6 @@ def test_filling_mu_padded_with_zeros(shape_file, capsys):
     ({"lambda": [True, 1]}, None),
     ({"lambda": [2, 1], "mu": [True, False]}, None),
     ({"lambda": [2, 1]}, {"rows": [[1, True], [2]]}),
-    # a filling's partitions are compared with the shape's as integers
-    ({"lambda": [2, 1], "mu": [1]}, {"lambda": [2, True], "rows": [[1], [1]]}),
-    ({"lambda": [2, 1], "mu": [1]}, {"mu": [True], "rows": [[1], [1]]}),
     # JSON of the wrong type where a list or an object belongs
     ({"lambda": 5}, None),
     ({"lambda": [2, 1], "mu": 7}, None),
@@ -200,6 +197,9 @@ def test_filling_mu_padded_with_zeros(shape_file, capsys):
     ({"lambda": [2, 1]}, [[1, 1], [1]]),
     ({"lambda": [2, 1]}, {"lambda": 5, "rows": [[1, 1], [1]]}),
     ({"lambda": [2, 1]}, {"mu": 7, "rows": [[1, 1], [1]]}),
+    # a filling's partitions are compared with the shape's as integers
+    ({"lambda": [2, 1], "mu": [1]}, {"lambda": [2, True], "rows": [[1], [1]]}),
+    ({"lambda": [2, 1], "mu": [1]}, {"mu": [True], "rows": [[1], [1]]}),
 ])
 def test_json_booleans_are_not_integers(shape_file, capsys, shape, filling):
     """Malformed JSON is invalid input: exit 2 and an error line, no traceback."""

@@ -2,7 +2,7 @@
 shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 
 from .shapes import (Block, Component, SkewShape, block_containing, blocks,
-                     delete_rows_cols, normalize, render)
+                     delete_rows_cols, render)
 from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable,
                      minimal_vertex_covers)

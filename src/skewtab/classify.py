@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .shapes import (Component, SkewShape, _cuts, _pieces, block_containing, blocks,
+from .shapes import (Rows, SkewShape, _cuts, _parts, block_containing, blocks,
                      delete_rows_cols)
 
 
@@ -43,11 +43,6 @@ def is_saturated(parts: Sequence[int]) -> bool:
 # -- weights carried to derived shapes ------------------------------------------
 
 
-# A filling's weight rows: rows[i-1][k] weighs the box in row i, column
-# mu_i + 1 + k.  None stands for the all-ones filling, i.e. the bare shape.
-Rows = tuple[tuple[int, ...], ...] | None
-
-
 def connected_parts(s: SkewShape, rows: Rows) -> list[tuple[SkewShape, Rows]]:
     """The connected components of ``s`` with their weight rows: ``[(s,
     rows)]`` for a connected shape, ``[]`` for the empty one.  A component
@@ -57,18 +52,7 @@ def connected_parts(s: SkewShape, rows: Rows) -> list[tuple[SkewShape, Rows]]:
     cuts = _cuts(lam, mu)
     if not cuts:
         return [(s, rows)] if lam else []
-    return [(piece, None if rows is None else rows[start:stop])
-            for piece, start, stop in _pieces(lam, mu, cuts)]
-
-
-def component_rows(s: SkewShape, rows: Rows, comp: Component) -> Rows:
-    """Weight rows of ``comp``, a component of a shape derived from ``s``
-    by deleting lines, read off through its index maps."""
-    if rows is None:
-        return None
-    mu, cols = s.mu, comp.col_map
-    return tuple(tuple(rows[r - 1][cols[j] - mu[r - 1] - 1] for j in range(m, l))
-                 for r, l, m in zip(comp.row_map, comp.shape.lam, comp.shape.mu))
+    return _parts(lam, mu, rows, cuts)
 
 
 def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
@@ -139,8 +123,7 @@ def _derived(s: SkewShape, rows: Rows, piv: dict):
     """A pivot's derived shapes with their weights, one group per deletion;
     lazy, so that a failing group spares the deletions after it."""
     for dead_rows, dead_cols in piv["deletions"]:
-        yield [(c.shape, component_rows(s, rows, c))
-               for c in delete_rows_cols(s, dead_rows, dead_cols)]
+        yield delete_rows_cols(s, dead_rows, dead_cols, rows)
 
 
 def is_scm(s: SkewShape, rows: Rows) -> bool:

@@ -14,7 +14,7 @@ import sys
 
 from .shapes import SkewShape, render
 from .classify import FLAG_NAMES, classify_shape, scm_trace, unmixed_decomposition
-from .harness import crosscheck, oracle_verdict
+from .harness import crosscheck, oracle_verdicts
 from .tableau import SkewTableau, classify_tableau, rows_from_dict
 
 
@@ -49,7 +49,7 @@ def cmd_classify(args) -> int:
     obj = _load_instance(args)
     weighted = isinstance(obj, SkewTableau)
     if args.oracle:
-        flags = {f: oracle_verdict(obj, f) for f in FLAG_NAMES}
+        flags = oracle_verdicts(obj, FLAG_NAMES)
         out = {"oracle": True, "verdicts": flags}
     else:
         flags = (classify_tableau(obj) if weighted else classify_shape(obj)).to_dict()

@@ -5,8 +5,10 @@ exactly once (conjugates both included).  It grows a shape row by row and
 enters only the row prefixes that can still be completed within the
 budget and, for connected shapes only, that are connected.
 ``classifier_verdict`` and ``oracle_verdict`` give the classifier's and
-the brute-force oracle's verdict on each of the five flags of a shape or
-a filling; the cross-check compares the two over all instances in bounds
+the brute-force oracle's verdict on one of the five flags of a shape or a
+filling; ``oracle_verdict`` is the one-flag form of ``oracle_verdicts``,
+which ``classify --oracle`` calls for all five and which runs each oracle
+once.  The cross-check compares the two sides over all instances in bounds
 and reports disagreements.  Both look the functions they call up by their
 names in this module when they run, so rebinding one of those names (as a
 tracer does) takes effect.
@@ -31,9 +33,9 @@ from itertools import product
 from multiprocessing import Pool
 from typing import Iterator
 
-from .shapes import SkewShape
+from .shapes import Rows, SkewShape
 from .graphs import from_shape, is_buchsbaum_graph, is_unmixed_graph, is_vertex_decomposable
-from .classify import (FLAG_NAMES, Rows, classify_shape, conjugate_rows, is_constant_full_square,
+from .classify import (FLAG_NAMES, classify_shape, conjugate_rows, is_constant_full_square,
                        is_scm_skew, is_unmixed_skew)
 from .ideals import is_scm_weighted_oracle, is_unmixed_ideal, weighted_edge_ideal
 from .tableau import (SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_tableau,
@@ -113,29 +115,45 @@ def classifier_verdict(x: SkewShape | SkewTableau, prop: str) -> bool:
     return getattr(classify_tableau(x) if weighted else classify_shape(x), prop)
 
 
+def oracle_verdicts(x: SkewShape | SkewTableau, props) -> dict[str, bool]:
+    """The brute-force oracle's verdicts on the flags ``props`` of a shape
+    or filling, in the order given.  Each oracle runs at most once, however
+    many of the flags rest on it: cm is unmixed and scm, a filling's
+    Buchsbaum and gCM verdicts start from its cm, and a shape's two are one
+    graph test."""
+    props = tuple(props)
+    if not set(props) <= set(FLAG_NAMES):
+        raise ValueError(f"property must be one of {FLAG_NAMES}")
+    weighted = isinstance(x, SkewTableau)
+    g = to_weighted_graph(x) if weighted else from_shape(x)  # every flag needs it
+    known: dict[str, bool] = {}
+
+    def verdict(prop: str) -> bool:
+        if prop not in known:
+            if prop == "cm":
+                known[prop] = verdict("unmixed") and verdict("scm")
+            elif prop == "unmixed":
+                known[prop] = is_unmixed_ideal(weighted_edge_ideal(g)) if weighted \
+                    else is_unmixed_graph(g)
+            elif prop == "scm":
+                known[prop] = is_scm_weighted_oracle(g) if weighted else is_vertex_decomposable(g)
+            elif weighted:
+                # Buchsbaum/gCM of a filling: the oracle's cm, or the
+                # classifier's square rule, which no disconnected filling
+                # meets (those are cm, by Kunneth).  Not an independent
+                # check until a weighted gCM oracle exists.
+                known[prop] = verdict("cm") or is_constant_full_square(
+                    x.shape, x.rows, 1 if prop == "buchsbaum" else None)
+            else:  # Buchsbaum and gCM are one property for squarefree ideals
+                known["buchsbaum"] = known["gcm"] = is_buchsbaum_graph(g)
+        return known[prop]
+
+    return {prop: verdict(prop) for prop in props}
+
+
 def oracle_verdict(x: SkewShape | SkewTableau, prop: str) -> bool:
     """The brute-force oracle's verdict on flag ``prop`` of a shape or filling."""
-    if prop not in FLAG_NAMES:
-        raise ValueError(f"property must be one of {FLAG_NAMES}")
-    if prop == "cm":
-        return oracle_verdict(x, "unmixed") and oracle_verdict(x, "scm")
-    if not isinstance(x, SkewTableau):
-        g = from_shape(x)
-        if prop == "unmixed":
-            return is_unmixed_graph(g)
-        if prop == "scm":
-            return is_vertex_decomposable(g)
-        return is_buchsbaum_graph(g)  # gcm: the same property for squarefree ideals
-    if prop == "unmixed":
-        return is_unmixed_ideal(weighted_edge_ideal(to_weighted_graph(x)))
-    if prop == "scm":
-        return is_scm_weighted_oracle(to_weighted_graph(x))
-    # Buchsbaum/gCM of a filling: the oracle's cm, or the classifier's square
-    # rule, which no disconnected filling meets (those are cm, by Kunneth).
-    # Not an independent check until a weighted gCM oracle exists.
-    if prop == "buchsbaum":
-        return oracle_verdict(x, "cm") or is_constant_full_square(x.shape, x.rows, 1)
-    return oracle_verdict(x, "cm") or is_constant_full_square(x.shape, x.rows)
+    return oracle_verdicts(x, (prop,))[prop]
 
 
 def _shape_images(s: SkewShape) -> tuple[SkewShape, SkewShape, SkewShape, SkewShape]:

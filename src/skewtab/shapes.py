@@ -2,11 +2,11 @@
 
 Rows and columns are 1-based throughout.  A skew shape is kept in normal
 form: the inner boundary is weakly decreasing with last entry zero, every
-row is nonempty, and every column 1..m holds at least one box.  Shapes that
-lose rows or columns mid-computation are rebuilt through
-:func:`delete_rows_cols` or :func:`normalize`, which drop empty lines,
-reindex and split into connected components.  The empty shape is a valid
-degenerate value.
+row is nonempty, and every column 1..m holds at least one box.  The empty
+shape is a valid degenerate value.  :func:`delete_rows_cols` deletes whole
+rows and columns, drops the lines left empty and splits the rest into its
+connected components, each in normal form; a filling's weight rows
+(``Rows``) are carried along.
 
 Trust boundary: ``SkewShape(lam, mu)`` and ``SkewShape.from_dict`` take
 outside input and validate it in full.  Shapes the package derives from a
@@ -18,8 +18,14 @@ check.  Each shape computes its conjugate parts once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+
+# A filling's weight rows: rows[i-1][k] weighs the box in row i, column
+# mu_i + 1 + k.  None stands for the all-ones filling, i.e. the bare shape.
+Rows = tuple[tuple[int, ...], ...] | None
 
 
 def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[int, ...]:
@@ -108,10 +114,6 @@ class SkewShape:
     def box_count(self) -> int:
         return sum(l - m for l, m in zip(self.lam, self.mu))
 
-    def row_interval(self, i: int) -> tuple[int, int]:
-        """Inclusive column interval (mu_i+1, lam_i) of row i."""
-        return self.mu[i - 1] + 1, self.lam[i - 1]
-
     def contains(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and self.mu[i - 1] < j <= self.lam[i - 1]
 
@@ -163,7 +165,12 @@ class SkewShape:
     def components(self) -> list["Component"]:
         """Connected components, each a normal-form shape with index maps; a
         connected shape is one component, equal to the shape."""
-        return _split(self.lam, self.mu, range(1, self.n + 1), range(1, self.m + 1))
+        lam, mu = self.lam, self.mu
+        if not lam:
+            return []
+        return [Component(piece, tuple(range(start + 1, stop + 1)),
+                          tuple(range(mu[stop - 1] + 1, lam[start] + 1)))
+                for piece, start, stop in _pieces(lam, mu, _cuts(lam, mu))]
 
     # -- serialization / rendering ----------------------------------------
 
@@ -220,95 +227,49 @@ def _pieces(lam: tuple[int, ...], mu: tuple[int, ...],
         start = stop
 
 
-def _split(lam: tuple[int, ...], mu: tuple[int, ...], row_ids: Sequence[int],
-           col_ids: Sequence[int]) -> list[Component]:
-    """Connected components of the rows lam/mu over columns 1..K, each
-    column used by some row; ``row_ids``/``col_ids`` map each row and
-    column (0-based position) back to the ambient shape."""
+def _parts(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
+           cuts: list[int]) -> list[tuple[SkewShape, Rows]]:
+    """The :func:`_pieces` of the rows lam/mu, each with its slice of the
+    weight rows ``rows``: a component is a run of whole rows."""
+    return [(piece, None if rows is None else rows[start:stop])
+            for piece, start, stop in _pieces(lam, mu, cuts)]
+
+
+def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Iterable[int] = (),
+                     rows: Rows = None) -> list[tuple[SkewShape, Rows]]:
+    """The connected components left when the rows ``dead_rows`` and the
+    columns ``dead_cols`` of ``s`` are deleted, top to bottom, as (shape,
+    weight rows) pairs; ``rows`` are the weight rows of a filling of ``s``,
+    None for the bare shape.
+
+    One pass over the rows: a surviving row's lam_i and mu_i drop by the
+    number of dead columns at or left of them, found by bisection, its
+    weights lose the entries of the dead columns, and a row left empty drops
+    out.  A component's columns are contiguous, so a column that only
+    deleted rows used lies left of or between components; moving each
+    component flush left removes it.
+    """
+    dead_rows = set(dead_rows)
+    gone = set(dead_cols)
+    dead = sorted(gone)
+    if not all(1 <= r <= s.n for r in dead_rows) or dead and not 1 <= dead[0] <= dead[-1] <= s.m:
+        raise ValueError("row/column index out of range")
+    lam, mu, kept = [], [], []
+    for i, (l, u) in enumerate(zip(s.lam, s.mu)):
+        if i + 1 in dead_rows:
+            continue
+        below, upto = bisect_right(dead, u), bisect_right(dead, l)
+        if upto - below == l - u:  # every column of the row is dead
+            continue
+        lam.append(l - upto)
+        mu.append(u - below)
+        if rows is not None:
+            kept.append(rows[i] if upto == below else
+                        tuple([w for c, w in enumerate(rows[i], u + 1) if c not in gone]))
     if not lam:
         return []
-    return [Component(piece, tuple(row_ids[start:stop]), tuple(col_ids[mu[stop - 1]:lam[start]]))
-            for piece, start, stop in _pieces(lam, mu, _cuts(lam, mu))]
-
-
-def normalize(rows: Sequence) -> list[Component]:
-    """Rebuild normal-form components from leftover row contents.
-
-    Each entry of ``rows`` is the surviving column content of one row:
-    ``None`` or empty for a dead row, a pair ``(lo, hi)`` for an inclusive
-    interval, or an explicit collection of column indices.  Empty rows are
-    dropped, globally empty columns deleted, indices compacted, and the
-    result split into connected components.  Rows that are not contiguous
-    after column deletion are rejected.
-    """
-    cols_per_row: list[set[int]] = []
-    for content in rows:
-        if content is None:
-            cols_per_row.append(set())
-        elif isinstance(content, tuple) and len(content) == 2:
-            lo, hi = content
-            cols_per_row.append(set(range(lo, hi + 1)))
-        else:
-            cols_per_row.append(set(content))
-    used_cols = sorted(set().union(*cols_per_row)) if cols_per_row else []
-    new_col = {c: k + 1 for k, c in enumerate(used_cols)}
-
-    intervals: list[tuple[int, int]] = []
-    kept_rows: list[int] = []
-    for rid, content in enumerate(cols_per_row, start=1):
-        if not content:
-            continue
-        cols = sorted(new_col[c] for c in content)
-        if cols[-1] - cols[0] + 1 != len(cols):
-            raise ValueError(f"row {rid} is not a contiguous interval: {sorted(content)}")
-        intervals.append((cols[0], cols[-1]))
-        kept_rows.append(rid)
-
-    for k in range(len(intervals) - 1):
-        if intervals[k][0] < intervals[k + 1][0] or intervals[k][1] < intervals[k + 1][1]:
-            raise ValueError("rows do not come from a skew shape (intervals not nested)")
-    return _split(tuple([hi for _, hi in intervals]), tuple([lo - 1 for lo, _ in intervals]),
-                  kept_rows, used_cols)
-
-
-def delete_rows_cols(s: SkewShape, rows: Iterable[int] = (),
-                     cols: Iterable[int] = ()) -> list[Component]:
-    """Remove whole rows/columns and renormalize; maps refer to ``s``.
-
-    O(n + m): a surviving row keeps the live columns of its interval, found
-    from the next and previous live column; a coverage difference array
-    marks the columns some row still uses, and prefix counts renumber them.
-    """
-    dead_rows = set(rows)
-    dead_cols = set(cols)
-    if not all(1 <= r <= s.n for r in dead_rows) or not all(1 <= c <= s.m for c in dead_cols):
-        raise ValueError("row/column index out of range")
-    m = s.m
-    nxt = [m + 1] * (m + 2)  # nxt[c]: first live column >= c
-    prv = [0] * (m + 1)  # prv[c]: last live column <= c
-    for c in range(m, 0, -1):
-        nxt[c] = nxt[c + 1] if c in dead_cols else c
-    for c in range(1, m + 1):
-        prv[c] = prv[c - 1] if c in dead_cols else c
-    kept: list[tuple[int, int, int]] = []
-    cover = [0] * (m + 2)
-    for i, (l, u) in enumerate(zip(s.lam, s.mu), start=1):
-        if i not in dead_rows:
-            lo, hi = nxt[u + 1], prv[l]
-            if lo <= hi:
-                kept.append((i, lo, hi))
-                cover[lo] += 1
-                cover[hi + 1] -= 1
-    used: list[int] = []
-    index = [0] * (m + 1)  # index[c]: number of used columns <= c
-    depth = 0
-    for c in range(1, m + 1):
-        depth += cover[c]
-        if depth and c not in dead_cols:
-            used.append(c)
-        index[c] = len(used)
-    return _split(tuple([index[hi] for _, _, hi in kept]),
-                  tuple([index[lo] - 1 for _, lo, _ in kept]), [i for i, _, _ in kept], used)
+    lam, mu = tuple(lam), tuple(mu)
+    return _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu))
 
 
 # -- block grid ----------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .shapes import SkewShape, delete_rows_cols, render
-from .classify import (ShapeFlags, classify_flags, clear_caches, component_rows,
-                       conjugate_rows, connected_parts, is_scm, is_unmixed)
+from .classify import (ShapeFlags, classify_flags, clear_caches, conjugate_rows,
+                       connected_parts, is_scm, is_unmixed)
 from .ideals import WeightedGraph
 
 
@@ -66,10 +66,11 @@ class SkewTableau:
     def components(self) -> list["SkewTableau"]:
         return [SkewTableau(*part) for part in connected_parts(self.shape, self.rows)]
 
-    def delete(self, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> list["SkewTableau"]:
+    def delete(self, dead_rows: Iterable[int] = (),
+               dead_cols: Iterable[int] = ()) -> list["SkewTableau"]:
         """Delete rows/columns, renormalize, and carry the weights along."""
-        return [SkewTableau(c.shape, component_rows(self.shape, self.rows, c))
-                for c in delete_rows_cols(self.shape, rows, cols)]
+        return [SkewTableau(*part)
+                for part in delete_rows_cols(self.shape, dead_rows, dead_cols, self.rows)]
 
     def to_dict(self) -> dict:
         return {"lambda": list(self.shape.lam), "mu": list(self.shape.mu),

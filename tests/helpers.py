@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from skewtab import SkewShape, SkewTableau, enumerate_skew_shapes, normalize
+from skewtab import Component, SkewShape, SkewTableau, enumerate_skew_shapes
 from skewtab.graphs import _canonical, _restrict
 from skewtab.ideals import MonomialIdeal, _minimalize
 from skewtab.shapes import Block, _runs
@@ -170,7 +170,60 @@ def shapes_up_to(max_boxes: int, connected_only: bool = False):
     yield from enumerate_skew_shapes(max_boxes, connected_only=connected_only)
 
 
-def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()):
+def normalize(rows) -> list[Component]:
+    """Rebuild normal-form components from leftover row contents.
+
+    Each entry of ``rows`` is the surviving column content of one row:
+    ``None`` or empty for a dead row, a pair ``(lo, hi)`` for an inclusive
+    interval, or an explicit collection of column indices.  Empty rows are
+    dropped, globally empty columns deleted, indices compacted, and the
+    result split into connected components, whose maps refer to the row
+    positions and column indices of ``rows``.  Rows that are not contiguous
+    after column deletion are rejected.
+    """
+    cols_per_row: list[set[int]] = []
+    for content in rows:
+        if content is None:
+            cols_per_row.append(set())
+        elif isinstance(content, tuple) and len(content) == 2:
+            lo, hi = content
+            cols_per_row.append(set(range(lo, hi + 1)))
+        else:
+            cols_per_row.append(set(content))
+    used_cols = sorted(set().union(*cols_per_row)) if cols_per_row else []
+    new_col = {c: k + 1 for k, c in enumerate(used_cols)}
+
+    intervals: list[tuple[int, int]] = []
+    kept_rows: list[int] = []
+    for rid, content in enumerate(cols_per_row, start=1):
+        if not content:
+            continue
+        cols = sorted(new_col[c] for c in content)
+        if cols[-1] - cols[0] + 1 != len(cols):
+            raise ValueError(f"row {rid} is not a contiguous interval: {sorted(content)}")
+        intervals.append((cols[0], cols[-1]))
+        kept_rows.append(rid)
+
+    for k in range(len(intervals) - 1):
+        if intervals[k][0] < intervals[k + 1][0] or intervals[k][1] < intervals[k + 1][1]:
+            raise ValueError("rows do not come from a skew shape (intervals not nested)")
+    # A component ends at a row sharing no column with the next one; it
+    # spans columns lo..hi, lo from its last row and hi from its first.  The
+    # shapes are built unchecked; callers validate the ones they keep.
+    comps, start = [], 0
+    for k in range(1, len(intervals) + 1):
+        if k < len(intervals) and intervals[k][1] >= intervals[k - 1][0]:
+            continue
+        lo, hi = intervals[k - 1][0], intervals[start][1]
+        piece = intervals[start:k]
+        shape = SkewShape._trusted(tuple([b - lo + 1 for _, b in piece]),
+                                   tuple([a - lo for a, _ in piece]))
+        comps.append(Component(shape, tuple(kept_rows[start:k]), tuple(used_cols[lo - 1:hi])))
+        start = k
+    return comps
+
+
+def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()) -> list[Component]:
     """Remove whole rows/columns and renormalize; maps refer to ``s``.
 
     Reference for ``skewtab.shapes.delete_rows_cols``: it rebuilds every
@@ -186,8 +239,7 @@ def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()):
         if i in dead_rows:
             contents.append(None)
         else:
-            lo, hi = s.row_interval(i)
-            contents.append(set(range(lo, hi + 1)) - dead_cols)
+            contents.append(set(range(s.mu[i - 1] + 1, s.lam[i - 1] + 1)) - dead_cols)
     return normalize(contents)
 
 

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from skewtab import harness
 from skewtab.cli import main
 
 
@@ -77,6 +79,41 @@ def test_classify_oracle_on_weight_2_square(shape_file, capsys):
     assert code == 0
     assert json.loads(out)["verdicts"] == {"unmixed": True, "scm": False, "cm": False,
                                            "buchsbaum": False, "gcm": True}
+
+
+ORACLES = ("from_shape", "is_unmixed_graph", "is_vertex_decomposable", "is_buchsbaum_graph",
+           "to_weighted_graph", "weighted_edge_ideal", "is_unmixed_ideal", "is_scm_weighted_oracle")
+
+
+@pytest.mark.parametrize("filling, want", [
+    (None, {"from_shape": 1, "is_unmixed_graph": 1, "is_vertex_decomposable": 1,
+            "is_buchsbaum_graph": 1}),
+    ({"rows": [[2, 2], [2, 2]]}, {"to_weighted_graph": 1, "weighted_edge_ideal": 1,
+                                  "is_unmixed_ideal": 1, "is_scm_weighted_oracle": 1}),
+])
+def test_classify_oracle_runs_each_oracle_once(shape_file, capsys, monkeypatch, filling, want):
+    """``classify --oracle`` prints five flags but builds the graph and runs
+    each oracle once: cm reuses unmixed and scm, a filling's Buchsbaum and
+    gCM reuse its cm, and a shape's Buchsbaum and gCM are one graph test.
+    The 2x2 square is unmixed, so cm needs the scm oracle as well."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ORACLES:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    argv = ["classify", "--shape", shape_file("s.json", {"lambda": [2, 2]}), "--oracle"]
+    if filling is not None:
+        argv += ["--filling", shape_file("f.json", filling)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {"unmixed": True, "scm": False, "cm": False,
+                                           "buchsbaum": filling is None, "gcm": True}
+    assert calls == want
 
 
 def test_classify_explain_scm_trace_is_json(shape_file, capsys):

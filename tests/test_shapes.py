@@ -2,12 +2,25 @@ from itertools import combinations
 
 import pytest
 
-from skewtab import SkewShape, block_containing, blocks, delete_rows_cols, normalize, render
+from skewtab import SkewShape, block_containing, blocks, delete_rows_cols, render
 from skewtab.shapes import conjugate_parts
 
 from helpers import (bfs_connected, block_containing_reference, blocks_reference, boxes_of,
-                     delete_rows_cols_reference, partitions_up_to, shape_from_boxes,
-                     shapes_up_to)
+                     delete_rows_cols_reference, normalize, partitions_up_to,
+                     shape_from_boxes, shapes_up_to)
+
+
+def box_labels(s: SkewShape) -> tuple[tuple[int, ...], ...]:
+    """Weight rows of ``s`` that label box (i, j) with i*(m+1) + j, so a
+    weight carried to a derived shape names the box it came from."""
+    return tuple(tuple(i * (s.m + 1) + j for j in range(s.mu[i - 1] + 1, s.lam[i - 1] + 1))
+                 for i in range(1, s.n + 1))
+
+
+def label_boxes(s: SkewShape, labels) -> list[set[tuple[int, int]]]:
+    """The boxes of ``s`` named by each row of ``labels``, the carried
+    weights of a shape derived from ``s`` (see :func:`box_labels`)."""
+    return [{divmod(w, s.m + 1) for w in row} for row in labels]
 
 
 def test_shape_validation():
@@ -122,7 +135,7 @@ def test_normalize_interval_rows():
 
 def test_normalize_identity():
     s = SkewShape((5, 4, 4), (2, 1, 0))
-    comps = normalize([s.row_interval(i) for i in range(1, s.n + 1)])
+    comps = normalize([(s.mu[i - 1] + 1, s.lam[i - 1]) for i in range(1, s.n + 1)])
     assert len(comps) == 1
     assert comps[0].shape == s
     assert comps[0].row_map == (1, 2, 3)
@@ -144,43 +157,61 @@ def test_normalize_closes_gaps_from_global_deletion():
 
 def test_delete_rows_cols_paper_example():
     s = SkewShape((5, 4, 4), (2, 1, 0))
-    comps = delete_rows_cols(s, rows={1})
-    assert len(comps) == 1
-    assert comps[0].shape == SkewShape((4, 4), (1, 0))
-    assert comps[0].row_map == (2, 3)
+    assert delete_rows_cols(s, dead_rows={1}) == [(SkewShape((4, 4), (1, 0)), None)]
+    [(shape, labels)] = delete_rows_cols(s, dead_rows={1}, rows=box_labels(s))
+    assert shape == SkewShape((4, 4), (1, 0))
+    # rows 2 and 3 of s, whole
+    assert label_boxes(s, labels) == [{(2, j) for j in (2, 3, 4)}, {(3, j) for j in (1, 2, 3, 4)}]
 
 
 def test_delete_rows_cols_all_rows():
-    assert delete_rows_cols(SkewShape((3, 2)), rows={1, 2}) == []
+    assert delete_rows_cols(SkewShape((3, 2)), dead_rows={1, 2}) == []
 
 
 def test_delete_rows_cols_splits():
     s = SkewShape((6, 5, 5, 2, 2), (3, 2, 1, 0, 0))
-    comps = delete_rows_cols(s, cols={3, 4, 5})
-    assert len(comps) == 2
-    assert comps[0].shape == SkewShape((1,))
-    assert comps[0].row_map == (1,) and comps[0].col_map == (6,)
-    assert comps[1].shape == SkewShape((2, 2, 2), (1, 0, 0))
-    assert comps[1].row_map == (3, 4, 5) and comps[1].col_map == (1, 2)
+    comps = delete_rows_cols(s, dead_cols={3, 4, 5}, rows=box_labels(s))
+    assert [shape for shape, _ in comps] == [SkewShape((1,)), SkewShape((2, 2, 2), (1, 0, 0))]
+    # row 1 keeps column 6; rows 3-5 keep columns 1-2; row 2 is left empty
+    assert label_boxes(s, comps[0][1]) == [{(1, 6)}]
+    assert label_boxes(s, comps[1][1]) == [{(3, 2)}, {(4, 1), (4, 2)}, {(5, 1), (5, 2)}]
+
+
+@pytest.mark.parametrize("dead_rows, dead_cols", [
+    ({0}, ()), ({4}, ()), ((), {0}), ((), {6}), ({1, 4}, {2}), ({2}, {0, 5})])
+def test_delete_rows_cols_rejects_out_of_range(dead_rows, dead_cols):
+    """Rows run 1..n and columns 1..m; an index of 0 or one past the end is
+    an error, with or without weight rows."""
+    s = SkewShape((5, 4, 4), (2, 1, 0))
+    for rows in (None, box_labels(s)):
+        with pytest.raises(ValueError):
+            delete_rows_cols(s, dead_rows, dead_cols, rows)
 
 
 def test_delete_rows_cols_matches_reference():
     """Every shape with <= 7 boxes, disconnected ones included, under every
     deletion of <= 2 rows and <= 2 columns: the interval-based deletion
-    returns the set-based reference's components (shape, maps, order), and
-    each derived shape passes the validating constructor."""
+    returns the set-based reference's components in order, and carries the
+    weight rows along: each box's label (see :func:`box_labels`) lands on
+    the component box that the reference's index maps send back to it.
+    Each derived shape passes the validating constructor."""
     deletions, valid = 0, set()
     for s in shapes_up_to(7):
+        labels = box_labels(s)
         row_sets = [d for k in range(3) for d in combinations(range(1, s.n + 1), k)]
         col_sets = [d for k in range(3) for d in combinations(range(1, s.m + 1), k)]
         for rows in row_sets:
             for cols in col_sets:
-                got = delete_rows_cols(s, rows, cols)
-                assert got == delete_rows_cols_reference(s, rows, cols), (s, rows, cols)
-                for c in got:
-                    if c.shape not in valid:
-                        assert SkewShape(c.shape.lam, c.shape.mu) == c.shape
-                        valid.add(c.shape)
+                got = delete_rows_cols(s, rows, cols, labels)
+                want = [(c.shape, tuple(tuple(labels[r - 1][j - s.mu[r - 1] - 1]
+                                              for j in c.col_map[m:l])
+                                        for r, l, m in zip(c.row_map, c.shape.lam, c.shape.mu)))
+                        for c in delete_rows_cols_reference(s, rows, cols)]
+                assert got == want, (s, rows, cols)
+                for shape, _ in got:
+                    if shape not in valid:
+                        assert SkewShape(shape.lam, shape.mu) == shape
+                        valid.add(shape)
                 deletions += 1
     assert deletions == 252_869
 
@@ -211,11 +242,16 @@ def test_derived_shapes_are_valid_and_match_box_sets():
 
 
 def test_delete_nothing_is_identity():
+    """Deleting nothing splits a shape into its components, each box
+    carrying its own label, and bare into the same shapes."""
     for s in shapes_up_to(6):
-        comps = delete_rows_cols(s)
+        comps = delete_rows_cols(s, rows=box_labels(s))
+        assert [shape for shape, _ in comps] == [c.shape for c in s.components()]
+        assert delete_rows_cols(s) == [(shape, None) for shape, _ in comps]
         got = set()
-        for c in comps:
-            got |= {c.to_ambient(i, j) for i, j in boxes_of(c.shape)}
+        for shape, labels in comps:
+            assert [len(r) for r in labels] == [l - m for l, m in zip(shape.lam, shape.mu)]
+            got |= set().union(*label_boxes(s, labels))
         assert got == boxes_of(s)
 
 

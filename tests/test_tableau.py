@@ -8,7 +8,7 @@ from skewtab import (SkewShape, SkewTableau, TableauError,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
                      is_unmixed_tableau, scm_trace, to_weighted_graph, validate,
                      weighted_edge_ideal)
-from skewtab.classify import component_rows, connected_parts
+from skewtab.classify import connected_parts
 
 from helpers import all_fillings, constant_filling, shapes_up_to
 
@@ -125,7 +125,7 @@ def test_non_essential_variables():
             if not is_scm_tableau(t):
                 continue
             for j in range(s.mu[0] + 1, s.lam[0] + 1):
-                assert all(is_scm_tableau(u) for u in t.delete(cols={j})), (t.to_dict(), j)
+                assert all(is_scm_tableau(u) for u in t.delete(dead_cols={j})), (t.to_dict(), j)
                 checked += 1
     assert checked > 50
 
@@ -221,11 +221,14 @@ def test_components_carry_weights():
     for s in shapes_up_to(5):
         for t in all_fillings(s, 2):
             assert [(c.shape, c.rows) for c in t.components()] == [
-                (c.shape, component_rows(s, t.rows, c)) for c in s.components()], t
+                (c.shape, tuple(tuple(t.weight(*c.to_ambient(i, j))
+                                      for j in range(m + 1, l + 1))
+                                for i, (l, m) in enumerate(zip(c.shape.lam, c.shape.mu), 1)))
+                for c in s.components()], t
 
 
 def test_delete_carries_weights():
-    subs = EXAMPLE_FILL.delete(rows={1})
+    subs = EXAMPLE_FILL.delete(dead_rows={1})
     assert len(subs) == 1
     assert subs[0].shape == SkewShape((4, 4), (1, 0))
     assert subs[0].rows == ((2, 2, 1), (2, 2, 4, 3))

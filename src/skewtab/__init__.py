@@ -4,10 +4,8 @@ shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 from .shapes import (Block, Component, SkewShape, block_containing, blocks,
                      delete_rows_cols, render)
 from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
-                     is_unmixed_graph, is_vertex_decomposable,
-                     minimal_vertex_covers)
+                     is_unmixed_graph, is_vertex_decomposable)
 from .ideals import (MonomialIdeal, WeightedGraph, associated_primes,
-                     associated_radical, associated_radicals_weighted,
                      irreducible_decomposition, is_scm_weighted_oracle,
                      is_unmixed_ideal, weighted_edge_ideal)
 from .classify import (PrimeShapePiece, ShapeFlags, UnmixedCertificate,

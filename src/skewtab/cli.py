@@ -20,7 +20,10 @@ from .tableau import SkewTableau, classify_tableau, rows_from_dict
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # nesting deeper than the parser's stack
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _same_parts(given, parts: tuple[int, ...]) -> bool:

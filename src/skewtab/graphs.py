@@ -1,16 +1,18 @@
 """Bipartite graphs of skew shapes and the squarefree brute-force oracles.
 
-``minimal_vertex_covers`` drives the unmixedness oracle (all minimal covers
-of an edge ideal's graph have equal size) and ``is_vertex_decomposable`` is
-the sequential Cohen-Macaulay oracle for bipartite graphs.  Both work on
-neighbour bitmasks.  Minimal covers are the complements of maximal
-independent sets, enumerated once each by Bron-Kerbosch with a pivot on an
-explicit stack.  Vertex decomposability follows the definition; a shedding
-vertex v is recognised by a short search for an independent set at
-distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
-covers.  ``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle, runs
-both on every vertex link.  Everything here is definitional and independent
-of the combinatorial classifiers, so the two routes can referee each other.
+``is_unmixed_graph`` is the unmixedness oracle: ``_pure`` checks that all
+minimal vertex covers of the graph have one size, drawing them from the
+generator ``_minimal_covers`` and stopping at the first cover of a second
+size.  ``is_vertex_decomposable`` is the sequential Cohen-Macaulay oracle
+for bipartite graphs.  Both work on neighbour bitmasks.  Minimal covers are
+the complements of maximal independent sets, enumerated once each by
+Bron-Kerbosch with a pivot on an explicit stack.  Vertex decomposability
+follows the definition; a shedding vertex v is recognised by a short
+search for an independent set at distance 2 from v that dominates N(v)
+(Woodroofe 2009), not by enumerating covers.  ``is_buchsbaum_graph``, the
+Buchsbaum/generalized CM oracle, runs both on every vertex link.
+Everything here is definitional and independent of the combinatorial
+classifiers, so the two routes can referee each other.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .shapes import SkewShape
-
-Vertex = tuple[str, int]  # ('x', i) for a row, ('y', j) for a column
-
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -35,11 +34,6 @@ class BipartiteGraph:
         for i, j in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.m):
                 raise ValueError(f"edge ({i},{j}) out of range")
-
-    @property
-    def vertices(self) -> list[Vertex]:
-        return [("x", i) for i in range(1, self.n + 1)] + \
-               [("y", j) for j in range(1, self.m + 1)]
 
 
 def from_shape(s: SkewShape) -> BipartiteGraph:
@@ -212,21 +206,6 @@ def clear_caches() -> None:
 
 
 # -- public oracle surface --------------------------------------------------
-
-
-def minimal_vertex_covers(g: BipartiteGraph) -> frozenset[frozenset[Vertex]]:
-    """All inclusion-minimal vertex covers, as sets of labeled vertices."""
-    adj = _adjacency(g)
-
-    def unpack(mask: int) -> frozenset[Vertex]:
-        out = []
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out.append(("x", v + 1) if v < g.n else ("y", v - g.n + 1))
-        return frozenset(out)
-
-    return frozenset(unpack(c) for c in _minimal_covers(adj))
 
 
 def _pure(adj: tuple[int, ...]) -> bool:

@@ -14,14 +14,16 @@ names in this module when they run, so rebinding one of those names (as a
 tracer does) takes effect.
 
 The oracle runs once per orbit of the transpose and the half turn, and its
-verdict is reused on the orbit's other instances; the classifier runs on
-every instance.  This is sound because the ideal of a filling is the edge
-ideal of a weighted bipartite graph with an edge x_i y_j of weight w(i,j)
-per box.  The transpose (i,j) -> (j,i) swaps the x's and the y's, and the
-half turn (i,j) -> (n+1-i, m+1-j) reverses both index sets; both carry the
-weights along.  So each image's ideal is the original with its variables
-renamed, and all five flags agree on the four images.  Each worker walks the
-whole stream and checks the orbits dealt to it in turn, with its own memos.
+verdict is reused on the orbit's other instances.  This is sound because
+the ideal of a filling is the edge ideal of a weighted bipartite graph
+with an edge x_i y_j of weight w(i,j) per box.  The transpose
+(i,j) -> (j,i) swaps the x's and the y's, and the half turn
+(i,j) -> (n+1-i, m+1-j) reverses both index sets; both carry the weights
+along.  So each image's ideal is the original with its variables renamed,
+and all five flags agree on the four images.  The classifier is called on
+every instance, but the SCM memo answers for the transpose of an instance
+it has already decided.  Each worker walks the whole stream and checks the
+orbits dealt to it in turn, with its own memos.
 """
 
 from __future__ import annotations

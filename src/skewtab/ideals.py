@@ -1,13 +1,17 @@
-"""Monomial ideal engine: weighted edge ideals, colon/radical, associated
-radicals, irreducible decomposition and the weighted brute-force oracles.
+"""Monomial ideal engine: weighted edge ideals, the threshold sets of
+their associated radicals, irreducible decomposition and the weighted
+brute-force oracles.
 
 Monomials are exponent tuples over an ordered variable list.  Generating
 sets are stored minimally (no generator divides another).  The unit ideal
 is represented explicitly by the zero exponent vector.
 ``MonomialIdeal.make`` checks and minimalizes generators from outside the
-package; the weighted edge ideal and its associated radicals are minimal as
-built and skip it.  A ``WeightedGraph`` carries its edges as
-(index of u, index of v, weight) triples, so no oracle maps names again.
+package; the weighted edge ideal is minimal as built and skips it.  A
+``WeightedGraph`` carries its edges as (index of u, index of v, weight)
+triples, so no oracle maps names again.  Each associated radical of
+I(G,w) is I(G - U) + (x_i | i in U) for a threshold set U of
+``_threshold_u_sets``; the SCM oracle takes the sets U as they are, as
+neighbour bitmasks of G - U, and builds no radical ideal.
 
 Inside the irreducible decomposition an irreducible ideal is one
 pure-power vector p: the ideal (x_k^(p_k) | p_k > 0), with p_k = 0 meaning
@@ -63,33 +67,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         zero = (0,) * len(self.variables)
         return zero in self.generators
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    def contains(self, monomial: Sequence[int]) -> bool:
-        monomial = tuple(monomial)
-        return any(_divides(g, monomial) for g in self.generators)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """self >= other as ideals."""
-        return all(self.contains(g) for g in other.generators)
-
-    def colon(self, u: Sequence[int]) -> "MonomialIdeal":
-        """I : u for a monomial u."""
-        u = tuple(u)
-        gens = (tuple(max(e - v, 0) for e, v in zip(g, u)) for g in self.generators)
-        return MonomialIdeal(self.variables, _minimalize(gens))
-
-    def radical(self) -> "MonomialIdeal":
-        gens = (tuple(1 if e else 0 for e in g) for g in self.generators)
-        return MonomialIdeal(self.variables, _minimalize(gens))
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        gens = (tuple(max(a, b) for a, b in zip(g, h))
-                for g in self.generators for h in other.generators)
-        return MonomialIdeal(self.variables, _minimalize(gens))
 
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum over the generators (all zero if none)."""
@@ -155,13 +132,6 @@ def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
     return MonomialIdeal(g.vertices, frozenset(gens))
 
 
-def associated_radical(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
-    """sqrt(I : u) for a monomial u not in I."""
-    if ideal.contains(u):
-        raise ValueError("u lies in the ideal; I : u would be the unit ideal")
-    return ideal.colon(u).radical()
-
-
 def _threshold_u_sets(g: WeightedGraph) -> Iterator[frozenset[int]]:
     """The vertex sets U with sqrt(I(G,w) : x^a) = I(G\\U) + (x_i | i in U).
 
@@ -191,31 +161,6 @@ def _threshold_u_sets(g: WeightedGraph) -> Iterator[frozenset[int]]:
             if key not in seen:
                 seen.add(key)
                 yield key
-
-
-def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
-    """All associated radicals of I(G,w), one per threshold U-set.
-
-    The generators are minimal as built: x_u x_v for the edges with u, v not
-    in U, which are distinct squarefree pairs, and x_i for i in U.  x_i
-    cannot divide such an x_u x_v, as i is neither u nor v, and a degree-2
-    monomial cannot divide a variable.
-    """
-    nvars = len(g.vertices)
-    out = set()
-    for u_set in _threshold_u_sets(g):
-        gens = []
-        for iu, iv, _ in g.edges:
-            if iu not in u_set and iv not in u_set:
-                e = [0] * nvars
-                e[iu] = e[iv] = 1
-                gens.append(tuple(e))
-        for i in u_set:
-            e = [0] * nvars
-            e[i] = 1
-            gens.append(tuple(e))
-        out.add(MonomialIdeal(g.vertices, frozenset(gens)))
-    return frozenset(out)
 
 
 # -- irreducible decomposition ----------------------------------------------

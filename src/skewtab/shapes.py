@@ -110,10 +110,6 @@ class SkewShape:
     def is_empty(self) -> bool:
         return not self.lam
 
-    @property
-    def box_count(self) -> int:
-        return sum(l - m for l, m in zip(self.lam, self.mu))
-
     def contains(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and self.mu[i - 1] < j <= self.lam[i - 1]
 
@@ -196,9 +192,6 @@ class Component:
     shape: SkewShape
     row_map: tuple[int, ...]  # component row i -> ambient row row_map[i-1]
     col_map: tuple[int, ...]  # component col j -> ambient col col_map[j-1]
-
-    def to_ambient(self, i: int, j: int) -> tuple[int, int]:
-        return self.row_map[i - 1], self.col_map[j - 1]
 
 
 def _cuts(lam: Sequence[int], mu: Sequence[int]) -> list[int]:
@@ -290,10 +283,6 @@ class Block:
     @property
     def width(self) -> int:
         return self.cols[1] - self.cols[0] + 1
-
-    @property
-    def size(self) -> int:
-        return min(self.height, self.width)
 
     @property
     def is_square(self) -> bool:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .shapes import SkewShape, delete_rows_cols, render
-from .classify import (ShapeFlags, classify_flags, clear_caches, conjugate_rows,
-                       connected_parts, is_scm, is_unmixed)
+from .classify import (ShapeFlags, classify_flags, clear_caches, conjugate_rows, is_scm,
+                       is_unmixed)
 from .ideals import WeightedGraph
 
 
@@ -56,15 +56,8 @@ class SkewTableau:
     def weights(self) -> dict[tuple[int, int], int]:
         return {(i, j): self.weight(i, j) for i, j in self.shape.boxes()}
 
-    @property
-    def is_empty(self) -> bool:
-        return self.shape.is_empty
-
     def conjugate(self) -> "SkewTableau":
         return SkewTableau(self.shape.conjugate(), conjugate_rows(self.shape, self.rows))
-
-    def components(self) -> list["SkewTableau"]:
-        return [SkewTableau(*part) for part in connected_parts(self.shape, self.rows)]
 
     def delete(self, dead_rows: Iterable[int] = (),
                dead_cols: Iterable[int] = ()) -> list["SkewTableau"]:

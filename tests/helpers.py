@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, product
+from typing import Sequence
 
-from skewtab import Component, SkewShape, SkewTableau, enumerate_skew_shapes
+from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
 from skewtab.graphs import _canonical, _restrict
-from skewtab.ideals import MonomialIdeal, _minimalize
+from skewtab.ideals import MonomialIdeal, _divides, _minimalize, _threshold_u_sets
 from skewtab.shapes import Block, _runs
 
 
@@ -58,16 +59,14 @@ def bfs_connected(s: SkewShape) -> bool:
     return seen == verts
 
 
-def brute_minimal_covers(s: SkewShape) -> set[frozenset]:
-    """Inclusion-minimal vertex covers by full subset enumeration."""
-    edges = sorted(boxes_of(s))
-    verts = [("x", i) for i in range(1, s.n + 1)] + [("y", j) for j in range(1, s.m + 1)]
-    covers = []
-    for mask in range(1 << len(verts)):
-        chosen = {verts[k] for k in range(len(verts)) if (mask >> k) & 1}
-        if all(("x", i) in chosen or ("y", j) in chosen for i, j in edges):
-            covers.append(frozenset(chosen))
-    return {c for c in covers if not any(d < c for d in covers)}
+def brute_minimal_covers(s: SkewShape) -> set[int]:
+    """Inclusion-minimal vertex covers by full subset enumeration, as
+    bitmasks over x_1..x_n, y_1..y_m (the vertex order of
+    ``skewtab.graphs._adjacency``)."""
+    edges = [(i - 1, s.n + j - 1) for i, j in boxes_of(s)]
+    covers = [mask for mask in range(1 << (s.n + s.m))
+              if all((mask >> a) & 1 or (mask >> b) & 1 for a, b in edges)]
+    return {c for c in covers if not any(d != c and d & c == d for d in covers)}
 
 
 def all_fillings(s: SkewShape, max_weight: int):
@@ -280,6 +279,69 @@ def block_containing_reference(s: SkewShape, box: tuple[int, int]) -> Block:
     raise ValueError(f"box {box} not in shape")
 
 
+# -- monomial ideals: colon, radical, intersection, associated radicals --------
+
+
+def contains(ideal: MonomialIdeal, monomial: Sequence[int]) -> bool:
+    monomial = tuple(monomial)
+    return any(_divides(g, monomial) for g in ideal.generators)
+
+
+def contains_ideal(ideal: MonomialIdeal, other: MonomialIdeal) -> bool:
+    """ideal >= other as ideals."""
+    return all(contains(ideal, g) for g in other.generators)
+
+
+def colon(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
+    """I : u for a monomial u."""
+    u = tuple(u)
+    gens = (tuple(max(e - v, 0) for e, v in zip(g, u)) for g in ideal.generators)
+    return MonomialIdeal(ideal.variables, _minimalize(gens))
+
+
+def radical(ideal: MonomialIdeal) -> MonomialIdeal:
+    gens = (tuple(1 if e else 0 for e in g) for g in ideal.generators)
+    return MonomialIdeal(ideal.variables, _minimalize(gens))
+
+
+def intersect(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
+    gens = (tuple(max(a, b) for a, b in zip(g, h))
+            for g in ideal.generators for h in other.generators)
+    return MonomialIdeal(ideal.variables, _minimalize(gens))
+
+
+def associated_radical(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
+    """sqrt(I : u) for a monomial u not in I."""
+    if contains(ideal, u):
+        raise ValueError("u lies in the ideal; I : u would be the unit ideal")
+    return radical(colon(ideal, u))
+
+
+def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
+    """All associated radicals of I(G,w), one per threshold U-set.
+
+    The generators are minimal as built: x_u x_v for the edges with u, v not
+    in U, which are distinct squarefree pairs, and x_i for i in U.  x_i
+    cannot divide such an x_u x_v, as i is neither u nor v, and a degree-2
+    monomial cannot divide a variable.
+    """
+    nvars = len(g.vertices)
+    out = set()
+    for u_set in _threshold_u_sets(g):
+        gens = []
+        for iu, iv, _ in g.edges:
+            if iu not in u_set and iv not in u_set:
+                e = [0] * nvars
+                e[iu] = e[iv] = 1
+                gens.append(tuple(e))
+        for i in u_set:
+            e = [0] * nvars
+            e[i] = 1
+            gens.append(tuple(e))
+        out.add(MonomialIdeal(g.vertices, frozenset(gens)))
+    return frozenset(out)
+
+
 def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     """Irredundant irreducible components (ideals of pure variable powers).
 
@@ -319,7 +381,7 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
     # drop components containing another component (absorbed in intersections)
     comps.sort(key=lambda c: sorted(c.generators))
     kept = [c for c in comps
-            if not any(c is not d and c.contains_ideal(d) and c != d for d in comps)]
+            if not any(c is not d and contains_ideal(c, d) and c != d for d in comps)]
 
     # witness filter: C is needed iff the maximal monomial outside C lies in
     # every other component; membership only compares against bounded
@@ -338,7 +400,7 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
                 if any(g[k] for g in c.generators) else big
                 for k in range(nvars)
             )
-            if all(d.contains(witness) for d in others):
+            if all(contains(d, witness) for d in others):
                 continue  # witness shows the intersection escapes c
             result.remove(c)
             changed = True

@@ -21,16 +21,16 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from skewtab import (SkewShape, SkewTableau, MonomialIdeal, WeightedGraph,
-                     associated_radicals_weighted, classify_shape,
-                     classify_tableau, crosscheck, enumerate_fillings,
+                     classify_shape, classify_tableau, crosscheck, enumerate_fillings,
                      enumerate_skew_shapes, irreducible_decomposition,
                      is_saturated, is_scm_skew, is_scm_tableau,
                      is_unmixed_skew, is_unmixed_tableau, unmixed_decomposition,
                      validate_certificate)
 from skewtab.shapes import conjugate_parts
 
-from helpers import (bfs_connected, constant_filling, count_components, is_face,
-                     partitions_up_to, polarize, pure_skeleton_link)
+from helpers import (associated_radicals_weighted, bfs_connected, constant_filling,
+                     count_components, is_face, partitions_up_to, polarize,
+                     pure_skeleton_link)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

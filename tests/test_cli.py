@@ -247,6 +247,22 @@ def test_json_booleans_are_not_integers(shape_file, capsys, shape, filling):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--shape", "NESTED"],
+    ["classify", "--shape", "SHAPE", "--filling", "NESTED"],
+    ["render", "--shape", "NESTED"],
+])
+def test_deeply_nested_json_exits_2(shape_file, capsys, tmp_path, argv):
+    """JSON nested past the parser's recursion limit is invalid input: exit
+    2 and an error line, not a RecursionError traceback, whose exit 1 would
+    read as a cross-check disagreement."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    files = {"SHAPE": shape_file("s.json", {"lambda": [2, 1]}), "NESTED": str(nested)}
+    code, out, err = run_cli(capsys, *[files.get(arg, arg) for arg in argv])
+    assert code == 2 and out == "" and err.startswith("error: ") and "nested" in err
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"lambda": [2, 1]}))

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from skewtab import (SkewShape, from_shape, is_buchsbaum_graph,
-                     is_unmixed_graph, is_vertex_decomposable,
-                     minimal_vertex_covers)
+                     is_unmixed_graph, is_vertex_decomposable)
 from skewtab.graphs import (BipartiteGraph, _adjacency, _is_shedding,
                             _minimal_covers, _vd, clear_caches)
 
@@ -19,12 +18,18 @@ def complete_bipartite(n, m):
                                           for j in range(1, m + 1)))
 
 
+def covers(g):
+    """The minimal vertex covers that the unmixedness oracle draws, as
+    bitmasks: bit i-1 is x_i and bit n+j-1 is y_j."""
+    return set(_minimal_covers(_adjacency(g)))
+
+
 def test_from_shape_edges():
     assert from_shape(SkewShape((2, 1))).edges == {(1, 1), (1, 2), (2, 1)}
     assert from_shape(SkewShape((2, 2))) == complete_bipartite(2, 2)
     # edge count equals box count
     s = SkewShape((5, 4, 4), (2, 1, 0))
-    assert len(from_shape(s).edges) == s.box_count == 10
+    assert len(from_shape(s).edges) == len(s.boxes()) == 10
 
 
 def test_edge_bounds_checked():
@@ -33,19 +38,18 @@ def test_edge_bounds_checked():
 
 
 def test_minimal_vertex_covers_examples():
-    assert minimal_vertex_covers(complete_bipartite(2, 2)) == {
-        frozenset({("x", 1), ("x", 2)}), frozenset({("y", 1), ("y", 2)})}
+    # {x1, x2} and {y1, y2}
+    assert covers(complete_bipartite(2, 2)) == {0b0011, 0b1100}
+    # {x1} and {y1, y2}
     star = BipartiteGraph(1, 2, frozenset({(1, 1), (1, 2)}))
-    assert minimal_vertex_covers(star) == {
-        frozenset({("x", 1)}), frozenset({("y", 1), ("y", 2)})}
-    sizes = {len(c) for c in minimal_vertex_covers(from_shape(SkewShape((3, 2))))}
+    assert covers(star) == {0b001, 0b110}
+    sizes = {c.bit_count() for c in covers(from_shape(SkewShape((3, 2))))}
     assert sizes == {2, 3}
 
 
 def test_minimal_vertex_covers_vs_brute_force():
     for s in shapes_up_to(6):
-        labeled = {frozenset(c) for c in minimal_vertex_covers(from_shape(s))}
-        assert labeled == brute_minimal_covers(s), s
+        assert covers(from_shape(s)) == brute_minimal_covers(s), s
 
 
 def _assert_covers_match_reference(adj):
@@ -76,7 +80,6 @@ def test_minimal_covers_match_reference_with_isolated_vertices():
 def test_edgeless_graph_has_only_the_empty_cover():
     edgeless = BipartiteGraph(2, 3, frozenset())
     assert list(_minimal_covers(_adjacency(edgeless))) == [0]
-    assert minimal_vertex_covers(edgeless) == {frozenset()}
     assert is_unmixed_graph(edgeless)
 
 
@@ -84,10 +87,10 @@ def test_deep_star_covers_without_recursion():
     """K_{1,2000} needs a 2,000-deep branch; the enumeration keeps its own
     stack, so the default recursion limit is enough."""
     assert sys.getrecursionlimit() <= 1000
-    leaves = frozenset(("y", j) for j in range(1, 2001))
+    leaves = ((1 << 2000) - 1) << 1  # y_1..y_2000
     star = BipartiteGraph(1, 2000, frozenset((1, j) for j in range(1, 2001)))
     start = time.perf_counter()
-    assert minimal_vertex_covers(star) == {frozenset({("x", 1)}), leaves}
+    assert covers(star) == {0b1, leaves}
     assert not is_unmixed_graph(star)
     assert time.perf_counter() - start < 2.0
 
@@ -167,8 +170,8 @@ def test_disjoint_union_properties():
                 frozenset(ga.edges | _shift(gb.edges, ga.n, ga.m)))
             assert is_vertex_decomposable(union) == (
                 is_vertex_decomposable(ga) and is_vertex_decomposable(gb))
-            sizes_a = {len(c) for c in minimal_vertex_covers(ga)}
-            sizes_b = {len(c) for c in minimal_vertex_covers(gb)}
+            sizes_a = {c.bit_count() for c in covers(ga)}
+            sizes_b = {c.bit_count() for c in covers(gb)}
             assert is_unmixed_graph(union) == (len(sizes_a) == 1 and len(sizes_b) == 1)
 
 

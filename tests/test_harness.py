@@ -122,7 +122,7 @@ def test_enumerate_no_duplicates_and_valid():
         key = (s.lam, s.mu)
         assert key not in seen
         seen.add(key)
-        assert 1 <= s.box_count <= 7
+        assert 1 <= len(s.boxes()) <= 7
         # the enumerator builds trusted shapes, so re-validate each one
         assert SkewShape(s.lam, s.mu) == s
     for s in enumerate_skew_shapes(7):
@@ -159,7 +159,7 @@ def test_crosscheck_unweighted_small(prop):
 def test_crosscheck_weighted_small():
     report = crosscheck("scm", max_boxes=4, weighted=True, max_weight=2)
     assert report.ok
-    assert report.instances == sum(2 ** s.box_count
+    assert report.instances == sum(2 ** len(s.boxes())
                                    for s in enumerate_skew_shapes(4, connected_only=True))
 
 

@@ -229,7 +229,7 @@ def test_derived_shapes_are_valid_and_match_box_sets():
                                                    conjugate_parts(t.mu, t.m))
         covered = set()
         for c in s.components():
-            amb = {c.to_ambient(i, j) for i, j in boxes_of(c.shape)}
+            amb = {(c.row_map[i - 1], c.col_map[j - 1]) for i, j in boxes_of(c.shape)}
             assert SkewShape(c.shape.lam, c.shape.mu) == c.shape == shape_from_boxes(amb)
             assert bfs_connected(c.shape)
             assert c.row_map == tuple(sorted({i for i, _ in amb}))
@@ -260,7 +260,7 @@ def test_blocks_examples():
     assert got == {((1, 2), (1, 1), False), ((1, 2), (2, 3), True), ((3, 3), (1, 1), True)}
 
     sq = blocks(SkewShape((4, 4, 4, 4)))
-    assert len(sq) == 1 and sq[0].corner and sq[0].is_square and sq[0].size == 4
+    assert len(sq) == 1 and sq[0].corner and sq[0].height == sq[0].width == 4
 
 
 def test_blocks_paper_figure():

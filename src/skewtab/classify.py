@@ -4,7 +4,11 @@ Each classifier takes a shape and ``rows``: a filling's weight rows, or
 ``None`` for the bare shape (the all-ones filling).  ``is_scm`` runs the
 pendant-pivot deletion recursion for the sequentially Cohen-Macaulay
 property, ``is_unmixed`` the prime-piece test and ``classify_flags`` the
-five flags.  ``unmixed_decomposition`` peels a connected shape into
+five flags.  A bare shape's SCM verdict comes from its first pivot alone:
+up to cone points, a pivot's derived shapes are links of vertices of the
+shape's independence complex, and links of an SCM complex are SCM, so on
+an SCM shape every pivot succeeds (proof in ``is_scm``).  Fillings try
+every pivot.  ``unmixed_decomposition`` peels a connected shape into
 alternating prime unmixed pieces glued along shared extremal blocks,
 returning a checkable certificate either way.
 
@@ -134,6 +138,28 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     succeeds iff some pivot (:func:`scm_pivots`) has all of its derived
     shapes sequentially Cohen-Macaulay.  Memoized on (lam, mu, rows) and on
     the transpose's key.
+
+    A bare shape tries its first pivot only, as every pivot gives the same
+    answer.  Let G be the shape's graph (a vertex per line, an edge per
+    box), so that the ideal's Stanley-Reisner complex is Ind(G).  A pivot
+    is a line x owning a pendant y, N(y) = {x}.  Deleting x leaves
+    G - N[y] = G - x - y plus isolated lines, whose complex is lk(y) up to
+    cone points; stripping N(x) leaves G - N[x] plus isolated lines, which
+    is lk(x) up to cone points.  A cone is SCM iff its base is.
+
+    - SCM shape => every pivot succeeds: links of an SCM complex are SCM.
+      lk(F)^[j] = lk_{D^[j+|F|]}(F) for the pure skeleta D^[j] of D, links
+      of CM complexes are CM (Reisner), and D is SCM iff every D^[j] is CM
+      (Duval 1996; Bjorner-Wachs-Welker 2009).
+    - A pivot succeeds => SCM: x is a shedding vertex, as N[y] is inside
+      N[x] (Woodroofe 2009), so G is vertex decomposable when G - x and
+      G - N[x] are, and a bipartite graph is SCM iff it is vertex
+      decomposable (Van Tuyl 2009).
+
+    Fillings try every pivot.  At a weight level c below a neighbour z of
+    weight w > c, the derived filling keeps the generator (x z)^w where
+    the colon ideal I : x^c has x^(w-c) z^w, so the children are not
+    links, and the first-pivot rule is left unproved there.
     """
     # a loop, not all() over a generator, which would add a frame per level
     for part in connected_parts(s, rows):
@@ -148,7 +174,9 @@ def _scm_connected(s: SkewShape, rows: Rows) -> bool:
     if hit is not None:
         return hit
     result = False
-    for piv in scm_pivots(s, rows):
+    pivots = scm_pivots(s, rows)
+    # a bare shape is decided by its first pivot (proof in is_scm)
+    for piv in pivots[:1] if rows is None else pivots:
         if all(is_scm(*u) for group in _derived(s, rows, piv) for u in group):
             result = True
             break

@@ -8,10 +8,11 @@ independent to be checked against.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
+from skewtab.classify import _derived, connected_parts, scm_pivots
 from skewtab.graphs import _canonical, _restrict
 from skewtab.ideals import MonomialIdeal, _divides, _minimalize, _threshold_u_sets
 from skewtab.shapes import Block, _runs
@@ -69,11 +70,25 @@ def brute_minimal_covers(s: SkewShape) -> set[int]:
     return {c for c in covers if not any(d != c and d & c == d for d in covers)}
 
 
-def all_fillings(s: SkewShape, max_weight: int):
-    sizes = [s.lam[i] - s.mu[i] for i in range(s.n)]
-    for combo in product(range(1, max_weight + 1), repeat=sum(sizes)):
-        it = iter(combo)
-        yield SkewTableau(s, [[next(it) for _ in range(k)] for k in sizes])
+def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) -> bool:
+    """The pendant-pivot SCM recursion trying every pivot of every shape.
+
+    Reference for ``skewtab.classify.is_scm``, which decides a bare shape by
+    its first pivot alone; fillings take every pivot in both.  The search
+    uses the package's pivots and deletions with its own memo on
+    (lam, mu, rows), never the package's memo or its transpose keys.
+    """
+    if memo is None:
+        memo = {}
+    for part in connected_parts(s, rows):
+        key = (part[0].lam, part[0].mu, part[1])
+        if key not in memo:
+            memo[key] = any(all(scm_all_pivots_reference(*u, memo)
+                                for group in _derived(*part, piv) for u in group)
+                            for piv in scm_pivots(*part))
+        if not memo[key]:
+            return False
+    return True
 
 
 def constant_filling(s: SkewShape, w: int = 1) -> SkewTableau:

@@ -3,14 +3,14 @@ import json
 import pytest
 
 from skewtab import (SkewShape, SkewTableau, classify, classify_shape, classify_tableau,
-                     from_shape, is_saturated, is_scm_skew,
+                     enumerate_fillings, from_shape, is_saturated, is_scm_skew,
                      is_unmixed_graph, is_unmixed_skew, is_unmixed_tableau,
                      is_vertex_decomposable, scm_trace, tableau, unmixed_decomposition,
                      validate_certificate)
-from skewtab.classify import clear_caches, is_scm, scm_pivots
+from skewtab.classify import _derived, clear_caches, is_scm, scm_pivots
 from skewtab.shapes import conjugate_parts
 
-from helpers import all_fillings, boxes_of, partitions_up_to, shapes_up_to
+from helpers import boxes_of, partitions_up_to, scm_all_pivots_reference, shapes_up_to
 
 
 def test_is_saturated_examples():
@@ -70,6 +70,47 @@ def test_scm_conjugation_invariance():
 def test_scm_matches_vertex_decomposability():
     for s in shapes_up_to(7):
         assert is_scm_skew(s) == is_vertex_decomposable(from_shape(s)), s
+
+
+def _staircase(n):
+    return SkewShape(tuple(range(n, 0, -1)))
+
+
+def _ribbon(n, width):
+    """Rows of ``width`` boxes, each shifted one column left of the row above."""
+    return SkewShape(tuple(n - i + width - 1 for i in range(n)),
+                     tuple(n - 1 - i for i in range(n)))
+
+
+def test_first_pivot_rule_matches_all_pivot_search():
+    """A bare shape decided by its first pivot gets the verdict of the search
+    over every pivot: on the 38,252 shapes with <= 10 boxes, on staircases
+    and width-2 and width-3 ribbons of 1 to 60 rows, and on the 23,682
+    fillings with <= 5 boxes, w <= 3, whose search is the same in both."""
+    shapes = list(shapes_up_to(10))
+    shapes += [f(n) for n in range(1, 61)
+               for f in (_staircase, lambda n: _ribbon(n, 2), lambda n: _ribbon(n, 3))]
+    instances = [(s, None) for s in shapes]
+    instances += [(t.shape, t.rows) for s in shapes_up_to(5) for t in enumerate_fillings(s, 3)]
+    assert len(instances) == 38252 + 180 + 23682
+    clear_caches()
+    memo = {}
+    for s, rows in instances:
+        assert is_scm(s, rows) == scm_all_pivots_reference(s, rows, memo), (s, rows)
+
+
+def test_pivots_of_vertex_decomposable_shapes_derive_vertex_decomposable_shapes():
+    """Why the first pivot decides a bare shape, checked without the
+    theorems: on the 1,815 connected shapes with <= 10 boxes whose graph is
+    vertex decomposable, every shape in every group of every pivot is
+    vertex decomposable too (10,924 derived shapes)."""
+    shapes = [s for s in shapes_up_to(10, connected_only=True)
+              if is_vertex_decomposable(from_shape(s))]
+    derived = [u for s in shapes for piv in scm_pivots(s)
+               for group in _derived(s, None, piv) for u, _ in group]
+    assert (len(shapes), len(derived)) == (1815, 10924)
+    for u in derived:
+        assert is_vertex_decomposable(from_shape(u)), u
 
 
 EXPLAIN_554 = {
@@ -257,7 +298,8 @@ def test_unmixed_memo_is_faithful():
     shape decomposes, never a certificate and nothing per filling, and both
     modules' ``clear_caches`` empty it."""
     instances = list(shapes_up_to(8))
-    instances += [t for s in shapes_up_to(4, connected_only=True) for t in all_fillings(s, 2)]
+    instances += [t for s in shapes_up_to(4, connected_only=True)
+                  for t in enumerate_fillings(s, 2)]
     assert len(instances) == 3909 + 186
 
     def verdicts(x):
@@ -297,7 +339,7 @@ def test_scm_memo_holds_transpose_pairs():
 
     keys = [(s.lam, s.mu, None) for s in shapes_up_to(7)]
     keys += [(t.shape.lam, t.shape.mu, t.rows) for s in shapes_up_to(4)
-             for t in all_fillings(s, 2)]
+             for t in enumerate_fillings(s, 2)]
     firsts = [key for key in keys if key <= transpose(*key)]
     assert (len(keys), len(firsts)) == (1250 + 534, 939)
     clear_caches()

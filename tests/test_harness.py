@@ -6,7 +6,7 @@ from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, class
 from skewtab.classify import FLAG_NAMES
 from skewtab.graphs import clear_caches, from_shape, is_unmixed_graph
 
-from helpers import (all_fillings, boxes_of, constant_filling, enumerate_skew_shapes_reference,
+from helpers import (boxes_of, constant_filling, enumerate_skew_shapes_reference,
                      shape_from_boxes)
 
 # The transpose, the half turn and the transpose of the half turn of an
@@ -35,7 +35,8 @@ def orbit_count(instances) -> int:
 
 def small_fillings():
     """The 186 fillings of connected shapes with <= 4 boxes, weights 1..2."""
-    return [t for s in enumerate_skew_shapes(4, connected_only=True) for t in all_fillings(s, 2)]
+    return [t for s in enumerate_skew_shapes(4, connected_only=True)
+            for t in enumerate_fillings(s, 2)]
 
 
 def shape_of(x) -> tuple:

@@ -4,13 +4,13 @@ import pytest
 
 from skewtab import classify as classify_module, tableau as tableau_module
 from skewtab import (SkewShape, SkewTableau, TableauError,
-                     classify_tableau, is_scm_skew, is_scm_tableau,
+                     classify_tableau, enumerate_fillings, is_scm_skew, is_scm_tableau,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
                      is_unmixed_tableau, scm_trace, to_weighted_graph, validate,
                      weighted_edge_ideal)
 from skewtab.classify import connected_parts
 
-from helpers import all_fillings, constant_filling, shapes_up_to
+from helpers import constant_filling, shapes_up_to
 
 EXAMPLE_SHAPE = SkewShape((5, 4, 4), (2, 1, 0))
 EXAMPLE_FILL = SkewTableau(EXAMPLE_SHAPE, [[2, 3, 1], [2, 2, 1], [2, 2, 4, 3]])
@@ -94,7 +94,7 @@ def test_single_row_tableaux_always_scm():
 
 def test_scm_tableau_oracle_agreement_small():
     for s in shapes_up_to(5, connected_only=True):
-        for t in all_fillings(s, 2):
+        for t in enumerate_fillings(s, 2):
             g = to_weighted_graph(t)
             assert is_scm_tableau(t) == is_scm_weighted_oracle(g), t.to_dict()
             assert is_unmixed_tableau(t) == is_unmixed_ideal(weighted_edge_ideal(g)), t.to_dict()
@@ -112,7 +112,7 @@ def test_scm_tableau_conjugation_invariance():
     stores each verdict under the transpose's key too, so it is cleared
     before each call: otherwise the second call is a memo hit."""
     for s in shapes_up_to(5, connected_only=True):
-        for t in all_fillings(s, 2):
+        for t in enumerate_fillings(s, 2):
             classify_module.clear_caches()
             scm = is_scm_tableau(t)
             classify_module.clear_caches()
@@ -140,7 +140,8 @@ def test_verdicts_survive_weight_relabeling():
         f = classify_tableau(t)
         return (f.unmixed, f.scm, f.cm), f.buchsbaum
 
-    fillings = [t for s in shapes_up_to(6, connected_only=True) for t in all_fillings(s, 2)]
+    fillings = [t for s in shapes_up_to(6, connected_only=True)
+                for t in enumerate_fillings(s, 2)]
     assert len(fillings) == 3770
     flipped = []
     for t in fillings:
@@ -162,7 +163,7 @@ def test_non_essential_variables():
     for s in shapes_up_to(5, connected_only=True):
         if s.n < 2 or s.lam[0] != s.lam[1]:
             continue
-        for t in all_fillings(s, 2):
+        for t in enumerate_fillings(s, 2):
             if not is_scm_tableau(t):
                 continue
             for j in range(s.mu[0] + 1, s.lam[0] + 1):
@@ -259,7 +260,7 @@ def test_components_carry_weights():
     for s in shapes_up_to(9):
         assert connected_parts(s, None) == [(c.shape, None) for c in s.components()], s
     for s in shapes_up_to(5):
-        for t in all_fillings(s, 2):
+        for t in enumerate_fillings(s, 2):
             assert connected_parts(s, t.rows) == [
                 (c.shape, tuple(tuple(t.weight(c.row_map[i - 1], c.col_map[j - 1])
                                       for j in range(m + 1, l + 1))

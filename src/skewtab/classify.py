@@ -25,10 +25,11 @@ pieces on each call.  ``clear_caches`` empties both memos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .shapes import (Rows, SkewShape, _cuts, _parts, block_containing, blocks,
-                     delete_rows_cols)
+from .shapes import (Rows, SkewShape, _cuts, _parts, _runs, block_containing, blocks,
+                     conjugate_parts, delete_rows_cols)
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
@@ -239,9 +240,23 @@ class PrimeShapePiece:
 
     orientation: str  # "upper" | "lower"
     boxes: BoxSet
-    blocks: tuple[BoxSet, ...]
     entry_block: BoxSet
     exit_block: BoxSet
+
+    @cached_property
+    def blocks(self) -> tuple[BoxSet, ...]:
+        """The piece's blocks as ambient box sets, by row band, then column
+        band.  Built on first use: the classifiers need only the extremal
+        blocks, and a staircase piece has a block per box.  The bands of a
+        lower piece run along its columns, from the right, as the
+        decomposition peels it transposed."""
+        nu, to_ambient = _piece_as_partition(self)
+        lower = self.orientation == "lower"
+        if lower:
+            nu = conjugate_parts(nu)
+        return tuple(frozenset(to_ambient(j, i) if lower else to_ambient(i, j)
+                               for i, j in blk.boxes())
+                     for blk in blocks(SkewShape._trusted(nu, (0,) * len(nu))))
 
     def to_dict(self) -> dict:
         return {
@@ -308,25 +323,31 @@ def _peel_top(f: _Frame, drop: int) -> _Frame:
 
 
 def _partition_piece_data(nu: tuple[int, ...], mu1: int, frame: _Frame):
-    """Blocks/corners of the partition piece occupying the frame's top rows.
+    """Extremal and defect blocks of the partition piece occupying the
+    frame's top rows, from its bands alone.
 
-    Returns (ambient block boxsets ordered by band, entry, exit, defect)
-    where defect is a nonsquare corner block's ambient boxes or None.
+    Returns (entry, exit, defect) as ambient box sets: entry is the block
+    through the top-right box, exit the one through the bottom-left box,
+    and defect the first nonsquare corner block by row band, or None.  The
+    row bands of a partition have strictly decreasing lengths, so each one
+    ends in exactly one corner block, whose column band ends at the band's
+    length.
     """
-    diag = SkewShape._trusted(nu, (0,) * len(nu))
-    entry = exit_ = defect = None
-    amb_blocks = []
-    k, top = len(nu), nu[0]
-    for blk in blocks(diag):
-        boxes = frame.boxset((i, j + mu1) for i, j in blk.boxes())
-        amb_blocks.append(boxes)
-        if blk.corner and not blk.is_square and defect is None:
-            defect = boxes
-        if blk.rows[0] == 1 and blk.cols[1] == top:
-            entry = boxes
-        if blk.rows[1] == k and blk.cols[0] == 1:
-            exit_ = boxes
-    return amb_blocks, entry, exit_, defect
+    row_bands = _runs(nu)
+    col_bands = _runs(conjugate_parts(nu))
+    ending_at = {hi: (lo, hi) for lo, hi in col_bands}
+
+    def ambient(rows: tuple[int, int], cols: tuple[int, int]) -> BoxSet:
+        return frame.boxset((i, j + mu1) for i in range(rows[0], rows[1] + 1)
+                            for j in range(cols[0], cols[1] + 1))
+
+    defect = None
+    for rows in row_bands:
+        cols = ending_at[nu[rows[0] - 1]]
+        if rows[1] - rows[0] != cols[1] - cols[0]:
+            defect = ambient(rows, cols)
+            break
+    return ambient(row_bands[0], col_bands[-1]), ambient(row_bands[-1], col_bands[0]), defect
 
 
 def _extract_piece(frame: _Frame, entering: BoxSet | None):
@@ -341,15 +362,14 @@ def _extract_piece(frame: _Frame, entering: BoxSet | None):
     while k < s.n and s.mu[k] == mu1:
         k += 1
     nu = tuple(l - mu1 for l in s.lam[:k])
-    amb_blocks, entry, exit_, defect = _partition_piece_data(nu, mu1, frame)
+    entry, exit_, defect = _partition_piece_data(nu, mu1, frame)
     if defect is not None:
         raise _DecompFail("nonsquare corner block", {"block": sorted(defect)})
     orientation = "lower" if frame.swap else "upper"
     piece_boxes = frame.boxset((i, j) for i in range(1, k + 1)
                                for j in range(mu1 + 1, s.lam[i - 1] + 1))
     piece = PrimeShapePiece(orientation=orientation, boxes=piece_boxes,
-                            blocks=tuple(amb_blocks), entry_block=entry,
-                            exit_block=exit_)
+                            entry_block=entry, exit_block=exit_)
     if entering is not None and entry != entering:
         raise _DecompFail("pieces do not glue along a shared extremal block",
                           {"expected": sorted(entering), "found": sorted(entry)})

@@ -285,6 +285,29 @@ def blocks_reference(s: SkewShape) -> list[Block]:
     return out
 
 
+def piece_blocks_reference(boxes: set[tuple[int, int]], orientation: str) -> list[frozenset]:
+    """Reference for ``PrimeShapePiece.blocks``, from the piece's box set
+    alone: consecutive rows with the same columns make a row band,
+    consecutive columns with the same rows a column band, and a block is a
+    band product inside the piece.  An upper piece lists them by row band
+    from the top, then column band from the left; a lower piece by column
+    band from the right, then row band from the bottom."""
+    def bands(lines: dict[int, frozenset]) -> list[list[int]]:
+        out: list[list[int]] = []
+        for k in sorted(lines):
+            if out and lines[out[-1][-1]] == lines[k]:
+                out[-1].append(k)
+            else:
+                out.append([k])
+        return out
+    row_bands = bands({i: frozenset(j for r, j in boxes if r == i) for i, _ in boxes})
+    col_bands = bands({j: frozenset(i for i, c in boxes if c == j) for _, j in boxes})
+    pairs = ([(rb, cb) for rb in row_bands for cb in col_bands] if orientation == "upper"
+             else [(rb, cb) for cb in reversed(col_bands) for rb in reversed(row_bands)])
+    return [frozenset((i, j) for i in rb for j in cb) for rb, cb in pairs
+            if (rb[0], cb[0]) in boxes]
+
+
 def block_containing_reference(s: SkewShape, box: tuple[int, int]) -> Block:
     """Reference for ``skewtab.shapes.block_containing``: the block of the
     whole grid that holds ``box``."""

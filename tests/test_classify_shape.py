@@ -10,7 +10,8 @@ from skewtab import (SkewShape, SkewTableau, classify, classify_shape, classify_
 from skewtab.classify import _derived, clear_caches, is_scm, scm_pivots
 from skewtab.shapes import conjugate_parts
 
-from helpers import boxes_of, partitions_up_to, scm_all_pivots_reference, shapes_up_to
+from helpers import (boxes_of, partitions_up_to, piece_blocks_reference,
+                     scm_all_pivots_reference, shapes_up_to)
 
 
 def test_is_saturated_examples():
@@ -216,8 +217,26 @@ def test_certificate_serialization():
     d = cert.to_dict()
     assert d["unmixed"] is True
     assert d["pieces"][0]["orientation"] == "lower"
+    assert d["pieces"][0]["blocks"] == [[(2, 2)], [(1, 2)], [(2, 1)]]
     bad = unmixed_decomposition(SkewShape((3, 2))).to_dict()
     assert bad["unmixed"] is False and "reason" in bad
+
+
+def test_piece_blocks_match_band_reference():
+    """A piece's blocks, built on first use from its box set, are its band
+    grid in band order; the extremal blocks found from the bands alone are
+    among them.  The 131 unmixed connected shapes with <= 14 boxes (357
+    pieces), and staircases, whose one piece has a block per box."""
+    shapes = [*shapes_up_to(14, connected_only=True),
+              *(SkewShape(tuple(range(n, 0, -1))) for n in (12, 25, 40))]
+    pieces = 0
+    for s in shapes:
+        cert = unmixed_decomposition(s)
+        for piece in cert.pieces:
+            assert list(piece.blocks) == piece_blocks_reference(piece.boxes, piece.orientation), s
+            assert piece.entry_block in piece.blocks and piece.exit_block in piece.blocks, s
+            pieces += 1
+    assert pieces == 357 + 3
 
 
 def test_classify_shape_examples():

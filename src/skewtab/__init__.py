@@ -1,8 +1,7 @@
 """Unmixed and sequentially Cohen-Macaulay classification of skew Ferrers
 shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 
-from .shapes import (Block, Component, SkewShape, block_containing, blocks,
-                     delete_rows_cols, render)
+from .shapes import Component, SkewShape, delete_rows_cols, render
 from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable)
 from .ideals import (MonomialIdeal, WeightedGraph, associated_primes,

@@ -10,7 +10,11 @@ shape's independence complex, and links of an SCM complex are SCM, so on
 an SCM shape every pivot succeeds (proof in ``is_scm``).  Fillings try
 every pivot.  ``unmixed_decomposition`` peels a connected shape into
 alternating prime unmixed pieces glued along shared extremal blocks,
-returning a checkable certificate either way.
+returning a checkable certificate either way.  No block grid is built: a
+block is a row band (a run of rows with equal (lam_i, mu_i)) times a column
+band, so the decomposition reads the blocks it needs off the bands, and a
+filling is constant on every block iff the rows of each row band and the
+columns of each column band carry equal weights.
 
 A shape's ideal is the sum of its components' ideals in disjoint
 variables, so every classifier runs per connected component, each split off
@@ -26,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .shapes import (Rows, SkewShape, _cuts, _parts, _runs, block_containing, blocks,
-                     conjugate_parts, delete_rows_cols)
+from .shapes import Rows, SkewShape, _cuts, _parts, conjugate_parts, delete_rows_cols
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
@@ -228,6 +231,34 @@ def is_scm_skew(s: SkewShape) -> bool:
 BoxSet = frozenset[tuple[int, int]]
 
 
+def _runs(values: Sequence) -> list[tuple[int, int]]:
+    """Maximal runs of equal consecutive values, as 1-based inclusive
+    intervals: on (lam_i, mu_i) the row bands of a shape, on the conjugate
+    pairs its column bands.  A block is a row band times a column band."""
+    runs = []
+    start = 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or values[k] != values[start]:
+            runs.append((start + 1, k))
+            start = k
+    return runs
+
+
+def _rect(rows: tuple[int, int], cols: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """The boxes of the band product rows x cols."""
+    return ((i, j) for i in range(rows[0], rows[1] + 1) for j in range(cols[0], cols[1] + 1))
+
+
+def _partition_grid(nu: tuple[int, ...]) -> list[tuple[tuple[int, int], list]]:
+    """The blocks of the partition diagram nu, as (row band, its column
+    bands) from the top.  A column band ends where nu' drops, i.e. at a part
+    of nu, so a row band holds the column bands up to its length, and the
+    last of them is its corner block."""
+    col_bands = _runs(conjugate_parts(nu))
+    upto = {hi: k + 1 for k, (_, hi) in enumerate(col_bands)}
+    return [(rows, col_bands[:upto[nu[rows[0] - 1]]]) for rows in _runs(nu)]
+
+
 @dataclass(frozen=True)
 class PrimeShapePiece:
     """One prime unmixed piece, in ambient coordinates.
@@ -255,8 +286,8 @@ class PrimeShapePiece:
         if lower:
             nu = conjugate_parts(nu)
         return tuple(frozenset(to_ambient(j, i) if lower else to_ambient(i, j)
-                               for i, j in blk.boxes())
-                     for blk in blocks(SkewShape._trusted(nu, (0,) * len(nu))))
+                               for i, j in _rect(rows, cols))
+                     for rows, bands in _partition_grid(nu) for cols in bands)
 
     def to_dict(self) -> dict:
         return {
@@ -338,8 +369,7 @@ def _partition_piece_data(nu: tuple[int, ...], mu1: int, frame: _Frame):
     ending_at = {hi: (lo, hi) for lo, hi in col_bands}
 
     def ambient(rows: tuple[int, int], cols: tuple[int, int]) -> BoxSet:
-        return frame.boxset((i, j + mu1) for i in range(rows[0], rows[1] + 1)
-                            for j in range(cols[0], cols[1] + 1))
+        return frame.boxset((i, j + mu1) for i, j in _rect(rows, cols))
 
     defect = None
     for rows in row_bands:
@@ -373,20 +403,17 @@ def _extract_piece(frame: _Frame, entering: BoxSet | None):
     if entering is not None and entry != entering:
         raise _DecompFail("pieces do not glue along a shared extremal block",
                           {"expected": sorted(entering), "found": sorted(entry)})
-    square = len(nu) == nu[0] and nu[-1] == nu[0]
+    # A square piece that is the whole frame cannot follow another piece:
+    # its one block would be its entry, equal to the previous exit block,
+    # but the frame also holds the previous frame's rows below that block.
     if k == s.n:
-        if square and entering is not None:
-            raise _DecompFail("square piece inside a multi-piece chain", {})
         return piece, None, None
-    if square:
+    if len(nu) == nu[0] == nu[-1]:
         raise _DecompFail("square piece with boxes left over",
                           {"piece": sorted(piece_boxes)})
-    w = nu[-1]
-    b = sum(1 for v in nu if v == w)
-    if s.lam[k] > mu1 + w:
-        raise _DecompFail("boxes extend past the shared block",
-                          {"shared_block": sorted(exit_)})
-    return piece, _peel_top(frame, k - b), exit_
+    # The rows below the piece end at or left of its last column, as
+    # lam_{k+1} <= lam_k = mu1 + nu_k: no box extends past the exit block.
+    return piece, _peel_top(frame, k - nu.count(nu[-1])), exit_
 
 
 def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
@@ -404,14 +431,16 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
                                   reason="shape has a different number of rows and columns",
                                   witness={"rows": s.n, "cols": s.m})
     frame = _Frame(s, tuple(range(1, s.n + 1)), tuple(range(1, s.m + 1)), False)
-    top_right = block_containing(s, (1, s.m))
-    below = top_right.rows[1] < s.n and s.contains(top_right.rows[1] + 1, top_right.cols[0])
-    left = top_right.cols[0] > 1 and s.contains(top_right.rows[0], top_right.cols[0] - 1)
+    # the top-right block: the first row band times the last column band
+    top = _runs(list(zip(s.lam, s.mu)))[0]
+    right = _runs(list(zip(s.lam_conj(), s.mu_conj())))[-1]
+    below = top[1] < s.n and s.contains(top[1] + 1, right[0])
+    left = right[0] > 1 and s.contains(1, right[0] - 1)
     if below and left:
         return UnmixedCertificate(
             ok=False,
             reason="top-right corner block has blocks both below and to its left",
-            witness={"block": sorted(top_right.boxes())})
+            witness={"block": sorted(_rect(top, right))})
     if below:
         frame = _flip(frame)
     pieces = []
@@ -425,6 +454,19 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
         if nxt is None:
             return UnmixedCertificate(ok=True, pieces=tuple(pieces))
         frame = _flip(nxt)
+
+
+def _constant_on_blocks(s: SkewShape, rows: Rows) -> bool:
+    """Whether a filling is constant on every block of its shape.  A block
+    is a row band times a column band, so it is exactly when consecutive
+    rows of one row band (equal (lam_i, mu_i)) carry equal weight rows, and
+    consecutive columns of one column band equal weight columns."""
+    for lam, mu, lines in ((s.lam, s.mu, rows),
+                           (s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows))):
+        if any(lines[k] != lines[k + 1] for k in range(len(lines) - 1)
+               if lam[k] == lam[k + 1] and mu[k] == mu[k + 1]):
+            return False
+    return True
 
 
 _unmixed_cache: dict[tuple, bool] = {}
@@ -452,8 +494,7 @@ def _unmixed_connected(s: SkewShape, rows: Rows) -> tuple[bool, bool]:
         (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
         for piece in cert.pieces for i, j in piece.boxes
         for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
-    constant = all(len({w[b] for b in blk.boxes()}) == 1 for blk in blocks(s))
-    return monotone and constant, monotone
+    return monotone and _constant_on_blocks(s, rows), monotone
 
 
 def is_unmixed(s: SkewShape, rows: Rows) -> bool:
@@ -548,16 +589,12 @@ def validate_certificate(s: SkewShape, cert: UnmixedCertificate) -> tuple[bool, 
             nu, to_ambient = _piece_as_partition(piece)
         except ValueError as err:
             return False, str(err)
-        diag_blocks = blocks(SkewShape(nu))
-        if any(blk.corner and not blk.is_square for blk in diag_blocks):
+        grid = _partition_grid(nu)
+        if any(rows[1] - rows[0] != bands[-1][1] - bands[-1][0] for rows, bands in grid):
             return False, "piece is not an unmixed partition diagram"
-        k, top = len(nu), nu[0]
-        for blk in diag_blocks:
-            boxes = frozenset(to_ambient(i, j) for i, j in blk.boxes())
-            if blk.rows[0] == 1 and blk.cols[1] == top:
-                tr = boxes
-            if blk.rows[1] == k and blk.cols[0] == 1:
-                bl = boxes
+        (top, top_bands), (bottom, bottom_bands) = grid[0], grid[-1]
+        tr = frozenset(to_ambient(i, j) for i, j in _rect(top, top_bands[-1]))
+        bl = frozenset(to_ambient(i, j) for i, j in _rect(bottom, bottom_bands[0]))
         entry, exit_ = (tr, bl) if piece.orientation == "upper" else (bl, tr)
         if entry != piece.entry_block or exit_ != piece.exit_block:
             return False, "entry/exit blocks are not the piece's extremal blocks"

@@ -265,102 +265,6 @@ def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Ite
     return _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu))
 
 
-# -- block grid ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Block:
-    """Maximal rectangle of the band grid; bands are inclusive intervals."""
-
-    rows: tuple[int, int]
-    cols: tuple[int, int]
-    corner: bool
-
-    @property
-    def height(self) -> int:
-        return self.rows[1] - self.rows[0] + 1
-
-    @property
-    def width(self) -> int:
-        return self.cols[1] - self.cols[0] + 1
-
-    @property
-    def is_square(self) -> bool:
-        return self.height == self.width
-
-    def boxes(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j)
-                         for i in range(self.rows[0], self.rows[1] + 1)
-                         for j in range(self.cols[0], self.cols[1] + 1))
-
-
-def _runs(values: Sequence) -> list[tuple[int, int]]:
-    """Maximal runs of equal consecutive values, as 1-based inclusive intervals."""
-    runs = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] != values[start]:
-            runs.append((start + 1, k))
-            start = k
-    return runs
-
-
-def blocks(s: SkewShape) -> list[Block]:
-    """Band grid of a connected shape.
-
-    Rows are cut where (lam_i, mu_i) changes, columns where the conjugate
-    pair changes; a block is a band product lying inside the shape, and a
-    corner block has no block immediately to its right or below.  A row
-    band's columns mu_i+1..lam_i end where the conjugate pair changes, so
-    its blocks are one run of column bands and the grid costs O(n + m)
-    plus one step per block.
-    """
-    if s.is_empty:
-        return []
-    if not s.is_connected():
-        raise ValueError("blocks are defined for connected shapes")
-    row_bands = _runs(list(zip(s.lam, s.mu)))
-    col_bands = _runs(list(zip(s.lam_conj(), s.mu_conj())))
-    band_of = [0] * (s.m + 1)  # band_of[j]: index of the column band of column j
-    for cb, (lo, hi) in enumerate(col_bands):
-        band_of[lo:hi + 1] = [cb] * (hi - lo + 1)
-    # row band -> first and last column band inside the shape
-    spans = [(band_of[s.mu[lo - 1] + 1], band_of[s.lam[lo - 1]]) for lo, _ in row_bands]
-    spans.append((len(col_bands), -1))  # no row band below the last one
-    out = []
-    for rb, (first, last) in enumerate(spans[:-1]):
-        below_first, below_last = spans[rb + 1]
-        for cb in range(first, last + 1):
-            corner = cb == last and not below_first <= cb <= below_last
-            out.append(Block(rows=row_bands[rb], cols=col_bands[cb], corner=corner))
-    return out
-
-
-def _band(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, int]:
-    """The maximal run of 1-based positions around ``k`` on which the pair
-    (a, b) keeps its value at ``k``."""
-    lo = hi = k
-    while lo > 1 and a[lo - 2] == a[k - 1] and b[lo - 2] == b[k - 1]:
-        lo -= 1
-    while hi < len(a) and a[hi] == a[k - 1] and b[hi] == b[k - 1]:
-        hi += 1
-    return lo, hi
-
-
-def block_containing(s: SkewShape, box: tuple[int, int]) -> Block:
-    """The block of a connected shape through ``box``: the product of the
-    row band and the column band through it, without building the grid."""
-    if not s.is_connected():
-        raise ValueError("blocks are defined for connected shapes")
-    i, j = box
-    if not s.contains(i, j):
-        raise ValueError(f"box {box} not in shape")
-    rows = _band(s.lam, s.mu, i)
-    cols = _band(s.lam_conj(), s.mu_conj(), j)
-    corner = not s.contains(rows[0], cols[1] + 1) and not s.contains(rows[1] + 1, cols[0])
-    return Block(rows=rows, cols=cols, corner=corner)
-
-
 # -- rendering -----------------------------------------------------------
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -12,10 +12,9 @@ from itertools import combinations
 from typing import Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
-from skewtab.classify import _derived, connected_parts, scm_pivots
+from skewtab.classify import _derived, _runs, connected_parts, scm_pivots
 from skewtab.graphs import _canonical, _restrict
 from skewtab.ideals import MonomialIdeal, _divides, _minimalize, _threshold_u_sets
-from skewtab.shapes import Block, _runs
 
 
 def boxes_of(s: SkewShape) -> set[tuple[int, int]]:
@@ -257,12 +256,13 @@ def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()) -> list[Component
     return normalize(contents)
 
 
-def blocks_reference(s: SkewShape) -> list[Block]:
-    """Band grid of a connected shape.
+def blocks_reference(s: SkewShape) -> list[tuple[tuple[int, int], tuple[int, int], bool]]:
+    """Band grid of a connected shape, as (row band, column band, corner)
+    triples; bands are 1-based inclusive intervals.
 
-    Reference for ``skewtab.shapes.blocks``: it tests every (row band,
-    column band) pair for a box of the shape, O(bands^2), where the library
-    walks each row band's run of column bands.
+    It tests every (row band, column band) pair for a box of the shape,
+    O(bands^2); a corner block has no block right of it or below it.  The
+    referee for the classifier's block constancy, which never lists blocks.
     """
     if s.is_empty:
         return []
@@ -281,7 +281,7 @@ def blocks_reference(s: SkewShape) -> list[Block]:
         for cb in range(len(col_bands)):
             if inside(rb, cb):
                 corner = not inside(rb, cb + 1) and not inside(rb + 1, cb)
-                out.append(Block(rows=row_bands[rb], cols=col_bands[cb], corner=corner))
+                out.append((row_bands[rb], col_bands[cb], corner))
     return out
 
 
@@ -306,15 +306,6 @@ def piece_blocks_reference(boxes: set[tuple[int, int]], orientation: str) -> lis
              else [(rb, cb) for cb in reversed(col_bands) for rb in reversed(row_bands)])
     return [frozenset((i, j) for i in rb for j in cb) for rb, cb in pairs
             if (rb[0], cb[0]) in boxes]
-
-
-def block_containing_reference(s: SkewShape, box: tuple[int, int]) -> Block:
-    """Reference for ``skewtab.shapes.block_containing``: the block of the
-    whole grid that holds ``box``."""
-    for b in blocks_reference(s):
-        if b.rows[0] <= box[0] <= b.rows[1] and b.cols[0] <= box[1] <= b.cols[1]:
-            return b
-    raise ValueError(f"box {box} not in shape")
 
 
 # -- monomial ideals: colon, radical, intersection, associated radicals --------

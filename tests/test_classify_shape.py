@@ -1,16 +1,18 @@
+import dataclasses
 import json
 
 import pytest
 
-from skewtab import (SkewShape, SkewTableau, classify, classify_shape, classify_tableau,
-                     enumerate_fillings, from_shape, is_saturated, is_scm_skew,
-                     is_unmixed_graph, is_unmixed_skew, is_unmixed_tableau,
-                     is_vertex_decomposable, scm_trace, tableau, unmixed_decomposition,
-                     validate_certificate)
-from skewtab.classify import _derived, clear_caches, is_scm, scm_pivots
+from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate, classify,
+                     classify_shape, classify_tableau, enumerate_fillings, from_shape,
+                     is_saturated, is_scm_skew, is_unmixed_graph, is_unmixed_skew,
+                     is_unmixed_tableau, is_vertex_decomposable, scm_trace, tableau,
+                     unmixed_decomposition, validate_certificate)
+from skewtab.classify import (_constant_on_blocks, _derived, clear_caches, is_scm,
+                              scm_pivots)
 from skewtab.shapes import conjugate_parts
 
-from helpers import (boxes_of, partitions_up_to, piece_blocks_reference,
+from helpers import (blocks_reference, boxes_of, partitions_up_to, piece_blocks_reference,
                      scm_all_pivots_reference, shapes_up_to)
 
 
@@ -177,6 +179,14 @@ def test_unmixed_decomposition_failures():
     assert unmixed_decomposition(SkewShape((2,))).reason \
         == "shape has a different number of rows and columns"
 
+    cert = unmixed_decomposition(SkewShape((3, 3, 2), (1, 0, 0)))
+    assert cert.reason == "top-right corner block has blocks both below and to its left"
+    assert cert.witness == {"block": [(1, 3)]}
+
+    cert = unmixed_decomposition(SkewShape((3, 3, 1), (1, 0, 0)))
+    assert cert.reason == "square piece with boxes left over"
+    assert cert.witness == {"piece": [(1, 2), (1, 3), (2, 2), (2, 3)]}
+
 
 def test_unmixed_decomposition_requires_connected():
     with pytest.raises(ValueError):
@@ -212,6 +222,23 @@ def test_certificates_validate_on_small_shapes():
             assert total - shared == len(boxes_of(s))
 
 
+def test_validate_certificate_rejects_hand_built_certificates():
+    """A widened entry block, and a piece whose corner block is not square,
+    each pass every chain check and fail on the piece's own blocks."""
+    s = SkewShape((2, 1))
+    (piece,) = unmixed_decomposition(s).pieces
+    widened = dataclasses.replace(piece, entry_block=frozenset({(1, 1), (1, 2)}))
+    assert validate_certificate(s, UnmixedCertificate(ok=True, pieces=(widened,))) \
+        == (False, "entry/exit blocks are not the piece's extremal blocks")
+
+    s = SkewShape((3, 1, 1))
+    piece = PrimeShapePiece("upper", frozenset(boxes_of(s)),
+                            entry_block=frozenset({(1, 2), (1, 3)}),
+                            exit_block=frozenset({(2, 1), (3, 1)}))
+    assert validate_certificate(s, UnmixedCertificate(ok=True, pieces=(piece,))) \
+        == (False, "piece is not an unmixed partition diagram")
+
+
 def test_certificate_serialization():
     cert = unmixed_decomposition(SkewShape((2, 2), (1, 0)))
     d = cert.to_dict()
@@ -237,6 +264,24 @@ def test_piece_blocks_match_band_reference():
             assert piece.entry_block in piece.blocks and piece.exit_block in piece.blocks, s
             pieces += 1
     assert pieces == 357 + 3
+
+
+def test_block_constancy_matches_reference_blocks():
+    """The band-to-band constancy test, which compares consecutive rows of a
+    row band and consecutive columns of a column band, holds exactly when
+    the filling is constant on every block of the reference grid: all
+    fillings of connected shapes with <= 7 boxes and weights in {1, 2}."""
+    fillings = split = 0
+    for s in shapes_up_to(7, connected_only=True):
+        grid = blocks_reference(s)
+        for t in enumerate_fillings(s, 2):
+            want = all(len({t.weight(i, j) for i in range(r0, r1 + 1)
+                            for j in range(c0, c1 + 1)}) == 1
+                       for (r0, r1), (c0, c1), _ in grid)
+            assert _constant_on_blocks(s, t.rows) == want, t
+            fillings += 1
+            split += not want
+    assert split and split < fillings
 
 
 def test_classify_shape_examples():

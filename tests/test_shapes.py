@@ -2,12 +2,11 @@ from itertools import combinations
 
 import pytest
 
-from skewtab import SkewShape, block_containing, blocks, delete_rows_cols, render
+from skewtab import SkewShape, delete_rows_cols, render
 from skewtab.shapes import conjugate_parts
 
-from helpers import (bfs_connected, block_containing_reference, blocks_reference, boxes_of,
-                     delete_rows_cols_reference, normalize, partitions_up_to,
-                     shape_from_boxes, shapes_up_to)
+from helpers import (bfs_connected, blocks_reference, boxes_of, delete_rows_cols_reference,
+                     normalize, partitions_up_to, shape_from_boxes, shapes_up_to)
 
 
 def box_labels(s: SkewShape) -> tuple[tuple[int, ...], ...]:
@@ -256,71 +255,40 @@ def test_delete_nothing_is_identity():
 
 
 def test_blocks_examples():
-    got = {(b.rows, b.cols, b.corner) for b in blocks(SkewShape((3, 3, 1)))}
+    """The band grid of the block-constancy referee, ``blocks_reference``."""
+    got = set(blocks_reference(SkewShape((3, 3, 1))))
     assert got == {((1, 2), (1, 1), False), ((1, 2), (2, 3), True), ((3, 3), (1, 1), True)}
-
-    sq = blocks(SkewShape((4, 4, 4, 4)))
-    assert len(sq) == 1 and sq[0].corner and sq[0].height == sq[0].width == 4
+    assert blocks_reference(SkewShape((4, 4, 4, 4))) == [((1, 4), (1, 4), True)]
+    assert blocks_reference(SkewShape((), ())) == []
+    with pytest.raises(ValueError):
+        blocks_reference(SkewShape((4, 2), (2, 0)))
 
 
 def test_blocks_paper_figure():
     s = SkewShape((6, 6, 6, 6, 2, 2), (5, 4, 1, 1, 1, 0))
-    bl = blocks(s)
+    bl = blocks_reference(s)
     assert len(bl) == 10
-    f = block_containing(s, (3, 3))
-    assert f.rows == (3, 4) and f.cols == (3, 4)
-    corners = {(b.rows, b.cols) for b in bl if b.corner}
+    assert ((3, 4), (3, 4), False) in bl
+    corners = {(rows, cols) for rows, cols, corner in bl if corner}
     assert corners == {((3, 4), (6, 6)), ((6, 6), (2, 2))}
 
 
 def test_blocks_partition_box_set():
+    """The referee's blocks are full rectangles that partition the box set."""
     for s in shapes_up_to(8, connected_only=True):
-        bl = blocks(s)
         union: set = set()
         total = 0
-        for b in bl:
-            bx = b.boxes()
-            total += len(bx)
-            union |= bx
+        for (r0, r1), (c0, c1), _ in blocks_reference(s):
+            total += (r1 - r0 + 1) * (c1 - c0 + 1)
+            union |= {(i, j) for i in range(r0, r1 + 1) for j in range(c0, c1 + 1)}
         assert union == boxes_of(s)
         assert total == len(union)  # pairwise disjoint full rectangles
 
 
 def test_blocks_conjugate_transposes_grid():
     for s in shapes_up_to(7, connected_only=True):
-        got = {(b.cols, b.rows, b.corner) for b in blocks(s.conjugate())}
-        want = {(b.rows, b.cols, b.corner) for b in blocks(s)}
-        assert got == want
-
-
-def test_blocks_match_reference():
-    """The banded grid and the direct block lookup give the pairwise grid's
-    blocks, in its order and with its corner flags, on every connected shape
-    with <= 9 boxes and on the 150-row staircase."""
-    for s in shapes_up_to(9, connected_only=True):
-        assert blocks(s) == blocks_reference(s)
-        for box in boxes_of(s):
-            assert block_containing(s, box) == block_containing_reference(s, box)
-    stair = SkewShape(tuple(range(150, 0, -1)))
-    grid = blocks_reference(stair)  # 11,325 one-box blocks
-    assert blocks(stair) == grid
-    for b in grid:  # the reference lookup would rebuild the grid per box
-        assert block_containing(stair, (b.rows[0], b.cols[0])) == b
-    assert blocks(SkewShape((), ())) == blocks_reference(SkewShape((), ())) == []
-
-
-def test_block_containing_rejects_bad_boxes():
-    s = SkewShape((3, 3, 1))
-    for box in ((3, 2), (0, 1), (4, 1), (1, 4)):
-        with pytest.raises(ValueError, match="not in shape"):
-            block_containing(s, box)
-    with pytest.raises(ValueError, match="connected"):
-        block_containing(SkewShape((4, 2), (2, 0)), (1, 3))
-
-
-def test_blocks_requires_connected():
-    with pytest.raises(ValueError):
-        blocks(SkewShape((4, 2), (2, 0)))
+        got = {(cols, rows, corner) for rows, cols, corner in blocks_reference(s.conjugate())}
+        assert got == set(blocks_reference(s))
 
 
 def test_render():

@@ -520,40 +520,31 @@ def _piece_as_partition(piece: PrimeShapePiece):
     Returns (nu, to_ambient) where nu is the partition read in the piece's
     own orientation and to_ambient maps diagram coordinates back to ambient
     boxes, or raises ValueError if the box set is not of the stated form.
+    The boxes are counted per row from the flush corner (top-left for an
+    upper piece, bottom-right for a lower one), a missing row counting 0.
+    As the boxes are distinct, they form the diagram of those counts exactly
+    when the counts weakly decrease (a gap shows as a rise) and each box
+    lies within its row's count of the flush column.
     """
     boxes = piece.boxes
-    rows = sorted({i for i, _ in boxes})
-    cols = sorted({j for _, j in boxes})
-    r0, r1, c0, c1 = rows[0], rows[-1], cols[0], cols[-1]
-    if rows != list(range(r0, r1 + 1)):
-        raise ValueError("piece rows are not consecutive")
-
-    per_row = {i: sorted(j for x, j in boxes if x == i) for i in rows}
-    for i, js in per_row.items():
-        if js != list(range(js[0], js[-1] + 1)):
-            raise ValueError("piece row is not contiguous")
-
+    if not boxes:
+        raise ValueError("piece has no boxes")
     if piece.orientation == "upper":
-        if any(per_row[i][0] != c0 for i in rows):
-            raise ValueError("upper piece is not flush left")
-        nu = tuple(len(per_row[i]) for i in rows)
-        if any(nu[t] < nu[t + 1] for t in range(len(nu) - 1)):
-            raise ValueError("upper piece rows do not weakly decrease")
-
-        def to_ambient(i: int, j: int) -> tuple[int, int]:
-            return r0 + i - 1, c0 + j - 1
+        r, c, step = min(i for i, _ in boxes), min(j for _, j in boxes), 1
     elif piece.orientation == "lower":
-        if any(per_row[i][-1] != c1 for i in rows):
-            raise ValueError("lower piece is not flush right")
-        nu = tuple(len(per_row[i]) for i in reversed(rows))
-        if any(nu[t] < nu[t + 1] for t in range(len(nu) - 1)):
-            raise ValueError("lower piece rows do not weakly decrease upward")
-
-        def to_ambient(i: int, j: int) -> tuple[int, int]:
-            return r1 - i + 1, c1 - j + 1
+        r, c, step = max(i for i, _ in boxes), max(j for _, j in boxes), -1
     else:
         raise ValueError(f"unknown orientation {piece.orientation}")
-    return nu, to_ambient
+    local = [(step * (i - r), step * (j - c)) for i, j in boxes]  # 0-based, from the corner
+    nu = [0] * (max(i for i, _ in local) + 1)
+    for i, _ in local:
+        nu[i] += 1
+    if any(nu[t] < nu[t + 1] for t in range(len(nu) - 1)) or any(j >= nu[i] for i, j in local):
+        raise ValueError(f"{piece.orientation} piece is not a flush partition diagram")
+
+    def to_ambient(i: int, j: int) -> tuple[int, int]:
+        return r + step * (i - 1), c + step * (j - 1)
+    return tuple(nu), to_ambient
 
 
 def validate_certificate(s: SkewShape, cert: UnmixedCertificate) -> tuple[bool, str]:

@@ -18,7 +18,9 @@ pure-power vector p: the ideal (x_k^(p_k) | p_k > 0), with p_k = 0 meaning
 x_k is absent.  A monomial g lies in it iff some k has 0 < p_k <= g_k, and
 the ideal of c contains that of d iff every k with d_k > 0 has
 0 < c_k <= d_k, so membership and containment are O(n) vector tests.
-``MonomialIdeal`` objects are built only for the returned components.
+``irreducible_decomposition`` builds ``MonomialIdeal`` objects only for the
+components it returns; ``associated_primes`` and ``is_unmixed_ideal`` read
+the supports, and their sizes, straight off the vectors.
 """
 
 from __future__ import annotations
@@ -68,15 +70,6 @@ class MonomialIdeal:
         zero = (0,) * len(self.variables)
         return zero in self.generators
 
-    def max_exponents(self) -> tuple[int, ...]:
-        """Per-variable maximum over the generators (all zero if none)."""
-        out = [0] * len(self.variables)
-        for g in self.generators:
-            for k, e in enumerate(g):
-                if e > out[k]:
-                    out[k] = e
-        return tuple(out)
-
     def format(self) -> str:
         """Debug format: one generator per line as var^exp tokens."""
         lines = []
@@ -121,8 +114,9 @@ def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
     """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G).
 
     The generators are minimal as built: ``WeightedGraph.make`` rejects
-    loops and repeated pairs, so they have distinct 2-element supports, and
-    a monomial divides another only if its support lies in the other's.
+    loops and repeated pairs and a filling's graph has one x-y edge per box,
+    so they have distinct 2-element supports, and a monomial divides
+    another only if its support lies in the other's.
     """
     gens = []
     for iu, iv, w in g.edges:
@@ -177,11 +171,9 @@ def _pure_powers(p: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset(zero[:k] + (e,) + zero[k + 1:] for k, e in enumerate(p) if e)
 
 
-def irreducible_decomposition(ideal: MonomialIdeal) -> list[MonomialIdeal]:
-    """Irredundant irreducible components (ideals of pure variable powers).
-
-    A component is carried as its pure-power vector p: the ideal
-    (x_k^(p_k) | p_k > 0).  The splitting rests on
+def _irreducible_vectors(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The pure-power vectors p of the irredundant irreducible components,
+    each standing for the ideal (x_k^(p_k) | p_k > 0).  The splitting rests on
     (m*m') + J = ((m) + J) cap ((m') + J) for coprime monomials m, m'.
     Starting from p = 0, take the first remaining generator not already in
     (p) and branch once per variable x_k of its support, setting p_k to its
@@ -222,16 +214,19 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     # order as the sorted generator lists: x_k^e sorts before x_j^f iff
     # k > j, or k == j and e < f
     kept.sort(key=lambda c: [(-k, e) for k, e in reversed(supports[c])])
+    return kept
 
-    return [MonomialIdeal(ideal.variables, _pure_powers(c)) for c in kept]
+
+def irreducible_decomposition(ideal: MonomialIdeal) -> list[MonomialIdeal]:
+    """Irredundant irreducible components (ideals of pure variable powers),
+    one per vector of :func:`_irreducible_vectors`, in its order."""
+    return [MonomialIdeal(ideal.variables, _pure_powers(c)) for c in _irreducible_vectors(ideal)]
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[frozenset[str]]:
     """Supports of the irredundant irreducible components."""
-    out = set()
-    for comp in irreducible_decomposition(ideal):
-        out.add(frozenset(v for v, e in zip(ideal.variables, comp.max_exponents()) if e))
-    return frozenset(out)
+    return frozenset(frozenset(v for v, e in zip(ideal.variables, c) if e)
+                     for c in _irreducible_vectors(ideal))
 
 
 def is_unmixed_ideal(ideal: MonomialIdeal) -> bool:
@@ -240,8 +235,7 @@ def is_unmixed_ideal(ideal: MonomialIdeal) -> bool:
     Dimensions are taken over the full ambient variable list carried by the
     ideal, so comparing prime cardinalities is comparing dimensions.
     """
-    sizes = {len(p) for p in associated_primes(ideal)}
-    return len(sizes) <= 1
+    return len({len(c) - c.count(0) for c in _irreducible_vectors(ideal)}) <= 1
 
 
 # -- weighted SCM oracle ------------------------------------------------------

@@ -101,11 +101,16 @@ def validate(t: SkewTableau) -> None:
 
 
 def to_weighted_graph(t: SkewTableau) -> WeightedGraph:
-    """Edge-weighted bipartite graph of the filling (x's then y's)."""
+    """Edge-weighted bipartite graph of the filling (x's then y's).
+
+    Box (i, j) of weight w is the edge (i-1, n+j-1, w), listed in row-major
+    box order, the order ``WeightedGraph.make`` sorts into.  The filling was
+    validated when it was built, so nothing is checked again.
+    """
     s = t.shape
     vertices = [f"x{i}" for i in range(1, s.n + 1)] + [f"y{j}" for j in range(1, s.m + 1)]
-    weights = {(f"x{i}", f"y{j}"): w for (i, j), w in t.weights().items()}
-    return WeightedGraph.make(vertices, weights)
+    edges = ((i, s.n + s.mu[i] + k, w) for i, row in enumerate(t.rows) for k, w in enumerate(row))
+    return WeightedGraph(tuple(vertices), tuple(edges))
 
 
 # -- classifiers -------------------------------------------------------------------

@@ -415,7 +415,7 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
     # witness filter: C is needed iff the maximal monomial outside C lies in
     # every other component; membership only compares against bounded
     # exponents, so a clamp at max exponent + 1 is a faithful stand-in.
-    big = max((max(c.max_exponents(), default=0) for c in kept), default=0) + 1
+    big = max((e for c in kept for g in c.generators for e in g), default=0) + 1
     result = list(kept)
     changed = True
     while changed:

@@ -8,8 +8,8 @@ from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate
                      is_saturated, is_scm_skew, is_unmixed_graph, is_unmixed_skew,
                      is_unmixed_tableau, is_vertex_decomposable, scm_trace, tableau,
                      unmixed_decomposition, validate_certificate)
-from skewtab.classify import (_constant_on_blocks, _derived, clear_caches, is_scm,
-                              scm_pivots)
+from skewtab.classify import (_constant_on_blocks, _derived, _piece_as_partition, clear_caches,
+                              is_scm, scm_pivots)
 from skewtab.shapes import conjugate_parts
 
 from helpers import (blocks_reference, boxes_of, partitions_up_to, piece_blocks_reference,
@@ -223,8 +223,9 @@ def test_certificates_validate_on_small_shapes():
 
 
 def test_validate_certificate_rejects_hand_built_certificates():
-    """A widened entry block, and a piece whose corner block is not square,
-    each pass every chain check and fail on the piece's own blocks."""
+    """A widened entry block, a piece whose corner block is not square, an
+    empty piece and a piece that is not flush each pass every chain check
+    and fail on the piece itself."""
     s = SkewShape((2, 1))
     (piece,) = unmixed_decomposition(s).pieces
     widened = dataclasses.replace(piece, entry_block=frozenset({(1, 1), (1, 2)}))
@@ -237,6 +238,43 @@ def test_validate_certificate_rejects_hand_built_certificates():
                             exit_block=frozenset({(2, 1), (3, 1)}))
     assert validate_certificate(s, UnmixedCertificate(ok=True, pieces=(piece,))) \
         == (False, "piece is not an unmixed partition diagram")
+
+    # an empty upper piece and a lower one holding the only box glue along
+    # the empty block and pass every chain check
+    s = SkewShape((1,))
+    empty = PrimeShapePiece("upper", frozenset(), entry_block=frozenset({(1, 1)}),
+                            exit_block=frozenset())
+    box = PrimeShapePiece("lower", frozenset({(1, 1)}), entry_block=frozenset(),
+                          exit_block=frozenset({(1, 1)}))
+    assert validate_certificate(s, UnmixedCertificate(ok=True, pieces=(empty, box))) \
+        == (False, "piece has no boxes")
+
+    # (2,2)/(1,0) read as one upper piece: its rows rise downward
+    s = SkewShape((2, 2), (1, 0))
+    piece = PrimeShapePiece("upper", frozenset(boxes_of(s)), entry_block=frozenset({(1, 2)}),
+                            exit_block=frozenset({(2, 1)}))
+    assert validate_certificate(s, UnmixedCertificate(ok=True, pieces=(piece,))) \
+        == (False, "upper piece is not a flush partition diagram")
+
+
+@pytest.mark.parametrize("orientation, boxes, reason", [
+    ("upper", set(), "piece has no boxes"),
+    ("upper", {(1, 1), (1, 2), (3, 1)}, "upper piece is not a flush partition diagram"),  # gap row
+    ("lower", {(1, 2), (3, 1), (3, 2)}, "lower piece is not a flush partition diagram"),  # gap row
+    ("upper", {(1, 1), (1, 3)}, "upper piece is not a flush partition diagram"),  # hole
+    ("lower", {(2, 1), (2, 3)}, "lower piece is not a flush partition diagram"),  # hole
+    ("upper", {(1, 1), (2, 2)}, "upper piece is not a flush partition diagram"),  # not flush left
+    ("lower", {(1, 1), (2, 1), (2, 2)}, "lower piece is not a flush partition diagram"),  # not right
+    ("upper", {(1, 1), (2, 1), (2, 2)}, "upper piece is not a flush partition diagram"),  # rise down
+    ("lower", {(1, 1), (1, 2), (2, 2)}, "lower piece is not a flush partition diagram"),  # rise up
+    ("side", {(1, 1)}, "unknown orientation side"),
+])
+def test_piece_reader_rejects_malformed_pieces(orientation, boxes, reason):
+    piece = PrimeShapePiece(orientation, frozenset(boxes), frozenset(), frozenset())
+    with pytest.raises(ValueError) as err:
+        _piece_as_partition(piece)
+    assert str(err.value) == reason
+
 
 
 def test_certificate_serialization():

@@ -262,6 +262,36 @@ def test_irreducible_decomposition_matches_reference():
             assert not contains_ideal(c, inter), (I.format(), c.format())
 
 
+def small_fillings():
+    """Every filling of a connected shape with <= 5 boxes, weights 1..3."""
+    fillings = [t for s in enumerate_skew_shapes(5, connected_only=True)
+                for t in enumerate_fillings(s, 3)]
+    assert len(fillings) == 5718
+    return fillings
+
+
+def test_to_weighted_graph_matches_validating_constructor():
+    """The graph built straight from the weight rows equals the one that
+    ``WeightedGraph.make`` checks and sorts from named edges: same vertices,
+    same edges in the same order."""
+    for t in small_fillings():
+        s = t.shape
+        names = [f"x{i}" for i in range(1, s.n + 1)] + [f"y{j}" for j in range(1, s.m + 1)]
+        weights = {(f"x{i}", f"y{j}"): w for (i, j), w in t.weights().items()}
+        assert to_weighted_graph(t) == WeightedGraph.make(names, weights), t.to_dict()
+
+
+def test_associated_primes_are_component_supports():
+    """The primes read off the pure-power vectors are the supports of the
+    components that irreducible_decomposition returns."""
+    for t in small_fillings():
+        I = weighted_edge_ideal(to_weighted_graph(t))
+        supports = {frozenset(v for g in c.generators for v, e in zip(I.variables, g) if e)
+                    for c in irreducible_decomposition(I)}
+        assert associated_primes(I) == supports, t.to_dict()
+        assert is_unmixed_ideal(I) == (len({len(p) for p in supports}) == 1), t.to_dict()
+
+
 def test_scm_weighted_oracle_examples():
     assert is_scm_weighted_oracle(wgraph({("x1", "y1"): 5}))
     k22 = wgraph({("x1", "y1"): 1, ("x1", "y2"): 1, ("x2", "y1"): 1, ("x2", "y2"): 1})

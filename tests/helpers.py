@@ -8,8 +8,8 @@ independent to be checked against.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, product
+from typing import Iterator, Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
 from skewtab.classify import _derived, _runs, connected_parts, scm_pivots
@@ -346,6 +346,41 @@ def associated_radical(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
     return radical(colon(ideal, u))
 
 
+def threshold_u_sets_reference(g: WeightedGraph) -> Iterator[frozenset[int]]:
+    """The vertex sets U with sqrt(I(G,w) : x^a) = I(G\\U) + (x_i | i in U).
+
+    Reference for ``skewtab.ideals._threshold_u_sets``: it walks the whole
+    product of candidate exponent vectors, where the package searches the
+    vertices with a frontier of domination states.
+
+    The radical depends on a only through the comparisons a_i < w(i,j) <= a_j,
+    so each coordinate ranges over {0} and the distinct weights incident to
+    that vertex.  Vectors with x^a in the ideal are skipped; each distinct U
+    (as vertex indices) is yielded once, in the order of first appearance.
+    """
+    candidates: list[list[int]] = [[0] for _ in g.vertices]
+    for iu, iv, w in g.edges:
+        for k in (iu, iv):
+            if w not in candidates[k]:
+                candidates[k].append(w)
+    seen: set[frozenset[int]] = set()
+    for a in product(*candidates):
+        u_set = set()
+        for iu, iv, w in g.edges:
+            au, av = a[iu], a[iv]
+            if au >= w and av >= w:
+                break  # x^a lies in I(G, w)
+            if au < w <= av:
+                u_set.add(iu)
+            if av < w <= au:
+                u_set.add(iv)
+        else:
+            key = frozenset(u_set)
+            if key not in seen:
+                seen.add(key)
+                yield key
+
+
 def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
     """All associated radicals of I(G,w), one per threshold U-set.
 
@@ -356,17 +391,18 @@ def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
     """
     nvars = len(g.vertices)
     out = set()
-    for u_set in _threshold_u_sets(g):
+    for u_mask in _threshold_u_sets(g):
         gens = []
         for iu, iv, _ in g.edges:
-            if iu not in u_set and iv not in u_set:
+            if not (u_mask >> iu | u_mask >> iv) & 1:
                 e = [0] * nvars
                 e[iu] = e[iv] = 1
                 gens.append(tuple(e))
-        for i in u_set:
-            e = [0] * nvars
-            e[i] = 1
-            gens.append(tuple(e))
+        for i in range(nvars):
+            if u_mask >> i & 1:
+                e = [0] * nvars
+                e[i] = 1
+                gens.append(tuple(e))
         out.add(MonomialIdeal(g.vertices, frozenset(gens)))
     return frozenset(out)
 
@@ -435,6 +471,56 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
             changed = True
             break
     return result
+
+
+def _in_pure_power(p: tuple[int, ...], support: tuple[tuple[int, int], ...]) -> bool:
+    """Is the monomial with nonzero exponents ``support`` in the ideal of p?"""
+    return any(0 < p[k] <= e for k, e in support)
+
+
+def irreducible_vectors_reference(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """Reference for ``skewtab.ideals._irreducible_vectors``: the same
+    splitting search on exponent tuples, with the redundant leaves dropped
+    by comparing every leaf with every other, where the package compares
+    level bitmasks against the kept leaves only.  It must return the same
+    list in the same order.
+
+    The pure-power vectors p of the irredundant irreducible components,
+    each standing for the ideal (x_k^(p_k) | p_k > 0).  Starting from p = 0,
+    take the first remaining generator not already in (p) and branch once
+    per variable x_k of its support, setting p_k to its exponent there;
+    when every generator lies in (p), p is a leaf.  Leaves containing
+    another leaf are dropped.
+    """
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("irreducible decomposition needs a proper nonzero ideal")
+    nvars = len(ideal.variables)
+    gens = [tuple((k, e) for k, e in enumerate(g) if e) for g in sorted(ideal.generators)]
+    leaves: set[tuple[int, ...]] = set()
+    stack = [((0,) * nvars, 0)]
+    while stack:
+        p, i = stack.pop()
+        while i < len(gens) and _in_pure_power(p, gens[i]):
+            i += 1
+        if i == len(gens):
+            leaves.add(p)
+            continue
+        for k, e in gens[i]:
+            # g is not in (p), so p_k is 0 or above e: the new power is e
+            stack.append((p[:k] + (e,) + p[k + 1:], i + 1))
+
+    # drop leaves containing another leaf: C_c >= C_d iff supp(d) lies in
+    # supp(c) (a bit test) and c_k <= d_k on supp(d)
+    supports = {d: tuple((k, e) for k, e in enumerate(d) if e) for d in leaves}
+    masks = {d: sum(1 << k for k, _ in sd) for d, sd in supports.items()}
+    kept = [c for c in leaves
+            if not any(d != c and not md & ~masks[c]
+                       and all(c[k] <= e for k, e in supports[d])
+                       for d, md in masks.items())]
+    # order as the sorted generator lists: x_k^e sorts before x_j^f iff
+    # k > j, or k == j and e < f
+    kept.sort(key=lambda c: [(-k, e) for k, e in reversed(supports[c])])
+    return kept
 
 
 def _minimal_cover_masks(adj: tuple[int, ...]) -> list[int]:

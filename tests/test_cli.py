@@ -81,6 +81,23 @@ def test_classify_oracle_on_weight_2_square(shape_file, capsys):
                                            "buchsbaum": False, "gcm": True}
 
 
+@pytest.mark.parametrize("filling", [None, {"rows": []}])
+def test_classify_oracle_on_empty_shape(shape_file, capsys, filling):
+    """The empty shape's ideal is zero: no associated primes, so it is
+    unmixed, and every flag holds on the oracle side as on the classifier's,
+    for the bare shape and for its empty filling alike."""
+    argv = ["classify", "--shape", shape_file("s.json", {"lambda": []})]
+    if filling is not None:
+        argv += ["--filling", shape_file("f.json", filling)]
+    code, out, _ = run_cli(capsys, *argv, "--oracle")
+    assert code == 0
+    flags = json.loads(out)["verdicts"]
+    assert flags == dict.fromkeys(("unmixed", "scm", "cm", "buchsbaum", "gcm"), True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert all(json.loads(out)["verdicts"].values())
+
+
 ORACLES = ("from_shape", "is_unmixed_graph", "is_vertex_decomposable", "is_buchsbaum_graph",
            "to_weighted_graph", "weighted_edge_ideal", "is_unmixed_ideal", "is_scm_weighted_oracle")
 

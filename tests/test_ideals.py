@@ -7,11 +7,11 @@ from skewtab import (MonomialIdeal, WeightedGraph, associated_primes,
                      enumerate_fillings, enumerate_skew_shapes,
                      irreducible_decomposition, is_scm_weighted_oracle,
                      is_unmixed_ideal, to_weighted_graph, weighted_edge_ideal)
-from skewtab.ideals import _minimalize
+from skewtab.ideals import _irreducible_vectors, _minimalize, _threshold_u_sets
 
 from helpers import (associated_radical, associated_radicals_weighted, contains,
                      contains_ideal, intersect, irreducible_decomposition_reference,
-                     radical)
+                     irreducible_vectors_reference, radical, threshold_u_sets_reference)
 
 
 def ideal(variables, *gens):
@@ -238,15 +238,20 @@ def test_irreducible_decomposition_matches_reference():
     def components(decomposition, I):
         return {c.generators for c in decomposition(I)}
 
-    edge_ideals = [weighted_edge_ideal(to_weighted_graph(t))
-                   for s in enumerate_skew_shapes(5, connected_only=True)
-                   for t in enumerate_fillings(s, 2)]
-    assert len(edge_ideals) == 826
-    for I in edge_ideals + list(random_ideals()):
+    def edge_ideals(max_boxes, max_weight):
+        return [weighted_edge_ideal(to_weighted_graph(t))
+                for s in enumerate_skew_shapes(max_boxes, connected_only=True)
+                for t in enumerate_fillings(s, max_weight)]
+
+    # w <= 3 gives three weight levels, so a middle level in the masks
+    two_levels, three_levels = edge_ideals(5, 2), edge_ideals(4, 3)
+    assert (len(two_levels), len(three_levels)) == (826, 858)
+    for I in two_levels + three_levels + list(random_ideals()):
         # the edge ideals are built without MonomialIdeal.make: minimal all the same
         assert I.generators == _minimalize(I.generators), I.format()
         assert (components(irreducible_decomposition, I)
                 == components(irreducible_decomposition_reference, I)), I.format()
+        assert _irreducible_vectors(I) == irreducible_vectors_reference(I), I.format()
 
     # irredundancy from the definition: dropping any component enlarges the
     # intersection
@@ -268,6 +273,43 @@ def small_fillings():
                 for t in enumerate_fillings(s, 3)]
     assert len(fillings) == 5718
     return fillings
+
+
+def random_graphs():
+    """Seeded random weighted graphs, bipartite or not: 2 to 6 vertices, 1
+    to 7 edges, weights 1..3."""
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        names = [f"v{k}" for k in range(rng.randint(2, 6))]
+        pairs = [(a, b) for k, a in enumerate(names) for b in names[k + 1:]]
+        edges = rng.sample(pairs, rng.randint(1, min(7, len(pairs))))
+        yield WeightedGraph.make(names, {e: rng.randint(1, 3) for e in edges})
+
+
+def test_threshold_u_sets_match_reference():
+    """The domination search yields each U-set of the product walk once,
+    and no other: on every filling graph with <= 5 boxes and w <= 3 and
+    with <= 6 boxes and w <= 2, and on random graphs, triangles included."""
+    fillings = small_fillings() + [t for s in enumerate_skew_shapes(6, connected_only=True)
+                                   for t in enumerate_fillings(s, 2)]
+    assert len(fillings) == 5718 + 3770
+    randoms = list(random_graphs())
+    for g in [to_weighted_graph(t) for t in fillings] + randoms:
+        got = list(_threshold_u_sets(g))
+        assert len(got) == len(set(got)), g
+        want = {sum(1 << k for k in u_set) for u_set in threshold_u_sets_reference(g)}
+        assert set(got) == want, g
+
+    def has_triangle(g):
+        nbrs = [0] * len(g.vertices)
+        for a, b, _ in g.edges:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        return any(nbrs[a] & nbrs[b] for a, b, _ in g.edges)
+
+    assert sum(map(has_triangle, randoms)) == 939
+    # the edgeless graph: x^a is never in the ideal, and U is always empty
+    assert list(_threshold_u_sets(WeightedGraph.make(("a", "b", "c"), {}))) == [0]
 
 
 def test_to_weighted_graph_matches_validating_constructor():

@@ -125,9 +125,10 @@ def test_verdicts_survive_weight_relabeling():
     <= 6 boxes, w <= 2, under w -> 2w and w -> w + 3, memos cleared.
 
     sqrt(I : x^a) depends on a only through the comparisons of each a_i
-    with the weights of the edges at i (``ideals._threshold_u_sets``).  phi
-    carries the threshold vectors of one filling onto those of the other
-    and keeps every comparison, so both ideals have the same associated
+    with the weights of the edges at i, the threshold vectors that
+    ``helpers.threshold_u_sets_reference`` walks.  phi carries the
+    threshold vectors of one filling onto those of the other and keeps
+    every comparison, so both ideals have the same associated
     radicals, hence the same associated primes and unmixed verdict.  I is
     SCM iff every sqrt(I : x^a) is, and CM is unmixed and SCM.
 

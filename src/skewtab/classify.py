@@ -4,17 +4,17 @@ Each classifier takes a shape and ``rows``: a filling's weight rows, or
 ``None`` for the bare shape (the all-ones filling).  ``is_scm`` runs the
 pendant-pivot deletion recursion for the sequentially Cohen-Macaulay
 property, ``is_unmixed`` the prime-piece test and ``classify_flags`` the
-five flags.  A bare shape's SCM verdict comes from its first pivot alone:
-up to cone points, a pivot's derived shapes are links of vertices of the
-shape's independence complex, and links of an SCM complex are SCM, so on
-an SCM shape every pivot succeeds (proof in ``is_scm``).  Fillings try
-every pivot.  ``unmixed_decomposition`` peels a connected shape into
-alternating prime unmixed pieces glued along shared extremal blocks,
-returning a checkable certificate either way.  No block grid is built: a
-block is a row band (a run of rows with equal (lam_i, mu_i)) times a column
-band, so the decomposition reads the blocks it needs off the bands, and a
-filling is constant on every block iff the rows of each row band and the
-columns of each column band carry equal weights.
+five flags.  Every connected shape or filling gets its SCM verdict from
+its first pivot alone: each threshold set of a derived filling's graph,
+with the deleted lines added, is one of the parent's, so by the theorem
+the weighted oracle rests on, every pivot of an SCM filling succeeds
+(proof in ``is_scm``).  ``unmixed_decomposition`` peels a connected
+shape into alternating prime unmixed pieces glued along shared extremal
+blocks, returning a checkable certificate either way.  No block grid is
+built: a block is a row band (a run of rows with equal (lam_i, mu_i))
+times a column band, so the decomposition reads the blocks it needs off
+the bands, and a filling is constant on every block iff the rows of each
+row band and the columns of each column band carry equal weights.
 
 A shape's ideal is the sum of its components' ideals in disjoint
 variables, so every classifier runs per connected component, each split off
@@ -138,32 +138,37 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     """Sequentially Cohen-Macaulay test by the pendant-pivot recursion.
 
     Empty shapes are vacuously true; disconnected shapes are conjunctions
-    over their components (mixed sums).  A connected shape or filling
-    succeeds iff some pivot (:func:`scm_pivots`) has all of its derived
-    shapes sequentially Cohen-Macaulay.  Memoized on (lam, mu, rows) and on
-    the transpose's key.
+    over their components (mixed sums).  A connected shape or filling is
+    SCM iff its first pivot (:func:`scm_pivots`) has all of its derived
+    shapes sequentially Cohen-Macaulay, and False when it has no pivot.
+    Memoized on (lam, mu, rows) and on the transpose's key.
 
-    A bare shape tries its first pivot only, as every pivot gives the same
-    answer.  Let G be the shape's graph (a vertex per line, an edge per
-    box), so that the ideal's Stanley-Reisner complex is Ind(G).  A pivot
-    is a line x owning a pendant y, N(y) = {x}.  Deleting x leaves
-    G - N[y] = G - x - y plus isolated lines, whose complex is lk(y) up to
-    cone points; stripping N(x) leaves G - N[x] plus isolated lines, which
-    is lk(x) up to cone points.  A cone is SCM iff its base is.
+    Every pivot gives the same answer, so the first one decides.  Let G be
+    the filling's weighted graph (a vertex per line, an edge per box,
+    weighted by the box; a bare shape weighs 1 everywhere).  For x^a
+    outside I(G,w), the threshold set U(a) is the set of vertices u with an
+    edge uv of weight <= a_v and a_u below it, and sqrt(I : x^a) =
+    I(G - U(a)) + (x_U(a)).  The proof rests on the theorem the weighted
+    oracle (``ideals.is_scm_weighted_oracle``) uses: I(G,w) is SCM iff
+    every sqrt(I : x^a) is, that is, iff G - U is vertex decomposable for
+    every threshold set U (bipartite SCM iff vertex decomposable, Van Tuyl
+    2009).  A pivot is a line x owning a pendant y, N(y) = {x}; isolated
+    lines belong to no threshold set and do not change vertex
+    decomposability.
 
-    - SCM shape => every pivot succeeds: links of an SCM complex are SCM.
-      lk(F)^[j] = lk_{D^[j+|F|]}(F) for the pure skeleta D^[j] of D, links
-      of CM complexes are CM (Reisner), and D is SCM iff every D^[j] is CM
-      (Duval 1996; Bjorner-Wachs-Welker 2009).
-    - A pivot succeeds => SCM: x is a shedding vertex, as N[y] is inside
-      N[x] (Woodroofe 2009), so G is vertex decomposable when G - x and
-      G - N[x] are, and a bipartite graph is SCM iff it is vertex
-      decomposable (Van Tuyl 2009).
+    - Level-c child G - Z, Z the neighbours of x of weight <= c: for a
+      threshold vector a' of G - Z with set U', put a_x = max(a'_x, c),
+      a_z = 0 on Z and a' elsewhere.  Beyond a'_x, x dominates only
+      edges into Z, as its other edges weigh more than c, and Z dominates
+      nothing, so x^a is outside I and U(a) = U' + Z.
+    - Line-deletion child G - x: put a_x = 0 and a_y = w(xy).  Only x is
+      newly dominated, so U(a) = U' + {x}.
 
-    Fillings try every pivot.  At a weight level c below a neighbour z of
-    weight w > c, the derived filling keeps the generator (x z)^w where
-    the colon ideal I : x^c has x^(w-c) z^w, so the children are not
-    links, and the first-pivot rule is left unproved there.
+    So every G_child - U' is some G - U, and on an SCM filling every pivot
+    succeeds.  Conversely a succeeding pivot makes the filling SCM, the
+    recursion's soundness; for a bare shape x is a shedding vertex, as
+    N[y] is inside N[x] (Woodroofe 2009), so G is vertex decomposable when
+    G - x and G - N[x] are.
     """
     # a loop, not all() over a generator, which would add a frame per level
     for part in connected_parts(s, rows):
@@ -177,13 +182,10 @@ def _scm_connected(s: SkewShape, rows: Rows) -> bool:
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
-    result = False
     pivots = scm_pivots(s, rows)
-    # a bare shape is decided by its first pivot (proof in is_scm)
-    for piv in pivots[:1] if rows is None else pivots:
-        if all(is_scm(*u) for group in _derived(s, rows, piv) for u in group):
-            result = True
-            break
+    # the first pivot decides (proof in is_scm)
+    result = bool(pivots) and all(is_scm(*u) for group in _derived(s, rows, pivots[0])
+                                  for u in group)
     # The verdict is stored under the transpose's key too.  Every write is
     # such a pair and the transpose is an involution on (lam, mu, rows), so
     # a verdict found for either key is already under this one: one lookup.
@@ -207,16 +209,14 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
     node["pivots"] = [list(p["pivot"]) for p in pivots]
     if not node["scm"]:
         return node
-    for piv in pivots:
-        subs = list(_derived(s, rows, piv))
-        if all(is_scm(*u) for group in subs for u in group):
-            node["pivot"] = list(piv["pivot"])
-            if rows is not None:
-                node["levels"] = piv["levels"]
-            if piv["boundary_case"] is not None:
-                node["case"] = piv["boundary_case"]
-            node["deletions"] = [[scm_trace(*u) for u in group] for group in subs]
-            break
+    # on a True node the first pivot succeeds (proof in is_scm)
+    piv = pivots[0]
+    node["pivot"] = list(piv["pivot"])
+    if rows is not None:
+        node["levels"] = piv["levels"]
+    if piv["boundary_case"] is not None:
+        node["case"] = piv["boundary_case"]
+    node["deletions"] = [[scm_trace(*u) for u in group] for group in _derived(s, rows, piv)]
     return node
 
 

@@ -72,10 +72,14 @@ def brute_minimal_covers(s: SkewShape) -> set[int]:
 def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) -> bool:
     """The pendant-pivot SCM recursion trying every pivot of every shape.
 
-    Reference for ``skewtab.classify.is_scm``, which decides a bare shape by
-    its first pivot alone; fillings take every pivot in both.  The search
-    uses the package's pivots and deletions with its own memo on
-    (lam, mu, rows), never the package's memo or its transpose keys.
+    Reference for ``skewtab.classify.is_scm``, which decides every shape
+    and filling by its first pivot alone: every threshold set of a derived
+    filling's graph, with the deleted lines added, is a threshold set of
+    the parent's, so under the theorem the weighted oracle rests on (I(G,w)
+    is SCM iff G - U is vertex decomposable for every threshold set U) all
+    pivots agree.  The search uses the package's pivots and deletions with
+    its own memo on (lam, mu, rows), never the package's memo or its
+    transpose keys.
     """
     if memo is None:
         memo = {}
@@ -92,6 +96,27 @@ def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) 
 
 def constant_filling(s: SkewShape, w: int = 1) -> SkewTableau:
     return SkewTableau(s, [[w] * (s.lam[i] - s.mu[i]) for i in range(s.n)])
+
+
+def random_connected_filling(rng, boxes: int, max_weight: int, width: int = 4) -> SkewTableau:
+    """A connected filling with exactly ``boxes`` boxes, rows of at most
+    ``width`` boxes and weights drawn from 1..max_weight.  The rows are
+    laid from the bottom up as column intervals; each new row starts
+    within the row below and ends at or right of it, so the two share a
+    column."""
+    first, last = 1, rng.randint(1, min(boxes, width))
+    spans = [(first, last)]
+    left = boxes - last
+    while left:
+        length = min(left, rng.randint(1, width))
+        first = rng.randint(max(first, last - length + 1), last)
+        last = first + length - 1
+        spans.append((first, last))
+        left -= length
+    spans.reverse()
+    shape = SkewShape(tuple(b for _, b in spans), tuple(a - 1 for a, _ in spans))
+    return SkewTableau(shape, [[rng.randint(1, max_weight) for _ in range(a, b + 1)]
+                               for a, b in spans])
 
 
 def polarize(weights: dict[tuple[int, int], int]) -> list[frozenset[str]]:

@@ -1,19 +1,22 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate, classify,
-                     classify_shape, classify_tableau, enumerate_fillings, from_shape,
+from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate, WeightedGraph,
+                     classify, classify_shape, classify_tableau, enumerate_fillings, from_shape,
                      is_saturated, is_scm_skew, is_unmixed_graph, is_unmixed_skew,
-                     is_unmixed_tableau, is_vertex_decomposable, scm_trace, tableau,
-                     unmixed_decomposition, validate_certificate)
+                     is_scm_weighted_oracle, is_unmixed_tableau, is_vertex_decomposable,
+                     scm_trace, tableau, to_weighted_graph, unmixed_decomposition,
+                     validate_certificate)
 from skewtab.classify import (_constant_on_blocks, _derived, _piece_as_partition, clear_caches,
                               is_scm, scm_pivots)
+from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import conjugate_parts
 
 from helpers import (blocks_reference, boxes_of, partitions_up_to, piece_blocks_reference,
-                     scm_all_pivots_reference, shapes_up_to)
+                     random_connected_filling, scm_all_pivots_reference, shapes_up_to)
 
 
 def test_is_saturated_examples():
@@ -86,20 +89,26 @@ def _ribbon(n, width):
 
 
 def test_first_pivot_rule_matches_all_pivot_search():
-    """A bare shape decided by its first pivot gets the verdict of the search
-    over every pivot: on the 38,252 shapes with <= 10 boxes, on staircases
-    and width-2 and width-3 ribbons of 1 to 60 rows, and on the 23,682
-    fillings with <= 5 boxes, w <= 3, whose search is the same in both."""
+    """A shape or filling decided by its first pivot gets the verdict of the
+    search over every pivot: on the 38,252 shapes with <= 10 boxes, on
+    staircases and width-2 and width-3 ribbons of 1 to 60 rows, on the
+    23,682 fillings with <= 5 boxes, w <= 3, and on 200 seeded random
+    connected fillings of 10 to 14 boxes, w <= 6: 100 of them SCM, 175 with
+    two pivots or more, and up to five weight levels on a pivot line."""
     shapes = list(shapes_up_to(10))
     shapes += [f(n) for n in range(1, 61)
                for f in (_staircase, lambda n: _ribbon(n, 2), lambda n: _ribbon(n, 3))]
     instances = [(s, None) for s in shapes]
     instances += [(t.shape, t.rows) for s in shapes_up_to(5) for t in enumerate_fillings(s, 3)]
-    assert len(instances) == 38252 + 180 + 23682
+    rng = random.Random(20261019)
+    fillings = [random_connected_filling(rng, rng.randint(10, 14), 6) for _ in range(200)]
+    instances += [(t.shape, t.rows) for t in fillings]
+    assert len(instances) == 38252 + 180 + 23682 + 200
     clear_caches()
     memo = {}
     for s, rows in instances:
         assert is_scm(s, rows) == scm_all_pivots_reference(s, rows, memo), (s, rows)
+    assert sum(is_scm(t.shape, t.rows) for t in fillings) == 100
 
 
 def test_pivots_of_vertex_decomposable_shapes_derive_vertex_decomposable_shapes():
@@ -114,6 +123,48 @@ def test_pivots_of_vertex_decomposable_shapes_derive_vertex_decomposable_shapes(
     assert (len(shapes), len(derived)) == (1815, 10924)
     for u in derived:
         assert is_vertex_decomposable(from_shape(u)), u
+
+
+def test_pivots_of_scm_fillings_derive_scm_fillings():
+    """The filling twin of the test above, on the weighted oracle: on the
+    794 connected fillings with <= 5 boxes, w <= 2, that
+    ``is_scm_weighted_oracle`` calls SCM, every filling in every group of
+    every pivot is oracle-SCM too (3,016 derived fillings)."""
+    fillings = [t for s in shapes_up_to(5, connected_only=True) for t in enumerate_fillings(s, 2)
+                if is_scm_weighted_oracle(to_weighted_graph(t))]
+    derived = [SkewTableau(*u) for t in fillings for piv in scm_pivots(t.shape, t.rows)
+               for group in _derived(t.shape, t.rows, piv) for u in group]
+    assert (len(fillings), len(derived)) == (794, 3016)
+    for u in derived:
+        assert is_scm_weighted_oracle(to_weighted_graph(u)), u.to_dict()
+
+
+def test_children_threshold_sets_are_parent_threshold_sets():
+    """The combinatorial step of the first-pivot proof (``classify.is_scm``),
+    checked without the theorem: for every pivot of every connected filling
+    with <= 5 boxes, w <= 3, each threshold set U' of a child graph, joined
+    with the lines that child deletes (the pivot line x, or the neighbours
+    Z of x of weight <= c at level c), is a threshold set of the parent
+    graph.  The child graph is the parent's with the edges at the deleted
+    lines removed, on the same vertices; its edges are the boxes of the
+    pivot's derived group."""
+    cases = 0
+    for s in shapes_up_to(5, connected_only=True):
+        for t in enumerate_fillings(s, 3):
+            g = to_weighted_graph(t)
+            parent = set(_threshold_u_sets(g))
+            for piv in scm_pivots(s, t.rows):
+                for (dead_rows, dead_cols), group in zip(piv["deletions"],
+                                                         _derived(s, t.rows, piv)):
+                    dead = sum(1 << (i - 1) for i in dead_rows)
+                    dead |= sum(1 << (s.n + j - 1) for j in dead_cols)
+                    child = WeightedGraph(g.vertices, tuple(
+                        e for e in g.edges if not (dead >> e[0] | dead >> e[1]) & 1))
+                    assert len(child.edges) == sum(sum(u.lam) - sum(u.mu) for u, _ in group)
+                    for u_mask in _threshold_u_sets(child):
+                        assert u_mask | dead in parent, (t.to_dict(), piv["pivot"], u_mask)
+                        cases += 1
+    assert cases == 139412
 
 
 EXPLAIN_554 = {

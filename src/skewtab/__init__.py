@@ -4,9 +4,7 @@ shapes and skew tableau ideals, with brute-force oracles for cross-checking."""
 from .shapes import Component, SkewShape, delete_rows_cols, render
 from .graphs import (BipartiteGraph, from_shape, is_buchsbaum_graph,
                      is_unmixed_graph, is_vertex_decomposable)
-from .ideals import (MonomialIdeal, WeightedGraph, associated_primes,
-                     irreducible_decomposition, is_scm_weighted_oracle,
-                     is_unmixed_ideal, weighted_edge_ideal)
+from .ideals import WeightedGraph, is_scm_weighted_oracle, is_unmixed_ideal
 from .classify import (PrimeShapePiece, ShapeFlags, UnmixedCertificate,
                        classify_shape, is_saturated, is_scm_skew,
                        is_unmixed_skew, scm_trace, unmixed_decomposition,

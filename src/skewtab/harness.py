@@ -39,7 +39,7 @@ from .shapes import Rows, SkewShape
 from .graphs import from_shape, is_buchsbaum_graph, is_unmixed_graph, is_vertex_decomposable
 from .classify import (FLAG_NAMES, classify_shape, conjugate_rows, is_constant_full_square,
                        is_scm_skew, is_unmixed_skew)
-from .ideals import is_scm_weighted_oracle, is_unmixed_ideal, weighted_edge_ideal
+from .ideals import is_scm_weighted_oracle, is_unmixed_ideal
 from .tableau import (SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_tableau,
                       to_weighted_graph)
 
@@ -135,8 +135,7 @@ def oracle_verdicts(x: SkewShape | SkewTableau, props) -> dict[str, bool]:
             if prop == "cm":
                 known[prop] = verdict("unmixed") and verdict("scm")
             elif prop == "unmixed":
-                known[prop] = is_unmixed_ideal(weighted_edge_ideal(g)) if weighted \
-                    else is_unmixed_graph(g)
+                known[prop] = is_unmixed_ideal(g) if weighted else is_unmixed_graph(g)
             elif prop == "scm":
                 known[prop] = is_scm_weighted_oracle(g) if weighted else is_vertex_decomposable(g)
             elif weighted:

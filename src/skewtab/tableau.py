@@ -104,8 +104,8 @@ def to_weighted_graph(t: SkewTableau) -> WeightedGraph:
     """Edge-weighted bipartite graph of the filling (x's then y's).
 
     Box (i, j) of weight w is the edge (i-1, n+j-1, w), listed in row-major
-    box order, the order ``WeightedGraph.make`` sorts into.  The filling was
-    validated when it was built, so nothing is checked again.
+    box order, which is the edges' sorted order.  The filling was validated
+    when it was built, so nothing is checked again.
     """
     s = t.shape
     vertices = [f"x{i}" for i in range(1, s.n + 1)] + [f"y{j}" for j in range(1, s.m + 1)]

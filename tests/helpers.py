@@ -7,14 +7,15 @@ independent to be checked against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
 from skewtab.classify import _derived, _runs, connected_parts, scm_pivots
 from skewtab.graphs import _canonical, _restrict
-from skewtab.ideals import MonomialIdeal, _divides, _minimalize, _threshold_u_sets
+from skewtab.ideals import _threshold_u_sets
 
 
 def boxes_of(s: SkewShape) -> set[tuple[int, int]]:
@@ -334,6 +335,97 @@ def piece_blocks_reference(boxes: set[tuple[int, int]], orientation: str) -> lis
 
 
 # -- monomial ideals: colon, radical, intersection, associated radicals --------
+#
+# Monomials are exponent tuples over an ordered variable list.  Generating
+# sets are stored minimally (no generator divides another).  The unit ideal
+# is represented explicitly by the zero exponent vector.
+# ``MonomialIdeal.make`` checks and minimalizes generators; the weighted edge
+# ideal is minimal as built and skips it.
+
+
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _minimalize(gens: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    gens = set(gens)
+    out = set()
+    for g in sorted(gens, key=sum):
+        if not any(_divides(h, g) for h in out):
+            out.add(g)
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class MonomialIdeal:
+    variables: tuple[str, ...]
+    generators: frozenset[tuple[int, ...]]
+
+    @classmethod
+    def make(cls, variables: Sequence[str], gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
+        variables = tuple(variables)
+        exps = []
+        for g in gens:
+            g = tuple(g)
+            if len(g) != len(variables) or any(e < 0 for e in g):
+                raise ValueError(f"bad exponent vector {g} for {variables}")
+            exps.append(g)
+        return cls(variables, _minimalize(exps))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.generators
+
+    @property
+    def is_unit(self) -> bool:
+        zero = (0,) * len(self.variables)
+        return zero in self.generators
+
+    def format(self) -> str:
+        """Debug format: one generator per line as var^exp tokens."""
+        lines = []
+        for g in sorted(self.generators):
+            toks = [v if e == 1 else f"{v}^{e}"
+                    for v, e in zip(self.variables, g) if e]
+            lines.append(" ".join(toks) if toks else "1")
+        return "\n".join(lines)
+
+
+def make_weighted_graph(vertices: Sequence[str],
+                        weights: Mapping[tuple[str, str], int]) -> WeightedGraph:
+    """A ``WeightedGraph`` from named edges, checked: no loops, no repeated
+    pairs, positive integer weights; the edges sorted."""
+    vertices = tuple(vertices)
+    index = {v: k for k, v in enumerate(vertices)}
+    seen = set()
+    edges = []
+    for (u, v), w in weights.items():
+        if u not in index or v not in index or u == v:
+            raise ValueError(f"bad edge ({u}, {v})")
+        if type(w) is not int or w < 1:
+            raise ValueError(f"edge weight must be a positive integer: {w}")
+        key = frozenset((u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        edges.append((index[u], index[v], w))
+    return WeightedGraph(vertices, tuple(sorted(edges)))
+
+
+def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
+    """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G).
+
+    The generators are minimal as built: ``make_weighted_graph`` rejects
+    loops and repeated pairs and a filling's graph has one x-y edge per box,
+    so they have distinct 2-element supports, and a monomial divides
+    another only if its support lies in the other's.
+    """
+    gens = []
+    for iu, iv, w in g.edges:
+        e = [0] * len(g.vertices)
+        e[iu] = e[iv] = w
+        gens.append(tuple(e))
+    return MonomialIdeal(g.vertices, frozenset(gens))
 
 
 def contains(ideal: MonomialIdeal, monomial: Sequence[int]) -> bool:
@@ -435,9 +527,9 @@ def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
 def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     """Irredundant irreducible components (ideals of pure variable powers).
 
-    Reference for ``skewtab.ideals.irreducible_decomposition``: it splits
-    sets of generators and re-minimalizes them at every node, sharing no
-    logic with the library's pure-power vector recursion.
+    The referee of ``skewtab.ideals.is_unmixed_ideal``: the supports of
+    these components are the associated primes, which the package lists
+    from threshold sets and minimal vertex covers without building an ideal.
 
     Recursive generator splitting: a generator x^a*y^b*... with two or more
     variables splits the ideal as (rest, x^a) and (rest, monomial/x^a).
@@ -496,56 +588,6 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
             changed = True
             break
     return result
-
-
-def _in_pure_power(p: tuple[int, ...], support: tuple[tuple[int, int], ...]) -> bool:
-    """Is the monomial with nonzero exponents ``support`` in the ideal of p?"""
-    return any(0 < p[k] <= e for k, e in support)
-
-
-def irreducible_vectors_reference(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
-    """Reference for ``skewtab.ideals._irreducible_vectors``: the same
-    splitting search on exponent tuples, with the redundant leaves dropped
-    by comparing every leaf with every other, where the package compares
-    level bitmasks against the kept leaves only.  It must return the same
-    list in the same order.
-
-    The pure-power vectors p of the irredundant irreducible components,
-    each standing for the ideal (x_k^(p_k) | p_k > 0).  Starting from p = 0,
-    take the first remaining generator not already in (p) and branch once
-    per variable x_k of its support, setting p_k to its exponent there;
-    when every generator lies in (p), p is a leaf.  Leaves containing
-    another leaf are dropped.
-    """
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("irreducible decomposition needs a proper nonzero ideal")
-    nvars = len(ideal.variables)
-    gens = [tuple((k, e) for k, e in enumerate(g) if e) for g in sorted(ideal.generators)]
-    leaves: set[tuple[int, ...]] = set()
-    stack = [((0,) * nvars, 0)]
-    while stack:
-        p, i = stack.pop()
-        while i < len(gens) and _in_pure_power(p, gens[i]):
-            i += 1
-        if i == len(gens):
-            leaves.add(p)
-            continue
-        for k, e in gens[i]:
-            # g is not in (p), so p_k is 0 or above e: the new power is e
-            stack.append((p[:k] + (e,) + p[k + 1:], i + 1))
-
-    # drop leaves containing another leaf: C_c >= C_d iff supp(d) lies in
-    # supp(c) (a bit test) and c_k <= d_k on supp(d)
-    supports = {d: tuple((k, e) for k, e in enumerate(d) if e) for d in leaves}
-    masks = {d: sum(1 << k for k, _ in sd) for d, sd in supports.items()}
-    kept = [c for c in leaves
-            if not any(d != c and not md & ~masks[c]
-                       and all(c[k] <= e for k, e in supports[d])
-                       for d, md in masks.items())]
-    # order as the sorted generator lists: x_k^e sorts before x_j^f iff
-    # k > j, or k == j and e < f
-    kept.sort(key=lambda c: [(-k, e) for k, e in reversed(supports[c])])
-    return kept
 
 
 def _minimal_cover_masks(adj: tuple[int, ...]) -> list[int]:

@@ -11,8 +11,9 @@ instance counts and wall time.  Criteria:
 4. weighted classifiers == ideal-theoretic oracles on every connected shape
    with <= 6 boxes and every filling with weights in {1, 2}, < 15 min;
 5. structural identities across the enumerated instances;
-6. monomial-ideal engine self-consistency (decomposition membership and the
-   threshold enumeration of associated radicals vs bounded brute force).
+6. the test references for monomial ideals (the irreducible decomposition
+   that referees the weighted unmixed oracle, by membership) and the
+   threshold enumeration of associated radicals vs bounded brute force.
 """
 
 import time
@@ -20,16 +21,16 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from skewtab import (SkewShape, SkewTableau, MonomialIdeal, WeightedGraph,
+from skewtab import (SkewShape, SkewTableau,
                      classify_shape, classify_tableau, crosscheck, enumerate_fillings,
-                     enumerate_skew_shapes, irreducible_decomposition,
-                     is_saturated, is_scm_skew, is_scm_tableau,
+                     enumerate_skew_shapes, is_saturated, is_scm_skew, is_scm_tableau,
                      is_unmixed_skew, is_unmixed_tableau, unmixed_decomposition,
                      validate_certificate)
 from skewtab.shapes import conjugate_parts
 
-from helpers import (associated_radicals_weighted, bfs_connected, constant_filling,
-                     count_components, is_face, partitions_up_to, polarize,
+from helpers import (MonomialIdeal, associated_radicals_weighted, bfs_connected,
+                     constant_filling, count_components, irreducible_decomposition_reference,
+                     is_face, make_weighted_graph, partitions_up_to, polarize,
                      pure_skeleton_link)
 
 
@@ -250,7 +251,7 @@ def test_criterion_6a_decomposition_membership():
         trials += 1
         variables = tuple(f"x{k}" for k in range(nvars))
         ideal = MonomialIdeal.make(variables, [tuple(map(int, g)) for g in gens])
-        comps = irreducible_decomposition(ideal)
+        comps = irreducible_decomposition_reference(ideal)
 
         # membership agrees on the whole exponent box; exponents beyond the
         # generator maximum are equivalent to the clamped ones
@@ -366,7 +367,7 @@ def test_criterion_6b_threshold_radicals_vs_brute_force():
         names = tuple(f"v{k}" for k in range(nv))
         for weight_tuple in product(range(1, maxw + 1), repeat=len(edges)):
             instances += 1
-            g = WeightedGraph.make(
+            g = make_weighted_graph(
                 names, {(names[a], names[b]): w
                         for (a, b), w in zip(edges, weight_tuple)})
             got = {frozenset(sum(1 << k for k, e in enumerate(gen) if e)

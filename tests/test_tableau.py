@@ -7,8 +7,7 @@ from skewtab import classify as classify_module, tableau as tableau_module
 from skewtab import (SkewShape, SkewTableau, TableauError,
                      classify_tableau, enumerate_fillings, is_scm_skew, is_scm_tableau,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
-                     is_unmixed_tableau, scm_trace, to_weighted_graph, validate,
-                     weighted_edge_ideal)
+                     is_unmixed_tableau, scm_trace, to_weighted_graph, validate)
 from skewtab.classify import connected_parts
 
 from helpers import constant_filling, random_connected_filling, shapes_up_to
@@ -98,7 +97,7 @@ def test_scm_tableau_oracle_agreement_small():
         for t in enumerate_fillings(s, 2):
             g = to_weighted_graph(t)
             assert is_scm_tableau(t) == is_scm_weighted_oracle(g), t.to_dict()
-            assert is_unmixed_tableau(t) == is_unmixed_ideal(weighted_edge_ideal(g)), t.to_dict()
+            assert is_unmixed_tableau(t) == is_unmixed_ideal(g), t.to_dict()
 
 
 def test_weight_one_degeneration():

@@ -1,18 +1,23 @@
-"""Bipartite graphs of skew shapes and the squarefree brute-force oracles.
+"""Graphs of skew shapes and fillings, and the squarefree brute-force searches.
 
-``is_unmixed_graph`` is the unmixedness oracle: ``_pure`` checks that all
-minimal vertex covers of the graph have one size, drawing them from the
-generator ``_minimal_covers`` and stopping at the first cover of a second
-size.  ``is_vertex_decomposable`` is the sequential Cohen-Macaulay oracle
-for bipartite graphs.  Both work on neighbour bitmasks.  Minimal covers are
-the complements of maximal independent sets, enumerated once each by
-Bron-Kerbosch with a pivot on an explicit stack.  Vertex decomposability
-follows the definition; a shedding vertex v is recognised by a short
-search for an independent set at distance 2 from v that dominates N(v)
-(Woodroofe 2009), not by enumerating covers.  ``is_buchsbaum_graph``, the
-Buchsbaum/generalized CM oracle, runs both on every vertex link.
-Everything here is definitional and independent of the combinatorial
-classifiers, so the two routes can referee each other.
+A ``WeightedGraph`` is a graph on the vertices 0..nverts-1 with a positive
+integer weight on every edge.  ``from_shape`` builds the one of a shape or a
+filling: box (i, j) is the edge x_i y_j, with x_i the vertex i-1 and y_j the
+vertex n+j-1, weighted by the filling or by 1; a bare shape is its all-ones
+filling.  Everything else reads the neighbour bitmasks of ``_adjacency``.
+
+``_pure`` checks that all minimal vertex covers have one size, drawing them
+from the generator ``_minimal_covers`` and stopping at the first cover of a
+second size.  Minimal covers are the complements of maximal independent
+sets, enumerated once each by Bron-Kerbosch with a pivot on an explicit
+stack.  ``_vd`` decides vertex decomposability by the definition; a
+shedding vertex v is recognised by a short search for an independent set at
+distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
+covers.  The unmixed and SCM oracles of :mod:`skewtab.ideals` rest on both,
+and ``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle of a bare
+shape, runs both on every vertex link.  Everything here is definitional and
+independent of the combinatorial classifiers, so the two routes can referee
+each other.
 """
 
 from __future__ import annotations
@@ -20,37 +25,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import SkewShape
+from .shapes import Rows, SkewShape
+
 
 @dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph on x_1..x_n and y_1..y_m; isolated vertices allowed."""
+class WeightedGraph:
+    """Simple graph on the vertices 0..nverts-1 with a positive integer
+    weight on every edge.
 
-    n: int
-    m: int
-    edges: frozenset[tuple[int, int]]  # (i, j) meaning {x_i, y_j}
+    Built unchecked: ``from_shape`` makes one edge per box of a validated
+    shape or filling, so there are no loops and no repeated pairs.
+    """
 
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.m):
-                raise ValueError(f"edge ({i},{j}) out of range")
+    nverts: int
+    edges: tuple[tuple[int, int, int], ...]  # (u, v, weight)
 
 
-def from_shape(s: SkewShape) -> BipartiteGraph:
-    """Skew Ferrers graph: one edge x_i y_j per box (i, j)."""
-    return BipartiteGraph(n=s.n, m=s.m, edges=frozenset(s.boxes()))
+def from_shape(s: SkewShape, rows: Rows = None) -> WeightedGraph:
+    """Skew Ferrers graph of a shape, or of its filling with weight rows
+    ``rows``: box (i, j) is the edge (i-1, n+j-1) of weight rows[i-1][k] for
+    the box's position k in its row, or 1 when ``rows`` is None.  The edges
+    come in row-major box order, which is their sorted order."""
+    n = s.n
+    return WeightedGraph(n + s.m, tuple(
+        (i, n + j, 1 if rows is None else rows[i][j - s.mu[i]])
+        for i in range(n) for j in range(s.mu[i], s.lam[i])))
 
 
 # -- bitmask core ----------------------------------------------------------
 
 
-def _adjacency(g: BipartiteGraph) -> tuple[int, ...]:
-    """Neighbor bitmasks; vertices 0..n-1 are x's, n..n+m-1 are y's."""
-    adj = [0] * (g.n + g.m)
-    for i, j in g.edges:
-        a, b = i - 1, g.n + j - 1
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+def _adjacency(g: WeightedGraph) -> tuple[int, ...]:
+    """Neighbour bitmasks of G, weights dropped."""
+    adj = [0] * g.nverts
+    for u, v, _ in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return tuple(adj)
 
 
@@ -215,18 +225,10 @@ def _pure(adj: tuple[int, ...]) -> bool:
     return all(c.bit_count() == size for c in covers)
 
 
-def is_unmixed_graph(g: BipartiteGraph) -> bool:
-    """True iff all minimal vertex covers have the same cardinality."""
-    return _pure(_adjacency(g))
-
-
-def is_vertex_decomposable(g: BipartiteGraph) -> bool:
-    return _vd(_adjacency(g))
-
-
-def is_buchsbaum_graph(g: BipartiteGraph) -> bool:
+def is_buchsbaum_graph(g: WeightedGraph) -> bool:
     """Whether S/I(G) is Buchsbaum, which for a squarefree ideal is the same
-    as generalized Cohen-Macaulay.
+    as generalized Cohen-Macaulay; the weights are not read, so this is the
+    oracle of a bare shape.
 
     Schenzel (1981): a Stanley-Reisner ring is Buchsbaum iff its complex is
     pure and the link of every vertex is CM.  In Ind(G) the link of v is

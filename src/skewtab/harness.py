@@ -36,12 +36,11 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .shapes import Rows, SkewShape
-from .graphs import from_shape, is_buchsbaum_graph, is_unmixed_graph, is_vertex_decomposable
+from .graphs import from_shape, is_buchsbaum_graph
 from .classify import (FLAG_NAMES, classify_shape, conjugate_rows, is_constant_full_square,
                        is_scm_skew, is_unmixed_skew)
 from .ideals import is_scm_weighted_oracle, is_unmixed_ideal
-from .tableau import (SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_tableau,
-                      to_weighted_graph)
+from .tableau import SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_tableau
 
 
 def enumerate_skew_shapes(max_boxes: int, connected_only: bool = False) -> Iterator[SkewShape]:
@@ -127,7 +126,7 @@ def oracle_verdicts(x: SkewShape | SkewTableau, props) -> dict[str, bool]:
     if not set(props) <= set(FLAG_NAMES):
         raise ValueError(f"property must be one of {FLAG_NAMES}")
     weighted = isinstance(x, SkewTableau)
-    g = to_weighted_graph(x) if weighted else from_shape(x)  # every flag needs it
+    g = from_shape(x.shape, x.rows) if weighted else from_shape(x)  # every flag needs it
     known: dict[str, bool] = {}
 
     def verdict(prop: str) -> bool:
@@ -135,9 +134,9 @@ def oracle_verdicts(x: SkewShape | SkewTableau, props) -> dict[str, bool]:
             if prop == "cm":
                 known[prop] = verdict("unmixed") and verdict("scm")
             elif prop == "unmixed":
-                known[prop] = is_unmixed_ideal(g) if weighted else is_unmixed_graph(g)
+                known[prop] = is_unmixed_ideal(g)
             elif prop == "scm":
-                known[prop] = is_scm_weighted_oracle(g) if weighted else is_vertex_decomposable(g)
+                known[prop] = is_scm_weighted_oracle(g)
             elif weighted:
                 # Buchsbaum/gCM of a filling: the oracle's cm, or the
                 # classifier's square rule, which no disconnected filling

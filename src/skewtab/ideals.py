@@ -1,10 +1,11 @@
 """Weighted edge ideals: the threshold sets of their associated radicals
-and the weighted brute-force oracles.
+and the unmixed and SCM brute-force oracles.
 
-A ``WeightedGraph`` carries its edges as (index of u, index of v, weight)
-triples, so no oracle maps names again.  I(G,w) is generated by the
-(x_u x_v)^w over its edges.  No oracle builds an ideal: both read one
-neighbour-bitmask adjacency of G and the threshold sets below.
+Every instance is a ``graphs.WeightedGraph``, a bare shape being its
+all-ones filling, and I(G,w) is generated by the (x_u x_v)^w over its
+edges.  No oracle builds an ideal: both read G's neighbour bitmasks and the
+threshold sets below.  When every weight is 1, I(G) is squarefree and both
+oracles decide on G alone, without the threshold sets.
 
 Each associated radical of I(G,w) is I(G - U) + (x_i | i in U) for a
 threshold set U, and ``_threshold_u_sets`` finds the sets U, as vertex
@@ -21,31 +22,9 @@ C of every G - U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import _minimal_covers, _pure, _restrict, _vd
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Simple graph with a positive integer weight on every edge.
-
-    Built unchecked: ``tableau.to_weighted_graph`` makes one edge per box of
-    a validated filling, so there are no loops and no repeated pairs.
-    """
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (index of u, index of v, w), u and v as given
-
-
-def _adjacency(g: WeightedGraph) -> tuple[int, ...]:
-    """Neighbour bitmasks of G, weights dropped."""
-    adj = [0] * len(g.vertices)
-    for iu, iv, _ in g.edges:
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
-    return tuple(adj)
+from .graphs import WeightedGraph, _adjacency, _minimal_covers, _pure, _restrict, _vd
 
 
 def _threshold_u_sets(g: WeightedGraph) -> Iterator[int]:
@@ -69,8 +48,8 @@ def _threshold_u_sets(g: WeightedGraph) -> Iterator[int]:
     to the edge's weight.  States are deduplicated after each vertex, as
     equal states have equal completions.
     """
-    n = len(g.vertices)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    n = g.nverts
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for iu, iv, w in g.edges:
         nbrs[iu].append((w, iv))
         nbrs[iv].append((w, iu))
@@ -121,37 +100,42 @@ def is_unmixed_ideal(g: WeightedGraph) -> bool:
     every threshold set U and every such C.
 
     U = {} gives Min(I), the minimal covers of G, so they fix that number,
-    and a G whose minimal covers have two sizes is mixed at once.  An
-    edgeless G, the empty filling's included, gives the zero ideal, whose
-    one prime is (0): unmixed.
+    and a G whose minimal covers have two sizes is mixed at once.  When
+    every weight is 1, as for a bare shape, I = I(G) is squarefree, hence
+    radical, so Ass(I) = Min(I) and ``_pure`` alone decides.  An edgeless G,
+    the empty filling's included, gives the zero ideal, whose one prime is
+    (0): unmixed.
     """
     adj = _adjacency(g)
+    if all(w == 1 for _, _, w in g.edges):
+        return _pure(adj)
     size = next(_minimal_covers(adj)).bit_count()
     return _pure(adj) and all(u.bit_count() + c.bit_count() == size
                               for u in _threshold_u_sets(g) if u
                               for c in _minimal_covers(_restrict(adj, ~u)))
 
 
-def _bipartition(g: WeightedGraph) -> None:
-    """Raise unless the graph is bipartite (2-colorable)."""
-    color: dict[int, int] = {}
-    nbr: list[list[int]] = [[] for _ in g.vertices]
-    for iu, iv, _ in g.edges:
-        nbr[iu].append(iv)
-        nbr[iv].append(iu)
-    for root in range(len(g.vertices)):
-        if root in color:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in nbr[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    raise ValueError("graph is not bipartite")
+def _bipartition(adj: tuple[int, ...]) -> None:
+    """Raise unless the graph is bipartite (2-colorable).
+
+    Each component is walked in breadth-first layers from its lowest
+    vertex; the layers alternate in colour, and an edge inside a layer is
+    an odd cycle.
+    """
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        layer = unseen & -unseen
+        while layer:
+            unseen &= ~layer
+            nxt = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt |= adj[low.bit_length() - 1]
+            if nxt & layer:
+                raise ValueError("graph is not bipartite")
+            layer = nxt & unseen
 
 
 def is_scm_weighted_oracle(g: WeightedGraph) -> bool:
@@ -160,7 +144,17 @@ def is_scm_weighted_oracle(g: WeightedGraph) -> bool:
     Every associated radical of I(G,w) is the edge ideal of an induced
     subgraph plus variables; the ideal is SCM iff each of those induced
     subgraphs is vertex decomposable.  G - U is G's adjacency masked by U.
+
+    When every weight is 1, as for a bare shape, x^a lies outside I(G)
+    exactly when the support S of a is independent, and then U = N(S).  In
+    G - N(S) the vertices of S are isolated and the rest is G - N[S], so
+    Ind(G - N(S)) is the link of S in Ind(G) coned over S.  U = {} gives G
+    itself, and links of a vertex decomposable complex are vertex
+    decomposable (Provan-Billera 1980), as are cones over them, so ``_vd``
+    of G alone decides.
     """
-    _bipartition(g)
-    base = _adjacency(g)
-    return all(_vd(_restrict(base, ~u_mask)) for u_mask in _threshold_u_sets(g))
+    adj = _adjacency(g)
+    _bipartition(adj)
+    if all(w == 1 for _, _, w in g.edges):
+        return _vd(adj)
+    return all(_vd(_restrict(adj, ~u_mask)) for u_mask in _threshold_u_sets(g))

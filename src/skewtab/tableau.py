@@ -15,7 +15,6 @@ from typing import Iterable, Mapping
 from .shapes import SkewShape, delete_rows_cols, render
 from .classify import (ShapeFlags, classify_flags, clear_caches, conjugate_rows, is_scm,
                        is_unmixed)
-from .ideals import WeightedGraph
 
 
 class TableauError(ValueError):
@@ -98,19 +97,6 @@ def validate(t: SkewTableau) -> None:
         for w in row:
             if type(w) is not int or w < 1:
                 raise TableauError(f"weight {w!r} in row {i} is not a positive integer")
-
-
-def to_weighted_graph(t: SkewTableau) -> WeightedGraph:
-    """Edge-weighted bipartite graph of the filling (x's then y's).
-
-    Box (i, j) of weight w is the edge (i-1, n+j-1, w), listed in row-major
-    box order, which is the edges' sorted order.  The filling was validated
-    when it was built, so nothing is checked again.
-    """
-    s = t.shape
-    vertices = [f"x{i}" for i in range(1, s.n + 1)] + [f"y{j}" for j in range(1, s.m + 1)]
-    edges = ((i, s.n + s.mu[i] + k, w) for i, row in enumerate(t.rows) for k, w in enumerate(row))
-    return WeightedGraph(tuple(vertices), tuple(edges))
 
 
 # -- classifiers -------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
 from skewtab.classify import _derived, _runs, connected_parts, scm_pivots
-from skewtab.graphs import _canonical, _restrict
+from skewtab.graphs import _adjacency, _canonical, _minimal_covers, _pure, _restrict, _vd
 from skewtab.ideals import _threshold_u_sets
 
 
@@ -394,7 +394,8 @@ class MonomialIdeal:
 def make_weighted_graph(vertices: Sequence[str],
                         weights: Mapping[tuple[str, str], int]) -> WeightedGraph:
     """A ``WeightedGraph`` from named edges, checked: no loops, no repeated
-    pairs, positive integer weights; the edges sorted."""
+    pairs, positive integer weights; the edges sorted.  The k-th name is
+    vertex k."""
     vertices = tuple(vertices)
     index = {v: k for k, v in enumerate(vertices)}
     seen = set()
@@ -409,11 +410,17 @@ def make_weighted_graph(vertices: Sequence[str],
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
         edges.append((index[u], index[v], w))
-    return WeightedGraph(vertices, tuple(sorted(edges)))
+    return WeightedGraph(len(vertices), tuple(sorted(edges)))
 
 
-def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
-    """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G).
+def vertex_names(g: WeightedGraph) -> tuple[str, ...]:
+    """The variable names v0, v1, ... of G's vertices."""
+    return tuple(f"v{k}" for k in range(g.nverts))
+
+
+def weighted_edge_ideal(g: WeightedGraph, names: Sequence[str] | None = None) -> MonomialIdeal:
+    """I(G,w) = ((x_u x_v)^w(u,v) over the edges of G), in the variables
+    ``names``, one per vertex (default :func:`vertex_names`).
 
     The generators are minimal as built: ``make_weighted_graph`` rejects
     loops and repeated pairs and a filling's graph has one x-y edge per box,
@@ -422,10 +429,10 @@ def weighted_edge_ideal(g: WeightedGraph) -> MonomialIdeal:
     """
     gens = []
     for iu, iv, w in g.edges:
-        e = [0] * len(g.vertices)
+        e = [0] * g.nverts
         e[iu] = e[iv] = w
         gens.append(tuple(e))
-    return MonomialIdeal(g.vertices, frozenset(gens))
+    return MonomialIdeal(tuple(names or vertex_names(g)), frozenset(gens))
 
 
 def contains(ideal: MonomialIdeal, monomial: Sequence[int]) -> bool:
@@ -475,7 +482,7 @@ def threshold_u_sets_reference(g: WeightedGraph) -> Iterator[frozenset[int]]:
     that vertex.  Vectors with x^a in the ideal are skipped; each distinct U
     (as vertex indices) is yielded once, in the order of first appearance.
     """
-    candidates: list[list[int]] = [[0] for _ in g.vertices]
+    candidates: list[list[int]] = [[0] for _ in range(g.nverts)]
     for iu, iv, w in g.edges:
         for k in (iu, iv):
             if w not in candidates[k]:
@@ -499,14 +506,15 @@ def threshold_u_sets_reference(g: WeightedGraph) -> Iterator[frozenset[int]]:
 
 
 def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
-    """All associated radicals of I(G,w), one per threshold U-set.
+    """All associated radicals of I(G,w), one per threshold U-set, in the
+    variables :func:`vertex_names`.
 
     The generators are minimal as built: x_u x_v for the edges with u, v not
     in U, which are distinct squarefree pairs, and x_i for i in U.  x_i
     cannot divide such an x_u x_v, as i is neither u nor v, and a degree-2
     monomial cannot divide a variable.
     """
-    nvars = len(g.vertices)
+    nvars = g.nverts
     out = set()
     for u_mask in _threshold_u_sets(g):
         gens = []
@@ -520,8 +528,27 @@ def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
                 e = [0] * nvars
                 e[i] = 1
                 gens.append(tuple(e))
-        out.add(MonomialIdeal(g.vertices, frozenset(gens)))
+        out.add(MonomialIdeal(vertex_names(g), frozenset(gens)))
     return frozenset(out)
+
+
+def unmixed_walk_reference(g: WeightedGraph) -> bool:
+    """``skewtab.ideals.is_unmixed_ideal`` with no early exit: |U| + |C|
+    checked over every threshold set U and minimal cover C of G - U, also
+    when every weight is 1."""
+    adj = _adjacency(g)
+    size = next(_minimal_covers(adj)).bit_count()
+    return _pure(adj) and all(u.bit_count() + c.bit_count() == size
+                              for u in _threshold_u_sets(g) if u
+                              for c in _minimal_covers(_restrict(adj, ~u)))
+
+
+def scm_walk_reference(g: WeightedGraph) -> bool:
+    """``skewtab.ideals.is_scm_weighted_oracle`` with no early exit: G - U
+    vertex decomposable for every threshold set U, also when every weight
+    is 1."""
+    adj = _adjacency(g)
+    return all(_vd(_restrict(adj, ~u)) for u in _threshold_u_sets(g))
 
 
 def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialIdeal]:

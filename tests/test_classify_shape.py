@@ -6,10 +6,9 @@ import pytest
 
 from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate, WeightedGraph,
                      classify, classify_shape, classify_tableau, enumerate_fillings, from_shape,
-                     is_saturated, is_scm_skew, is_unmixed_graph, is_unmixed_skew,
-                     is_scm_weighted_oracle, is_unmixed_tableau, is_vertex_decomposable,
-                     scm_trace, tableau, to_weighted_graph, unmixed_decomposition,
-                     validate_certificate)
+                     is_saturated, is_scm_skew, is_unmixed_ideal, is_unmixed_skew,
+                     is_scm_weighted_oracle, is_unmixed_tableau, scm_trace, tableau,
+                     unmixed_decomposition, validate_certificate)
 from skewtab.classify import (_constant_on_blocks, _derived, _piece_as_partition, clear_caches,
                               is_scm, scm_pivots)
 from skewtab.ideals import _threshold_u_sets
@@ -59,7 +58,7 @@ def test_interior_pendant_shape():
     assert pivots == {("col", 2)}
     assert all(p["boundary_case"] is None for p in scm_pivots(s))
     assert is_scm_skew(s)
-    assert is_vertex_decomposable(from_shape(s))
+    assert is_scm_weighted_oracle(from_shape(s))
 
 
 def test_scm_conjugation_invariance():
@@ -75,7 +74,7 @@ def test_scm_conjugation_invariance():
 
 def test_scm_matches_vertex_decomposability():
     for s in shapes_up_to(7):
-        assert is_scm_skew(s) == is_vertex_decomposable(from_shape(s)), s
+        assert is_scm_skew(s) == is_scm_weighted_oracle(from_shape(s)), s
 
 
 def _staircase(n):
@@ -117,12 +116,12 @@ def test_pivots_of_vertex_decomposable_shapes_derive_vertex_decomposable_shapes(
     vertex decomposable, every shape in every group of every pivot is
     vertex decomposable too (10,924 derived shapes)."""
     shapes = [s for s in shapes_up_to(10, connected_only=True)
-              if is_vertex_decomposable(from_shape(s))]
+              if is_scm_weighted_oracle(from_shape(s))]
     derived = [u for s in shapes for piv in scm_pivots(s)
                for group in _derived(s, None, piv) for u, _ in group]
     assert (len(shapes), len(derived)) == (1815, 10924)
     for u in derived:
-        assert is_vertex_decomposable(from_shape(u)), u
+        assert is_scm_weighted_oracle(from_shape(u)), u
 
 
 def test_pivots_of_scm_fillings_derive_scm_fillings():
@@ -131,12 +130,12 @@ def test_pivots_of_scm_fillings_derive_scm_fillings():
     ``is_scm_weighted_oracle`` calls SCM, every filling in every group of
     every pivot is oracle-SCM too (3,016 derived fillings)."""
     fillings = [t for s in shapes_up_to(5, connected_only=True) for t in enumerate_fillings(s, 2)
-                if is_scm_weighted_oracle(to_weighted_graph(t))]
+                if is_scm_weighted_oracle(from_shape(t.shape, t.rows))]
     derived = [SkewTableau(*u) for t in fillings for piv in scm_pivots(t.shape, t.rows)
                for group in _derived(t.shape, t.rows, piv) for u in group]
     assert (len(fillings), len(derived)) == (794, 3016)
     for u in derived:
-        assert is_scm_weighted_oracle(to_weighted_graph(u)), u.to_dict()
+        assert is_scm_weighted_oracle(from_shape(u.shape, u.rows)), u.to_dict()
 
 
 def test_children_threshold_sets_are_parent_threshold_sets():
@@ -151,14 +150,14 @@ def test_children_threshold_sets_are_parent_threshold_sets():
     cases = 0
     for s in shapes_up_to(5, connected_only=True):
         for t in enumerate_fillings(s, 3):
-            g = to_weighted_graph(t)
+            g = from_shape(s, t.rows)
             parent = set(_threshold_u_sets(g))
             for piv in scm_pivots(s, t.rows):
                 for (dead_rows, dead_cols), group in zip(piv["deletions"],
                                                          _derived(s, t.rows, piv)):
                     dead = sum(1 << (i - 1) for i in dead_rows)
                     dead |= sum(1 << (s.n + j - 1) for j in dead_cols)
-                    child = WeightedGraph(g.vertices, tuple(
+                    child = WeightedGraph(g.nverts, tuple(
                         e for e in g.edges if not (dead >> e[0] | dead >> e[1]) & 1))
                     assert len(child.edges) == sum(sum(u.lam) - sum(u.mu) for u, _ in group)
                     for u_mask in _threshold_u_sets(child):
@@ -254,7 +253,7 @@ def test_is_unmixed_skew_examples():
 
 def test_unmixed_matches_cover_oracle():
     for s in shapes_up_to(8):
-        assert is_unmixed_skew(s) == is_unmixed_graph(from_shape(s)), s
+        assert is_unmixed_skew(s) == is_unmixed_ideal(from_shape(s)), s
 
 
 def test_unmixed_conjugation_invariance():
@@ -410,7 +409,7 @@ def test_cm_flag_matches_oracles():
     for s in shapes_up_to(7, connected_only=True):
         flags = classify_shape(s)
         g = from_shape(s)
-        assert flags.cm == (is_unmixed_graph(g) and is_vertex_decomposable(g)), s
+        assert flags.cm == (is_unmixed_ideal(g) and is_scm_weighted_oracle(g)), s
 
 
 @pytest.mark.parametrize("lam, mu, flags", [

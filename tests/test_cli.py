@@ -98,14 +98,13 @@ def test_classify_oracle_on_empty_shape(shape_file, capsys, filling):
     assert all(json.loads(out)["verdicts"].values())
 
 
-ORACLES = ("from_shape", "is_unmixed_graph", "is_vertex_decomposable", "is_buchsbaum_graph",
-           "to_weighted_graph", "is_unmixed_ideal", "is_scm_weighted_oracle")
+ORACLES = ("from_shape", "is_unmixed_ideal", "is_scm_weighted_oracle", "is_buchsbaum_graph")
 
 
 @pytest.mark.parametrize("filling, want", [
-    (None, {"from_shape": 1, "is_unmixed_graph": 1, "is_vertex_decomposable": 1,
+    (None, {"from_shape": 1, "is_unmixed_ideal": 1, "is_scm_weighted_oracle": 1,
             "is_buchsbaum_graph": 1}),
-    ({"rows": [[2, 2], [2, 2]]}, {"to_weighted_graph": 1, "is_unmixed_ideal": 1,
+    ({"rows": [[2, 2], [2, 2]]}, {"from_shape": 1, "is_unmixed_ideal": 1,
                                   "is_scm_weighted_oracle": 1}),
 ])
 def test_classify_oracle_runs_each_oracle_once(shape_file, capsys, monkeypatch, filling, want):

@@ -2,20 +2,22 @@ import random
 import sys
 import time
 
-import pytest
-
-from skewtab import (SkewShape, from_shape, is_buchsbaum_graph,
-                     is_unmixed_graph, is_vertex_decomposable)
-from skewtab.graphs import (BipartiteGraph, _adjacency, _is_shedding,
-                            _minimal_covers, _vd, clear_caches)
+from skewtab import (SkewShape, WeightedGraph, from_shape, is_buchsbaum_graph,
+                     is_scm_weighted_oracle, is_unmixed_ideal)
+from skewtab.graphs import _adjacency, _is_shedding, _minimal_covers, _vd, clear_caches
 
 from helpers import (_minimal_cover_masks, brute_minimal_covers,
                      is_shedding_reference, shapes_up_to, vd_reference)
 
 
+def bipartite(n, m, edges):
+    """The graph with every weight 1 on x_1..x_n and y_1..y_m (vertices 0..n-1
+    and n..n+m-1) with an edge x_i y_j per pair (i, j) of ``edges``."""
+    return WeightedGraph(n + m, tuple(sorted((i - 1, n + j - 1, 1) for i, j in edges)))
+
+
 def complete_bipartite(n, m):
-    return BipartiteGraph(n, m, frozenset((i, j) for i in range(1, n + 1)
-                                          for j in range(1, m + 1)))
+    return bipartite(n, m, ((i, j) for i in range(1, n + 1) for j in range(1, m + 1)))
 
 
 def covers(g):
@@ -25,23 +27,19 @@ def covers(g):
 
 
 def test_from_shape_edges():
-    assert from_shape(SkewShape((2, 1))).edges == {(1, 1), (1, 2), (2, 1)}
+    # x1, x2, y1, y2 are the vertices 0..3; boxes (1,1), (1,2), (2,1)
+    assert from_shape(SkewShape((2, 1))).edges == ((0, 2, 1), (0, 3, 1), (1, 2, 1))
     assert from_shape(SkewShape((2, 2))) == complete_bipartite(2, 2)
     # edge count equals box count
     s = SkewShape((5, 4, 4), (2, 1, 0))
     assert len(from_shape(s).edges) == len(s.boxes()) == 10
 
 
-def test_edge_bounds_checked():
-    with pytest.raises(ValueError):
-        BipartiteGraph(1, 1, frozenset({(1, 2)}))
-
-
 def test_minimal_vertex_covers_examples():
     # {x1, x2} and {y1, y2}
     assert covers(complete_bipartite(2, 2)) == {0b0011, 0b1100}
     # {x1} and {y1, y2}
-    star = BipartiteGraph(1, 2, frozenset({(1, 1), (1, 2)}))
+    star = bipartite(1, 2, {(1, 1), (1, 2)})
     assert covers(star) == {0b001, 0b110}
     sizes = {c.bit_count() for c in covers(from_shape(SkewShape((3, 2))))}
     assert sizes == {2, 3}
@@ -73,14 +71,14 @@ def test_minimal_covers_match_reference_with_isolated_vertices():
         edges = frozenset((i, j) for i in range(1, n + 1) for j in range(1, m + 1)
                           if rng.random() < 0.4)
         # x_{n+1} and y_{m+1} are isolated, and so may be others
-        adj = _adjacency(BipartiteGraph(n + 1, m + 1, edges))
+        adj = _adjacency(bipartite(n + 1, m + 1, edges))
         _assert_covers_match_reference(adj)
 
 
 def test_edgeless_graph_has_only_the_empty_cover():
-    edgeless = BipartiteGraph(2, 3, frozenset())
+    edgeless = WeightedGraph(5, ())
     assert list(_minimal_covers(_adjacency(edgeless))) == [0]
-    assert is_unmixed_graph(edgeless)
+    assert is_unmixed_ideal(edgeless)
 
 
 def test_deep_star_covers_without_recursion():
@@ -88,10 +86,10 @@ def test_deep_star_covers_without_recursion():
     stack, so the default recursion limit is enough."""
     assert sys.getrecursionlimit() <= 1000
     leaves = ((1 << 2000) - 1) << 1  # y_1..y_2000
-    star = BipartiteGraph(1, 2000, frozenset((1, j) for j in range(1, 2001)))
+    star = bipartite(1, 2000, ((1, j) for j in range(1, 2001)))
     start = time.perf_counter()
     assert covers(star) == {0b1, leaves}
-    assert not is_unmixed_graph(star)
+    assert not is_unmixed_ideal(star)
     assert time.perf_counter() - start < 2.0
 
 
@@ -133,31 +131,27 @@ def test_vd_matches_reference():
 
 
 def test_is_unmixed_graph():
-    assert is_unmixed_graph(complete_bipartite(2, 2))
-    assert not is_unmixed_graph(from_shape(SkewShape((3, 2))))
-    assert is_unmixed_graph(from_shape(SkewShape((6, 6, 6, 6, 2, 2), (5, 4, 1, 1, 1, 0))))
+    assert is_unmixed_ideal(complete_bipartite(2, 2))
+    assert not is_unmixed_ideal(from_shape(SkewShape((3, 2))))
+    assert is_unmixed_ideal(from_shape(SkewShape((6, 6, 6, 6, 2, 2), (5, 4, 1, 1, 1, 0))))
 
 
 def test_vertex_decomposable_examples():
-    assert not is_vertex_decomposable(complete_bipartite(2, 2))
-    assert is_vertex_decomposable(BipartiteGraph(2, 3, frozenset()))
-    assert is_vertex_decomposable(from_shape(SkewShape((3, 3, 2, 1))))
+    assert not is_scm_weighted_oracle(complete_bipartite(2, 2))
+    assert is_scm_weighted_oracle(WeightedGraph(5, ()))
+    assert is_scm_weighted_oracle(from_shape(SkewShape((3, 3, 2, 1))))
 
 
 def test_complete_bipartite_never_vd():
     for n in range(2, 5):
         for m in range(2, 5):
-            assert not is_vertex_decomposable(complete_bipartite(n, m))
+            assert not is_scm_weighted_oracle(complete_bipartite(n, m))
 
 
 def test_vd_conjugation_invariance():
     for s in shapes_up_to(7, connected_only=True):
-        assert (is_vertex_decomposable(from_shape(s))
-                == is_vertex_decomposable(from_shape(s.conjugate())))
-
-
-def _shift(edges, dx, dy):
-    return {(i + dx, j + dy) for i, j in edges}
+        assert (is_scm_weighted_oracle(from_shape(s))
+                == is_scm_weighted_oracle(from_shape(s.conjugate())))
 
 
 def test_disjoint_union_properties():
@@ -165,14 +159,14 @@ def test_disjoint_union_properties():
     for a in pieces:
         for b in pieces:
             ga, gb = from_shape(a), from_shape(b)
-            union = BipartiteGraph(
-                ga.n + gb.n, ga.m + gb.m,
-                frozenset(ga.edges | _shift(gb.edges, ga.n, ga.m)))
-            assert is_vertex_decomposable(union) == (
-                is_vertex_decomposable(ga) and is_vertex_decomposable(gb))
+            k = ga.nverts  # gb's vertices follow ga's
+            union = WeightedGraph(k + gb.nverts,
+                                  ga.edges + tuple((u + k, v + k, w) for u, v, w in gb.edges))
+            assert is_scm_weighted_oracle(union) == (
+                is_scm_weighted_oracle(ga) and is_scm_weighted_oracle(gb))
             sizes_a = {c.bit_count() for c in covers(ga)}
             sizes_b = {c.bit_count() for c in covers(gb)}
-            assert is_unmixed_graph(union) == (len(sizes_a) == 1 and len(sizes_b) == 1)
+            assert is_unmixed_ideal(union) == (len(sizes_a) == 1 and len(sizes_b) == 1)
 
 
 def test_is_buchsbaum_graph_examples():
@@ -180,6 +174,6 @@ def test_is_buchsbaum_graph_examples():
     copies or a copy beside an edge are not (their rings are not CM), and a
     path on four vertices is CM; (3,2) is not even unmixed."""
     assert is_buchsbaum_graph(complete_bipartite(2, 2))
-    assert is_buchsbaum_graph(BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 2)})))
+    assert is_buchsbaum_graph(bipartite(2, 2, {(1, 1), (1, 2), (2, 2)}))
     for lam, mu in (((4, 4, 2, 2), (2, 2, 0, 0)), ((3, 3, 1), (1, 1, 0)), ((3, 2), (0, 0))):
         assert not is_buchsbaum_graph(from_shape(SkewShape(lam, mu))), (lam, mu)

@@ -4,7 +4,8 @@ from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, class
                      classify_tableau, crosscheck, enumerate_fillings, enumerate_skew_shapes,
                      harness)
 from skewtab.classify import FLAG_NAMES
-from skewtab.graphs import clear_caches, from_shape, is_unmixed_graph
+from skewtab.graphs import clear_caches, from_shape
+from skewtab.ideals import is_unmixed_ideal
 
 from helpers import (boxes_of, constant_filling, enumerate_skew_shapes_reference,
                      shape_from_boxes)
@@ -291,12 +292,13 @@ def test_oracle_runs_once_per_orbit(monkeypatch, pools, jobs):
     workers: each worker's memo sees whole orbits."""
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     shapes = list(enumerate_skew_shapes(6))
-    for name, kwargs, instances in (
-            ("is_vertex_decomposable", {"max_boxes": 6}, [constant_filling(s) for s in shapes]),
-            ("is_scm_weighted_oracle", {"max_boxes": 4, "weighted": True}, small_fillings())):
-        calls = []
-        oracle = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda g, oracle=oracle: calls.append(g) or oracle(g))
+    calls = []
+    oracle = harness.is_scm_weighted_oracle
+    monkeypatch.setattr(harness, "is_scm_weighted_oracle", lambda g: calls.append(g) or oracle(g))
+    for kwargs, instances in (
+            ({"max_boxes": 6}, [constant_filling(s) for s in shapes]),
+            ({"max_boxes": 4, "weighted": True}, small_fillings())):
+        calls.clear()
         report = crosscheck("scm", jobs=jobs, **kwargs)
         assert report.ok and report.instances == len(instances)
         assert len(calls) == orbit_count(instances) < len(instances)
@@ -387,7 +389,7 @@ def test_wrong_component_verdict_reported_wherever_it_applies(monkeypatch, cold_
         UnmixedCertificate(ok=False, reason="made wrong") if s == wrong else real(s)))
     report = crosscheck("unmixed", 6)
     want = [s.to_dict() for s in enumerate_skew_shapes(6)
-            if wrong in [c.shape for c in s.components()] and is_unmixed_graph(from_shape(s))]
+            if wrong in [c.shape for c in s.components()] and is_unmixed_ideal(from_shape(s))]
     assert len(want) > 1
     assert [d["instance"] for d in report.disagreements] == sorted(want, key=str)
     assert all(not d["classifier"] and d["oracle"] for d in report.disagreements)

@@ -4,16 +4,16 @@ from itertools import product
 
 import pytest
 
-from skewtab import (WeightedGraph, enumerate_fillings, enumerate_skew_shapes,
-                     is_scm_weighted_oracle, is_unmixed_ideal, to_weighted_graph)
-from skewtab.graphs import _minimal_covers, _pure, _restrict
-from skewtab.ideals import _adjacency, _threshold_u_sets
+from skewtab import (SkewShape, SkewTableau, WeightedGraph, enumerate_fillings,
+                     enumerate_skew_shapes, from_shape, is_scm_weighted_oracle, is_unmixed_ideal)
+from skewtab.graphs import _adjacency, _minimal_covers, _pure, _restrict, clear_caches
+from skewtab.ideals import _threshold_u_sets
 
 from helpers import (MonomialIdeal, _minimalize, associated_radical,
                      associated_radicals_weighted, contains,
                      contains_ideal, intersect, irreducible_decomposition_reference,
-                     make_weighted_graph, radical, threshold_u_sets_reference,
-                     weighted_edge_ideal)
+                     make_weighted_graph, radical, scm_walk_reference, shapes_up_to,
+                     threshold_u_sets_reference, unmixed_walk_reference, weighted_edge_ideal)
 
 
 def ideal(variables, *gens):
@@ -21,8 +21,15 @@ def ideal(variables, *gens):
 
 
 def wgraph(weights):
+    """The graph of named edges, its vertices in sorted name order."""
     verts = sorted({v for e in weights for v in e})
     return make_weighted_graph(verts, weights)
+
+
+def shape_names(s: SkewShape) -> tuple[str, ...]:
+    """x1..xn, y1..ym: the names of the vertices of ``from_shape(s)``."""
+    return (tuple(f"x{i}" for i in range(1, s.n + 1))
+            + tuple(f"y{j}" for j in range(1, s.m + 1)))
 
 
 # the tests below decompose the same small edge ideals more than once
@@ -50,7 +57,7 @@ def brute_radicals(g: WeightedGraph) -> set[MonomialIdeal]:
     I = weighted_edge_ideal(g)
     cap = max(w for _, _, w in g.edges)
     out = set()
-    for a in product(range(cap + 1), repeat=len(g.vertices)):
+    for a in product(range(cap + 1), repeat=g.nverts):
         if not contains(I, a):
             out.add(associated_radical(I, a))
     return out
@@ -92,9 +99,8 @@ def test_weighted_edge_ideal():
 
 def test_weighted_edge_ideal_paper_filling():
     # the worked filling of (5,4,4)/(2,1,0): ten boxes, ten generators
-    from skewtab import SkewShape, SkewTableau, to_weighted_graph
     t = SkewTableau(SkewShape((5, 4, 4), (2, 1, 0)), [[2, 3, 1], [2, 2, 1], [2, 2, 4, 3]])
-    I = weighted_edge_ideal(to_weighted_graph(t))
+    I = weighted_edge_ideal(from_shape(t.shape, t.rows), shape_names(t.shape))
     assert len(I.generators) == 10
     vars_ = I.variables
     def gen(x, y, w):
@@ -211,15 +217,11 @@ def test_associated_primes_examples():
 
 def test_associated_primes_of_edge_ideal_are_cover_complements():
     # minimal primes of a squarefree edge ideal = minimal vertex covers
-    from skewtab import SkewShape, from_shape
-    from skewtab.graphs import _adjacency as shape_adjacency
     s = SkewShape((3, 2))
-    I = weighted_edge_ideal(wgraph({(f"x{i}", f"y{j}"): 1
-                                    for (i, j) in from_shape(s).edges}))
-    primes = reference_primes(I)
-    names = [f"x{i}" for i in range(1, s.n + 1)] + [f"y{j}" for j in range(1, s.m + 1)]
+    g, names = from_shape(s), shape_names(s)
+    primes = reference_primes(weighted_edge_ideal(g, names))
     covers = {frozenset(v for k, v in enumerate(names) if (cover >> k) & 1)
-              for cover in _minimal_covers(shape_adjacency(from_shape(s)))}
+              for cover in _minimal_covers(_adjacency(g))}
     assert primes == covers
 
 
@@ -237,7 +239,7 @@ def test_is_unmixed_ideal_examples():
     assert is_unmixed_ideal(wgraph({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1}))
     mixed = wgraph({("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 1})
     assert not is_unmixed_ideal(mixed)
-    assert frozenset({"a", "b", "d"}) in reference_primes(weighted_edge_ideal(mixed))
+    assert frozenset({"a", "b", "d"}) in reference_primes(weighted_edge_ideal(mixed, "abcd"))
 
 
 def random_ideals():
@@ -265,7 +267,8 @@ def test_intersection_of_components_is_ideal():
 
 
 def filling_graphs(max_boxes: int, max_weight: int) -> list[WeightedGraph]:
-    return [to_weighted_graph(t) for s in enumerate_skew_shapes(max_boxes, connected_only=True)
+    return [from_shape(t.shape, t.rows)
+            for s in enumerate_skew_shapes(max_boxes, connected_only=True)
             for t in enumerate_fillings(s, max_weight)]
 
 
@@ -328,14 +331,14 @@ def test_threshold_u_sets_match_reference():
                                    for t in enumerate_fillings(s, 2)]
     assert len(fillings) == 5718 + 3770
     randoms = list(random_graphs())
-    for g in [to_weighted_graph(t) for t in fillings] + randoms:
+    for g in [from_shape(t.shape, t.rows) for t in fillings] + randoms:
         got = list(_threshold_u_sets(g))
         assert len(got) == len(set(got)), g
         want = {sum(1 << k for k in u_set) for u_set in threshold_u_sets_reference(g)}
         assert set(got) == want, g
 
     def has_triangle(g):
-        nbrs = [0] * len(g.vertices)
+        nbrs = [0] * g.nverts
         for a, b, _ in g.edges:
             nbrs[a] |= 1 << b
             nbrs[b] |= 1 << a
@@ -346,15 +349,19 @@ def test_threshold_u_sets_match_reference():
     assert list(_threshold_u_sets(make_weighted_graph(("a", "b", "c"), {}))) == [0]
 
 
-def test_to_weighted_graph_matches_validating_constructor():
+def test_from_shape_matches_validating_constructor():
     """The graph built straight from the weight rows equals the one that
     ``make_weighted_graph`` checks and sorts from named edges: same
-    vertices, same edges in the same order."""
+    vertices, same edges in the same order.  On every filling with <= 5
+    boxes and w <= 3, and on every shape with <= 5 boxes, disconnected ones
+    included, as its all-ones filling."""
     for t in small_fillings():
-        s = t.shape
-        names = [f"x{i}" for i in range(1, s.n + 1)] + [f"y{j}" for j in range(1, s.m + 1)]
         weights = {(f"x{i}", f"y{j}"): w for (i, j), w in t.weights().items()}
-        assert to_weighted_graph(t) == make_weighted_graph(names, weights), t.to_dict()
+        assert (from_shape(t.shape, t.rows)
+                == make_weighted_graph(shape_names(t.shape), weights)), t.to_dict()
+    for s in shapes_up_to(5):
+        weights = {(f"x{i}", f"y{j}"): 1 for i, j in s.boxes()}
+        assert from_shape(s) == make_weighted_graph(shape_names(s), weights), s
 
 
 def test_associated_primes_are_component_supports():
@@ -363,12 +370,13 @@ def test_associated_primes_are_component_supports():
     supports of the reference's components, and the oracle's verdict is
     theirs: on every filling with <= 5 boxes and w <= 3."""
     for t in small_fillings():
-        g = to_weighted_graph(t)
+        g = from_shape(t.shape, t.rows)
         adj = _adjacency(g)
-        primes = {frozenset(v for k, v in enumerate(g.vertices) if (u | c) >> k & 1)
+        I = weighted_edge_ideal(g)
+        primes = {frozenset(v for k, v in enumerate(I.variables) if (u | c) >> k & 1)
                   for u in _threshold_u_sets(g)
                   for c in _minimal_covers(_restrict(adj, ~u))}
-        supports = reference_primes(weighted_edge_ideal(g))
+        supports = reference_primes(I)
         assert primes == supports, t.to_dict()
         assert is_unmixed_ideal(g) == (len({len(p) for p in supports}) == 1), t.to_dict()
 
@@ -393,8 +401,8 @@ def test_unmixed_oracle_matches_reference():
             assert is_unmixed_ideal(g) == want, g
             seen += _pure(_adjacency(g)) and not want
         assert seen == pure_but_mixed
-    assert is_unmixed_ideal(WeightedGraph((), ()))
-    assert is_unmixed_ideal(WeightedGraph(("a", "b"), ()))
+    assert is_unmixed_ideal(WeightedGraph(0, ()))
+    assert is_unmixed_ideal(WeightedGraph(2, ()))
 
 
 def test_scm_weighted_oracle_examples():
@@ -403,3 +411,57 @@ def test_scm_weighted_oracle_examples():
     assert not is_scm_weighted_oracle(k22)
     with pytest.raises(ValueError):
         is_scm_weighted_oracle(wgraph({("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1}))
+
+
+def random_all_ones_graphs():
+    """Seeded random bipartite graphs with every weight 1: x's 0..n-1 and
+    y's n..n+m-1, each x-y pair an edge with probability 0.4, and an
+    isolated vertex on each side."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        edges = tuple((i, n + 1 + j, 1) for i in range(n) for j in range(m)
+                      if rng.random() < 0.4)
+        yield WeightedGraph(n + m + 2, edges)
+
+
+def test_all_ones_exits_match_threshold_walk():
+    """When every weight is 1 the unmixed oracle decides by ``_pure`` and
+    the SCM oracle by ``_vd`` of G alone, as their docstrings prove; here
+    both equal the full threshold-set walk, with no exit: on the 400
+    shapes with <= 6 boxes, disconnected ones included, and on 300 random
+    bipartite graphs with isolated vertices (edgeless ones included).  Each
+    verdict takes both values on each set, so an exit that returns a
+    constant fails."""
+    clear_caches()
+    shapes = list(shapes_up_to(6))
+    randoms = list(random_all_ones_graphs())
+    assert len(shapes) == 400
+    for graphs in ([from_shape(s) for s in shapes], randoms):
+        verdicts = set()
+        for g in graphs:
+            unmixed, scm = unmixed_walk_reference(g), scm_walk_reference(g)
+            assert is_unmixed_ideal(g) == unmixed, g
+            assert is_scm_weighted_oracle(g) == scm, g
+            verdicts.add((unmixed, scm))
+        assert {u for u, _ in verdicts} == {s for _, s in verdicts} == {False, True}
+
+
+@pytest.mark.parametrize("weights", [1, 2])
+def test_scm_oracle_rejects_odd_cycles(weights):
+    """The triangle and the 5-cycle are not bipartite, with every weight 1
+    or with weights 1 and 2 mixed, so the oracle raises; the 4-cycle and
+    the 6-cycle are, alone or beside an isolated vertex, and get a verdict:
+    not SCM, as G - U = G for U = {} is a 4- or 6-cycle, and of the cycles
+    only C_3 and C_5 are SCM (Francisco-Van Tuyl 2007)."""
+    def cycle(length, nverts):
+        return WeightedGraph(nverts, tuple(
+            (k, (k + 1) % length, 1 if k % 2 or weights == 1 else weights)
+            for k in range(length)))
+
+    for length in (3, 5):
+        with pytest.raises(ValueError, match="not bipartite"):
+            is_scm_weighted_oracle(cycle(length, length))
+    for length in (4, 6):
+        for nverts in (length, length + 1):
+            assert is_scm_weighted_oracle(cycle(length, nverts)) is False

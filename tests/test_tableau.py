@@ -5,9 +5,9 @@ import pytest
 
 from skewtab import classify as classify_module, tableau as tableau_module
 from skewtab import (SkewShape, SkewTableau, TableauError,
-                     classify_tableau, enumerate_fillings, is_scm_skew, is_scm_tableau,
+                     classify_tableau, enumerate_fillings, from_shape, is_scm_skew, is_scm_tableau,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
-                     is_unmixed_tableau, scm_trace, to_weighted_graph, validate)
+                     is_unmixed_tableau, scm_trace, validate)
 from skewtab.classify import connected_parts
 
 from helpers import constant_filling, random_connected_filling, shapes_up_to
@@ -83,7 +83,7 @@ def test_is_scm_tableau_yellow_variant_is_actually_mixed():
     disconnected."""
     variant = SkewTableau(EXAMPLE_SHAPE, [[2, 3, 1], [2, 2, 1], [3, 2, 4, 3]])
     assert is_scm_tableau(variant) is False
-    assert is_scm_weighted_oracle(to_weighted_graph(variant)) is False
+    assert is_scm_weighted_oracle(from_shape(variant.shape, variant.rows)) is False
 
 
 def test_single_row_tableaux_always_scm():
@@ -95,7 +95,7 @@ def test_single_row_tableaux_always_scm():
 def test_scm_tableau_oracle_agreement_small():
     for s in shapes_up_to(5, connected_only=True):
         for t in enumerate_fillings(s, 2):
-            g = to_weighted_graph(t)
+            g = from_shape(t.shape, t.rows)
             assert is_scm_tableau(t) == is_scm_weighted_oracle(g), t.to_dict()
             assert is_unmixed_tableau(t) == is_unmixed_ideal(g), t.to_dict()
 

@@ -4,17 +4,18 @@ Each classifier takes a shape and ``rows``: a filling's weight rows, or
 ``None`` for the bare shape (the all-ones filling).  ``is_scm`` runs the
 pendant-pivot deletion recursion for the sequentially Cohen-Macaulay
 property, ``is_unmixed`` the prime-piece test and ``classify_flags`` the
-five flags.  Every connected shape or filling gets its SCM verdict from
-its first pivot alone: each threshold set of a derived filling's graph,
-with the deleted lines added, is one of the parent's, so by the theorem
-the weighted oracle rests on, every pivot of an SCM filling succeeds
-(proof in ``is_scm``).  ``unmixed_decomposition`` peels a connected
-shape into alternating prime unmixed pieces glued along shared extremal
-blocks, returning a checkable certificate either way.  No block grid is
-built: a block is a row band (a run of rows with equal (lam_i, mu_i))
-times a column band, so the decomposition reads the blocks it needs off
-the bands, and a filling is constant on every block iff the rows of each
-row band and the columns of each column band carry equal weights.
+five flags.  Every connected shape or filling gets its SCM verdict from its
+first pivot alone: each threshold set of a derived filling's graph, with
+the deleted lines added, is one of the parent's, so by the theorem the
+weighted oracle rests on, every pivot of an SCM filling succeeds (proof in
+``is_scm``).  ``scm_pivots`` yields the pivots lazily, so the recursion
+builds the first pivot's deletions alone.  ``unmixed_decomposition`` peels a
+connected shape into alternating prime unmixed pieces glued along shared
+extremal blocks, returning a checkable certificate either way.  No block
+grid is built: a block is a row band (a run of rows with equal (lam_i,
+mu_i)) times a column band, so the decomposition reads the blocks it needs
+off the bands, and a filling is constant on every block iff the rows of
+each row band and the columns of each column band carry equal weights.
 
 A shape's ideal is the sum of its components' ideals in disjoint
 variables, so every classifier runs per connected component, each split off
@@ -68,9 +69,9 @@ def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
     if rows is None:
         return None
     mu, lamc, muc = s.mu, s.lam_conj(), s.mu_conj()
-    return tuple(tuple(rows[i - 1][j - mu[i - 1] - 1]
-                       for i in range(muc[j - 1] + 1, lamc[j - 1] + 1))
-                 for j in range(1, s.m + 1))
+    # 0-based row i and column j
+    return tuple([tuple([rows[i][j - mu[i]] for i in range(muc[j], lamc[j])])
+                  for j in range(s.m)])
 
 
 def _as_dict(s: SkewShape, rows: Rows) -> dict:
@@ -85,7 +86,7 @@ def _as_dict(s: SkewShape, rows: Rows) -> dict:
 _scm_cache: dict[tuple, bool] = {}
 
 
-def scm_pivots(s: SkewShape, rows: Rows = None) -> list[dict]:
+def scm_pivots(s: SkewShape, rows: Rows = None) -> Iterator[dict]:
     """Deletion pivots for the SCM recursion of a connected shape or filling.
 
     A pivot is a row or column owning a pendant neighbor: a column j some of
@@ -99,32 +100,36 @@ def scm_pivots(s: SkewShape, rows: Rows = None) -> list[dict]:
     rows 1/n and columns 1/m give the four boundary cases (labeled 1-4 in
     traces); interior pendants are needed as well, e.g. for
     (3,3,2,2,2)/(1,1,1,0,0), whose only pendant row sits at column 2.
+
+    A generator: the boundary cases come first, in order 1-4, then the
+    interior rows and the interior columns, each in ascending order.  A
+    pivot's deletion sets are built only when it is reached, so the
+    recursion, which uses the first pivot alone, builds no others.
     """
     lam, mu = s.lam, s.mu
     lamc, muc = s.lam_conj(), s.mu_conj()
-    pivots = []
-
-    def add(kind, line, case, nbhd, weights) -> None:
+    lines = [("row", i, 1 if i == 1 else (4 if i == s.n else None))
+             for i in sorted({lamc[j] for j in range(s.m) if lamc[j] - muc[j] == 1})]
+    lines += [("col", j, 2 if j == s.m else (3 if j == 1 else None))
+              for j in sorted({lam[i] for i in range(s.n) if lam[i] - mu[i] == 1})]
+    for kind, line, case in sorted(lines, key=lambda p: p[2] or 5):
+        row = kind == "row"
+        if row:
+            nbhd = range(mu[line - 1] + 1, lam[line - 1] + 1)
+            weights = None if rows is None else rows[line - 1]
+        else:
+            nbhd = range(muc[line - 1] + 1, lamc[line - 1] + 1)
+            weights = None if rows is None else [rows[i - 1][line - mu[i - 1] - 1]
+                                                 for i in nbhd]
         if weights is None:
             levels, cuts = [1], [set(nbhd)]
         else:
             levels = sorted(set(weights))
             cuts = [{k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
-        row = kind == "row"
         deletions = [({line}, set()) if row else (set(), {line})]
         deletions += [(set(), cut) if row else (cut, set()) for cut in cuts]
-        pivots.append({"pivot": (kind, line), "boundary_case": case, "levels": levels,
-                       "deletions": deletions})
-
-    for i in sorted({lamc[j] for j in range(s.m) if lamc[j] - muc[j] == 1}):
-        add("row", i, 1 if i == 1 else (4 if i == s.n else None),
-            range(mu[i - 1] + 1, lam[i - 1] + 1), None if rows is None else rows[i - 1])
-    for j in sorted({lam[i] for i in range(s.n) if lam[i] - mu[i] == 1}):
-        nbhd = range(muc[j - 1] + 1, lamc[j - 1] + 1)
-        add("col", j, 2 if j == s.m else (3 if j == 1 else None), nbhd,
-            None if rows is None else [rows[i - 1][j - mu[i - 1] - 1] for i in nbhd])
-    # boundary cases 1-4 first, then interior pivots (case None) as found
-    return sorted(pivots, key=lambda p: p["boundary_case"] or 5)
+        yield {"pivot": (kind, line), "boundary_case": case, "levels": levels,
+               "deletions": deletions}
 
 
 def _derived(s: SkewShape, rows: Rows, piv: dict):
@@ -182,10 +187,10 @@ def _scm_connected(s: SkewShape, rows: Rows) -> bool:
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
-    pivots = scm_pivots(s, rows)
+    piv = next(scm_pivots(s, rows), None)
     # the first pivot decides (proof in is_scm)
-    result = bool(pivots) and all(is_scm(*u) for group in _derived(s, rows, pivots[0])
-                                  for u in group)
+    result = piv is not None and all(is_scm(*u) for group in _derived(s, rows, piv)
+                                     for u in group)
     # The verdict is stored under the transpose's key too.  Every write is
     # such a pair and the transpose is an involution on (lam, mu, rows), so
     # a verdict found for either key is already under this one: one lookup.
@@ -205,7 +210,7 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
     if len(parts) > 1:
         node["components"] = [scm_trace(*part) for part in parts]
         return node
-    pivots = scm_pivots(s, rows)
+    pivots = list(scm_pivots(s, rows))
     node["pivots"] = [list(p["pivot"]) for p in pivots]
     if not node["scm"]:
         return node

@@ -13,8 +13,11 @@ sets, enumerated once each by Bron-Kerbosch with a pivot on an explicit
 stack.  ``_vd`` decides vertex decomposability by the definition; a
 shedding vertex v is recognised by a short search for an independent set at
 distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
-covers.  The unmixed and SCM oracles of :mod:`skewtab.ideals` rest on both,
-and ``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle of a bare
+covers.  ``_vd_cache`` memoizes it on the relabelled graph, and
+``_vd_minus_cache`` on an adjacency and a removed vertex mask U, for the
+SCM oracle's many G - U; ``clear_caches`` empties both.  The unmixed and
+SCM oracles of :mod:`skewtab.ideals` rest on both searches, and
+``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle of a bare
 shape, runs both on every vertex link.  Everything here is definitional and
 independent of the combinatorial classifiers, so the two routes can referee
 each other.
@@ -164,6 +167,8 @@ def _restrict(adj: tuple[int, ...], keep: int) -> tuple[int, ...]:
 
 
 _vd_cache: dict[tuple[int, ...], bool] = {}
+# adjacency -> U bitmask -> _vd(_restrict(adj, ~U))
+_vd_minus_cache: dict[tuple[int, ...], dict[int, bool]] = {}
 
 
 def _canonical(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -213,6 +218,7 @@ def _vd(adj: tuple[int, ...]) -> bool:
 
 def clear_caches() -> None:
     _vd_cache.clear()
+    _vd_minus_cache.clear()
 
 
 # -- public oracle surface --------------------------------------------------

@@ -2,10 +2,11 @@
 
 The enumerator streams every normal-form skew shape up to a box budget
 exactly once (conjugates both included).  It grows a shape row by row and
-enters only the row prefixes that can still be completed within the
-budget and, for connected shapes only, that are connected.
-``classifier_verdict`` and ``oracle_verdict`` give the classifier's and
-the brute-force oracle's verdict on one of the five flags of a shape or a
+enters only the row prefixes that can still be completed within the budget
+and, for connected shapes only, that are connected.  A shape's fillings are
+built unchecked, their tuple rows sliced from each weight product.
+``classifier_verdict`` and ``oracle_verdict`` give the classifier's and the
+brute-force oracle's verdict on one of the five flags of a shape or a
 filling; ``oracle_verdict`` is the one-flag form of ``oracle_verdicts``,
 which ``classify --oracle`` calls for all five and which runs each oracle
 once.  The cross-check compares the two sides over all instances in bounds
@@ -31,7 +32,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from multiprocessing import Pool
 from typing import Iterator
 
@@ -79,10 +80,11 @@ def enumerate_fillings(s: SkewShape, max_weight: int) -> Iterator[SkewTableau]:
         raise ValueError("max_weight must be >= 1")
     if s.is_empty:
         return
-    sizes = [s.lam[i] - s.mu[i] for i in range(s.n)]
-    for combo in product(range(1, max_weight + 1), repeat=sum(sizes)):
-        it = iter(combo)
-        yield SkewTableau(s, [[next(it) for _ in range(k)] for k in sizes])
+    ends = list(accumulate(s.lam[i] - s.mu[i] for i in range(s.n)))
+    spans = list(zip([0] + ends, ends))
+    trusted = SkewTableau._trusted
+    for combo in product(range(1, max_weight + 1), repeat=ends[-1]):
+        yield trusted(s, tuple([combo[a:b] for a, b in spans]))
 
 
 @dataclass

@@ -15,16 +15,17 @@ dominated from both ends, and otherwise U is the union of the dominated
 neighbourhoods.  So the search carries, per vertex not yet placed, a cap:
 the least weight of its edges already dominated from the other end, below
 which its exponent must stay.  The oracles mask the adjacency by each U to
-get G - U: the SCM oracle asks that every G - U be vertex decomposable, the
-unmixed oracle that |U| + |C| be one number over the minimal vertex covers
-C of every G - U.
+get G - U: the SCM oracle asks that every G - U be vertex decomposable
+(memoized per adjacency and U), the unmixed oracle that |U| + |C| be one
+number over the minimal vertex covers C of every G - U.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import WeightedGraph, _adjacency, _minimal_covers, _pure, _restrict, _vd
+from .graphs import (WeightedGraph, _adjacency, _minimal_covers, _pure, _restrict, _vd,
+                     _vd_minus_cache)
 
 
 def _threshold_u_sets(g: WeightedGraph) -> Iterator[int]:
@@ -57,12 +58,18 @@ def _threshold_u_sets(g: WeightedGraph) -> Iterator[int]:
     states: dict[tuple[int, tuple[int, ...]], None] = {(0, (free,) * n): None}
     for v in range(n):
         # per exponent c of v: the neighbours it dominates, and the caps it
-        # lowers as (position among the later vertices, weight)
-        options = []
-        for c in sorted({0}.union(w for w, _ in nbrs[v])):
-            dominated = sum(1 << z for w, z in nbrs[v] if w <= c)
-            lowered = [(z - v - 1, w) for w, z in nbrs[v] if w <= c and z > v]
-            options.append((c, dominated, lowered))
+        # lowers as (position among the later vertices, weight); built in
+        # one pass over the neighbours by weight, closing an option per weight
+        options = [(0, 0, ())]
+        reach = 0
+        drops: list[tuple[int, int]] = []
+        nb = sorted(nbrs[v])
+        for k, (w, z) in enumerate(nb):
+            reach |= 1 << z
+            if z > v:
+                drops.append((z - v - 1, w))
+            if k + 1 == len(nb) or nb[k + 1][0] != w:
+                options.append((w, reach, tuple(drops)))
         nxt: dict[tuple[int, tuple[int, ...]], None] = {}
         for u_mask, caps in states:
             cap, rest = caps[0], caps[1:]
@@ -109,10 +116,11 @@ def is_unmixed_ideal(g: WeightedGraph) -> bool:
     adj = _adjacency(g)
     if all(w == 1 for _, _, w in g.edges):
         return _pure(adj)
-    size = next(_minimal_covers(adj)).bit_count()
-    return _pure(adj) and all(u.bit_count() + c.bit_count() == size
-                              for u in _threshold_u_sets(g) if u
-                              for c in _minimal_covers(_restrict(adj, ~u)))
+    covers = _minimal_covers(adj)  # one walk for the size and G's purity
+    size = next(covers).bit_count()
+    return all(c.bit_count() == size for c in covers) and all(
+        u.bit_count() + c.bit_count() == size
+        for u in _threshold_u_sets(g) if u for c in _minimal_covers(_restrict(adj, ~u)))
 
 
 def _bipartition(adj: tuple[int, ...]) -> None:
@@ -152,9 +160,21 @@ def is_scm_weighted_oracle(g: WeightedGraph) -> bool:
     itself, and links of a vertex decomposable complex are vertex
     decomposable (Provan-Billera 1980), as are cones over them, so ``_vd``
     of G alone decides.
+
+    Otherwise each verdict VD(G - U) is memoized on G's adjacency, then U
+    (``graphs._vd_minus_cache``), which is sound as G - U is a function of
+    the two.  The fillings of one shape share an adjacency, and their
+    threshold sets repeat, so a hit skips building G - U at all.
     """
     adj = _adjacency(g)
     _bipartition(adj)
     if all(w == 1 for _, _, w in g.edges):
         return _vd(adj)
-    return all(_vd(_restrict(adj, ~u_mask)) for u_mask in _threshold_u_sets(g))
+    memo = _vd_minus_cache.setdefault(adj, {})
+    for u_mask in _threshold_u_sets(g):
+        vd = memo.get(u_mask)
+        if vd is None:
+            vd = memo[u_mask] = _vd(_restrict(adj, ~u_mask))
+        if not vd:
+            return False
+    return True

@@ -4,7 +4,9 @@ A tableau is a shape plus a positive integer weight per box.  Its
 classifiers are those of :mod:`skewtab.classify` run with the filling's
 weight rows, which set the SCM recursion's cuts and add block constancy and
 monotonicity to the unmixed test.  They share the SCM and unmixed memos,
-which ``clear_caches`` (re-exported here) empties.
+which ``clear_caches`` (re-exported here) empties.  ``SkewTableau(...)``
+and ``from_dict`` validate their input; the fillings that the harness
+enumerates from a valid shape are built unchecked by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ class SkewTableau:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         validate(self)
+
+    @classmethod
+    def _trusted(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
+        """The filling of ``shape`` with the tuple rows ``rows``, unchecked;
+        only for fillings derived from a valid shape (the twin of
+        ``SkewShape._trusted``)."""
+        t = object.__new__(cls)
+        fields = t.__dict__
+        fields["shape"] = shape
+        fields["rows"] = rows
+        return t
 
     @classmethod
     def from_weights(cls, shape: SkewShape,

@@ -95,6 +95,38 @@ def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) 
     return True
 
 
+def scm_pivots_reference(s: SkewShape, rows=None) -> list[dict]:
+    """Every SCM pivot of a connected shape or filling, as a list with each
+    pivot's deletion sets built at once: the list form that
+    ``skewtab.classify.scm_pivots``, a generator, must match in pivots,
+    order, levels and deletions.  Boundary cases 1-4 come first, then the
+    interior pivots as found, rows before columns."""
+    lam, mu = s.lam, s.mu
+    lamc, muc = s.lam_conj(), s.mu_conj()
+    pivots = []
+
+    def add(kind, line, case, nbhd, weights) -> None:
+        if weights is None:
+            levels, cuts = [1], [set(nbhd)]
+        else:
+            levels = sorted(set(weights))
+            cuts = [{k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
+        row = kind == "row"
+        deletions = [({line}, set()) if row else (set(), {line})]
+        deletions += [(set(), cut) if row else (cut, set()) for cut in cuts]
+        pivots.append({"pivot": (kind, line), "boundary_case": case, "levels": levels,
+                       "deletions": deletions})
+
+    for i in sorted({lamc[j] for j in range(s.m) if lamc[j] - muc[j] == 1}):
+        add("row", i, 1 if i == 1 else (4 if i == s.n else None),
+            range(mu[i - 1] + 1, lam[i - 1] + 1), None if rows is None else rows[i - 1])
+    for j in sorted({lam[i] for i in range(s.n) if lam[i] - mu[i] == 1}):
+        nbhd = range(muc[j - 1] + 1, lamc[j - 1] + 1)
+        add("col", j, 2 if j == s.m else (3 if j == 1 else None), nbhd,
+            None if rows is None else [rows[i - 1][j - mu[i - 1] - 1] for i in nbhd])
+    return sorted(pivots, key=lambda p: p["boundary_case"] or 5)
+
+
 def constant_filling(s: SkewShape, w: int = 1) -> SkewTableau:
     return SkewTableau(s, [[w] * (s.lam[i] - s.mu[i]) for i in range(s.n)])
 

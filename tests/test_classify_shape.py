@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import random
 
@@ -15,7 +16,8 @@ from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import conjugate_parts
 
 from helpers import (blocks_reference, boxes_of, partitions_up_to, piece_blocks_reference,
-                     random_connected_filling, scm_all_pivots_reference, shapes_up_to)
+                     random_connected_filling, scm_all_pivots_reference, scm_pivots_reference,
+                     shapes_up_to)
 
 
 def test_is_saturated_examples():
@@ -59,6 +61,27 @@ def test_interior_pendant_shape():
     assert all(p["boundary_case"] is None for p in scm_pivots(s))
     assert is_scm_skew(s)
     assert is_scm_weighted_oracle(from_shape(s))
+
+
+def test_scm_pivots_match_list_reference():
+    """``scm_pivots`` is a generator yielding the pivots of the list-building
+    reference: the same pivots in the same order, with the same levels and
+    deletion sets, on the 986 connected shapes with <= 9 boxes and the 5,718
+    connected fillings with <= 5 boxes, w <= 3.  Many have several pivots,
+    some of them interior, so the order is put to the test."""
+    instances = [(s, None) for s in shapes_up_to(9, connected_only=True)]
+    instances += [(s, t.rows) for s in shapes_up_to(5, connected_only=True)
+                  for t in enumerate_fillings(s, 3)]
+    assert len(instances) == 986 + 5718
+    several = interior = 0
+    for s, rows in instances:
+        pivots = scm_pivots(s, rows)
+        assert inspect.isgenerator(pivots)
+        want = scm_pivots_reference(s, rows)
+        assert list(pivots) == want, (s, rows)
+        several += len(want) > 1
+        interior += any(p["boundary_case"] is None for p in want)
+    assert (several, interior) == (4752, 942)
 
 
 def test_scm_conjugation_invariance():

@@ -8,7 +8,7 @@ from skewtab.graphs import clear_caches, from_shape
 from skewtab.ideals import is_unmixed_ideal
 
 from helpers import (boxes_of, constant_filling, enumerate_skew_shapes_reference,
-                     shape_from_boxes)
+                     shape_from_boxes, shapes_up_to)
 
 # The transpose, the half turn and the transpose of the half turn of an
 # n x m diagram, box by box.
@@ -147,6 +147,22 @@ def test_enumerate_fillings():
     assert list(enumerate_fillings(SkewShape((), ()), 3)) == []
     with pytest.raises(ValueError):
         list(enumerate_fillings(one, 0))
+
+
+def test_enumerated_fillings_equal_validated_ones():
+    """Enumerated fillings are built unchecked from a valid shape, and equal
+    the validating constructor's: on every connected shape with <= 5 boxes
+    and every max weight 1..3, max_weight ** boxes distinct fillings, each
+    equal in value and in hash to ``SkewTableau(s, rows)``, with rows that
+    are tuples of tuples, as the SCM memo keys on them."""
+    for s in shapes_up_to(5, connected_only=True):
+        for max_weight in (1, 2, 3):
+            fills = list(enumerate_fillings(s, max_weight))
+            assert len(set(fills)) == len(fills) == max_weight ** len(boxes_of(s))
+            for t in fills:
+                built = SkewTableau(s, t.rows)
+                assert t == built and hash(t) == hash(built), t.rows
+                assert type(t.rows) is tuple and all(type(r) is tuple for r in t.rows)
 
 
 @pytest.mark.parametrize("prop", ["scm", "unmixed", "cm", "buchsbaum", "gcm"])

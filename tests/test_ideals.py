@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from skewtab import (SkewShape, SkewTableau, WeightedGraph, enumerate_fillings,
-                     enumerate_skew_shapes, from_shape, is_scm_weighted_oracle, is_unmixed_ideal)
+                     enumerate_skew_shapes, from_shape, graphs, is_scm_weighted_oracle,
+                     is_unmixed_ideal)
 from skewtab.graphs import _adjacency, _minimal_covers, _pure, _restrict, clear_caches
 from skewtab.ideals import _threshold_u_sets
 
@@ -445,6 +446,36 @@ def test_all_ones_exits_match_threshold_walk():
             assert is_scm_weighted_oracle(g) == scm, g
             verdicts.add((unmixed, scm))
         assert {u for u, _ in verdicts} == {s for _, s in verdicts} == {False, True}
+
+
+def test_scm_oracle_memo_is_faithful():
+    """One memo of VD(G - U) per adjacency and threshold set U, for a whole
+    pass walked forward or backward, gives every weighted graph the SCM
+    verdict it gets from a cold memo: the 5,718 connected fillings with
+    <= 5 boxes, w <= 3, and 300 seeded random bipartite graphs with weights
+    1..3 and an isolated vertex on each side.  The memo holds only
+    booleans, and ``graphs.clear_caches`` empties it."""
+    rng = random.Random(20261021)
+    instances = [from_shape(s, t.rows) for s in shapes_up_to(5, connected_only=True)
+                 for t in enumerate_fillings(s, 3)]
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        instances.append(WeightedGraph(n + m + 2, tuple(
+            (i, n + 1 + j, rng.randint(1, 3)) for i in range(n) for j in range(m)
+            if rng.random() < 0.5)))
+    cold = []
+    for g in instances:
+        clear_caches()
+        cold.append(is_scm_weighted_oracle(g))
+    assert set(cold[:5718]) == set(cold[5718:]) == {False, True}
+    memo = graphs._vd_minus_cache
+    for order in (1, -1):
+        clear_caches()
+        warm = [is_scm_weighted_oracle(g) for g in instances[::order]]
+        assert warm[::order] == cold
+        assert memo and all(type(vd) is bool for per in memo.values() for vd in per.values())
+        clear_caches()
+        assert not memo
 
 
 @pytest.mark.parametrize("weights", [1, 2])

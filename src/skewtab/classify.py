@@ -18,9 +18,12 @@ off the bands, and a filling is constant on every block iff the rows of
 each row band and the columns of each column band carry equal weights.
 
 A shape's ideal is the sum of its components' ideals in disjoint
-variables, so every classifier runs per connected component, each split off
-by ``connected_parts``.  ``_scm_cache`` memoizes the SCM verdict on a
-component's (lam, mu, rows) and on its transpose's.
+variables, so every classifier runs per connected component.
+``connected_parts`` splits a shape into its components' memo keys (lam, mu,
+rows), each in normal form, and a classifier reads the memos on a key
+first and builds the component's shape only on a miss.
+``_scm_cache`` memoizes the SCM verdict on a component's (lam, mu, rows)
+and on its transpose's.
 ``_unmixed_cache`` memoizes on a component's (lam, mu) whether the shape
 decomposes: one boolean, never a certificate, whose box sets would outlive
 every large shape classified.  A filling's weights are checked against the
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .shapes import Rows, SkewShape, _cuts, _parts, conjugate_parts, delete_rows_cols
+from .shapes import Part, Rows, SkewShape, _cuts, _parts, conjugate_parts, delete_rows_cols
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
@@ -52,16 +55,23 @@ def is_saturated(parts: Sequence[int]) -> bool:
 # -- weights carried to derived shapes ------------------------------------------
 
 
-def connected_parts(s: SkewShape, rows: Rows) -> list[tuple[SkewShape, Rows]]:
-    """The connected components of ``s`` with their weight rows: ``[(s,
-    rows)]`` for a connected shape, ``[]`` for the empty one.  A component
-    of ``s`` is a run of whole rows of ``s``, so its weight rows are a
-    slice of ``rows``; no index maps are built."""
+def connected_parts(s: SkewShape, rows: Rows) -> Iterable[Part]:
+    """The connected components of ``s`` as memo keys (lam, mu, rows), top
+    to bottom: ``((s.lam, s.mu, rows),)`` for a connected shape, ``()`` for
+    the empty one, else a generator, so a classifier that stops at a
+    failing component builds no key past it.  No shape is built: the
+    classifiers read the memos on a key first (see :func:`_component`)."""
     lam, mu = s.lam, s.mu
     cuts = _cuts(lam, mu)
     if not cuts:
-        return [(s, rows)] if lam else []
+        return ((lam, mu, rows),) if lam else ()
     return _parts(lam, mu, rows, cuts)
+
+
+def _component(s: SkewShape, key: Part) -> SkewShape:
+    """The shape of the component ``key`` of ``s``: ``s`` itself when the
+    component holds all the rows of ``s``, else built unchecked."""
+    return s if len(key[0]) == len(s.lam) else SkewShape._trusted(key[0], key[1])
 
 
 def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
@@ -176,26 +186,28 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     G - x and G - N[x] are.
     """
     # a loop, not all() over a generator, which would add a frame per level
-    for part in connected_parts(s, rows):
-        if not _scm_connected(*part):
+    for key in connected_parts(s, rows):
+        if not _scm_connected(s, key):
             return False
     return True
 
 
-def _scm_connected(s: SkewShape, rows: Rows) -> bool:
-    key = (s.lam, s.mu, rows)
+def _scm_connected(s: SkewShape, key: Part) -> bool:
+    """The SCM verdict of the component ``key`` of ``s``, read off the
+    memo; the component's shape is built only on a miss."""
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
-    piv = next(scm_pivots(s, rows), None)
+    c, rows = _component(s, key), key[2]
+    piv = next(scm_pivots(c, rows), None)
     # the first pivot decides (proof in is_scm)
-    result = piv is not None and all(is_scm(*u) for group in _derived(s, rows, piv)
+    result = piv is not None and all(is_scm(*u) for group in _derived(c, rows, piv)
                                      for u in group)
     # The verdict is stored under the transpose's key too.  Every write is
     # such a pair and the transpose is an involution on (lam, mu, rows), so
     # a verdict found for either key is already under this one: one lookup.
     _scm_cache[key] = result
-    _scm_cache[s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows)] = result
+    _scm_cache[c.lam_conj(), c.mu_conj(), conjugate_rows(c, rows)] = result
     return result
 
 
@@ -203,12 +215,12 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
     """Decision-tree trace of the SCM recursion, JSON-ready."""
     node: dict = {"shape" if rows is None else "tableau": _as_dict(s, rows),
                   "scm": is_scm(s, rows)}
-    parts = connected_parts(s, rows)
-    if not parts:
+    if s.is_empty:
         node["empty"] = True
         return node
+    parts = list(connected_parts(s, rows))
     if len(parts) > 1:
-        node["components"] = [scm_trace(*part) for part in parts]
+        node["components"] = [scm_trace(_component(s, key), key[2]) for key in parts]
         return node
     pivots = list(scm_pivots(s, rows))
     node["pivots"] = [list(p["pivot"]) for p in pivots]
@@ -477,29 +489,28 @@ def _constant_on_blocks(s: SkewShape, rows: Rows) -> bool:
 _unmixed_cache: dict[tuple, bool] = {}
 
 
-def _unmixed_connected(s: SkewShape, rows: Rows) -> tuple[bool, bool]:
-    """(unmixed, monotone) for a connected shape or filling, both False when
-    the shape has no prime-piece decomposition; monotone alone is the
+def _unmixed_connected(s: SkewShape, key: Part) -> tuple[bool, bool]:
+    """(unmixed, monotone) for the component ``key`` of ``s``, both False
+    when its shape has no prime-piece decomposition; monotone alone is the
     filling's half of the direct Cohen-Macaulay criterion.  Whether the
     shape decomposes is memoized on (lam, mu) with no conjugate lookup, so
-    that a fault that is not symmetric under the transpose still shows; a
-    filling of an unmixed shape has its weights checked on every call."""
-    key = (s.lam, s.mu)
-    ok = _unmixed_cache.get(key)
-    cert = None
-    if ok is None:
-        cert = unmixed_decomposition(s)
-        ok = _unmixed_cache[key] = cert.ok
+    that a fault that is not symmetric under the transpose still shows.
+    The component's shape is built on a miss, and for a filling of an
+    unmixed shape, whose weights are checked on every call."""
+    lam, mu, rows = key
+    ok = _unmixed_cache.get((lam, mu))
+    if ok is None or ok and rows is not None:  # the certificate is needed
+        c = _component(s, key)
+        cert = unmixed_decomposition(c)
+        ok = _unmixed_cache[lam, mu] = cert.ok
     if not ok or rows is None:
         return ok, ok
-    if cert is None:
-        cert = unmixed_decomposition(s)
-    w = {(i, j): rows[i - 1][j - s.mu[i - 1] - 1] for i, j in s.boxes()}
+    w = {(i, j): rows[i - 1][j - mu[i - 1] - 1] for i, j in c.boxes()}
     monotone = all(
         (w[i, j] <= w[nb]) if piece.orientation == "upper" else (w[i, j] >= w[nb])
         for piece in cert.pieces for i, j in piece.boxes
         for nb in ((i, j + 1), (i + 1, j)) if nb in piece.boxes)
-    return monotone and _constant_on_blocks(s, rows), monotone
+    return monotone and _constant_on_blocks(c, rows), monotone
 
 
 def is_unmixed(s: SkewShape, rows: Rows) -> bool:
@@ -507,7 +518,7 @@ def is_unmixed(s: SkewShape, rows: Rows) -> bool:
     and the weights are constant on every block and monotone, i.e. weakly
     increasing along rows and columns of upper pieces, weakly decreasing
     along lower ones."""
-    return all(_unmixed_connected(*part)[0] for part in connected_parts(s, rows))
+    return all(_unmixed_connected(s, key)[0] for key in connected_parts(s, rows))
 
 
 def is_unmixed_skew(s: SkewShape) -> bool:
@@ -642,22 +653,23 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     (Cohen-Macaulay shape plus monotone weights on its pieces); the two
     must agree.
     """
-    parts = connected_parts(s, rows)
-    if not parts:
+    if s.is_empty:
         return ShapeFlags(True, True, True, True, True, vacuous=True)
-    if len(parts) > 1:
-        flags = [classify_flags(*part) for part in parts]
-        cm = all(f.cm for f in flags)
-        return ShapeFlags(all(f.unmixed for f in flags), all(f.scm for f in flags), cm, cm, cm)
-    unmixed, monotone = _unmixed_connected(s, rows)
-    scm = _scm_connected(s, rows)
+    unmixed = scm = True
+    for key in connected_parts(s, rows):
+        part_unmixed, monotone = _unmixed_connected(s, key)
+        part_scm = _scm_connected(s, key)
+        if rows is not None:
+            part_cm = part_unmixed and part_scm
+            cm_direct = monotone and _scm_connected(s, (*key[:2], None))
+            if part_cm != cm_direct:
+                instance = _as_dict(_component(s, key), key[2])
+                raise RuntimeError(
+                    f"internal inconsistency classifying {instance}: "
+                    f"unmixed&scm={part_cm} but direct criterion={cm_direct}")
+        unmixed, scm = unmixed and part_unmixed, scm and part_scm
     cm = unmixed and scm
-    if rows is not None:
-        cm_direct = monotone and _scm_connected(s, None)
-        if cm != cm_direct:
-            raise RuntimeError(
-                f"internal inconsistency classifying {_as_dict(s, rows)}: "
-                f"unmixed&scm={cm} but direct criterion={cm_direct}")
+    # a full square is connected: a disconnected instance is Buchsbaum or gCM iff cm
     return ShapeFlags(unmixed=unmixed, scm=scm, cm=cm,
                       buchsbaum=cm or is_constant_full_square(s, rows, weight=1),
                       gcm=cm or is_constant_full_square(s, rows))

@@ -36,7 +36,7 @@ from itertools import accumulate, product
 from multiprocessing import Pool
 from typing import Iterator
 
-from .shapes import Rows, SkewShape
+from .shapes import Rows, SkewShape, _half_turn
 from .graphs import from_shape, is_buchsbaum_graph
 from .classify import (FLAG_NAMES, classify_shape, conjugate_rows, is_constant_full_square,
                        is_scm_skew, is_unmixed_skew)
@@ -158,23 +158,16 @@ def oracle_verdict(x: SkewShape | SkewTableau, prop: str) -> bool:
     return oracle_verdicts(x, (prop,))[prop]
 
 
-def _shape_images(s: SkewShape) -> tuple[SkewShape, SkewShape, SkewShape, SkewShape]:
-    """``s``, its transpose, its half turn and the transpose of its half turn."""
-    rot = s.rotate180()
-    return s, s.conjugate(), rot, rot.conjugate()
-
-
-def _orbit(images: tuple[SkewShape, ...], rows: Rows = None) -> set[tuple]:
-    """(lam, mu, rows) of an instance and its three images, where ``images``
-    are the :func:`_shape_images` of the instance's shape and ``rows`` its
-    weight rows, None for a bare shape."""
-    s, conj, rot, rot_conj = images
-    if rows is None:
-        return {(t.lam, t.mu, None) for t in images}
-    rot_rows = tuple(tuple(reversed(r)) for r in reversed(rows))
-    return {(s.lam, s.mu, rows), (conj.lam, conj.mu, conjugate_rows(s, rows)),
-            (rot.lam, rot.mu, rot_rows),
-            (rot_conj.lam, rot_conj.mu, conjugate_rows(rot, rot_rows))}
+def _orbit(s: SkewShape, rows: Rows = None) -> set[tuple]:
+    """(lam, mu, rows) of an instance and its three images, where ``s`` is
+    the instance's shape and ``rows`` its weight rows, None for a bare
+    shape.  The keys are read off s and its conjugate parts, with no image
+    shape built: the transpose of the half turn is the half turn of the
+    transpose."""
+    lamc, muc = s.lam_conj(), s.mu_conj()
+    conj_rows = conjugate_rows(s, rows)
+    return {(s.lam, s.mu, rows), (lamc, muc, conj_rows),
+            _half_turn(s.lam, s.mu, rows), _half_turn(lamc, muc, conj_rows)}
 
 
 def _check_share(args: tuple) -> tuple[int, list[dict]]:
@@ -186,16 +179,15 @@ def _check_share(args: tuple) -> tuple[int, list[dict]]:
     owner: dict[tuple, int] = {}  # (lam, mu) -> its worker, for the shapes of open orbits
     # (lam, mu, rows) -> the oracle's verdict, for the images of checked
     # instances that are still to come.  Each instance comes once, so each
-    # entry is read once, and only the orbits still open are held.  The
-    # images are built only for the first shape of an orbit: computing them
-    # for every instance cost more than the cheap unweighted oracles they save.
+    # entry is read once, and only the orbits still open are held.  An
+    # orbit's keys are computed only when the oracle runs on its first
+    # instance: computing them for every instance cost more than the cheap
+    # unweighted oracles they save.
     pending: dict[tuple, bool] = {}
     for s in enumerate_skew_shapes(max_boxes, connected_only=weighted):
-        images = None
         if jobs > 1:
             if (s.lam, s.mu) not in owner:
-                images = _shape_images(s)
-                owner.update(((t.lam, t.mu), orbits % jobs) for t in images)
+                owner.update(((lam, mu), orbits % jobs) for lam, mu, _ in _orbit(s))
                 orbits += 1
             if owner.pop((s.lam, s.mu)) != share:
                 continue
@@ -206,8 +198,7 @@ def _check_share(args: tuple) -> tuple[int, list[dict]]:
             want = pending.pop((s.lam, s.mu, rows), None)
             if want is None:
                 want = oracle_verdict(x, prop)
-                images = images or _shape_images(s)
-                for key in _orbit(images, rows) - {(s.lam, s.mu, rows)}:
+                for key in _orbit(s, rows) - {(s.lam, s.mu, rows)}:
                     pending[key] = want
             if got != want:
                 bad.append({"instance": x.to_dict(), "classifier": got, "oracle": want})

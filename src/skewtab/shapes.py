@@ -26,6 +26,8 @@ from typing import Iterable, Iterator, Sequence
 # A filling's weight rows: rows[i-1][k] weighs the box in row i, column
 # mu_i + 1 + k.  None stands for the all-ones filling, i.e. the bare shape.
 Rows = tuple[tuple[int, ...], ...] | None
+# A connected component as its memo key: normal-form (lam, mu) and weight rows.
+Part = tuple[tuple[int, ...], tuple[int, ...], Rows]
 
 
 def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[int, ...]:
@@ -43,6 +45,15 @@ def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[in
             count -= 1
         conj.append(count)
     return tuple(conj)
+
+
+def _half_turn(lam: Sequence[int], mu: Sequence[int], rows: Rows = None) -> Part:
+    """(lam, mu, rows) of the half turn (i,j) -> (n+1-i, m+1-j) of the
+    nonempty shape lam/mu with weight rows ``rows``: every sequence is
+    reversed, and the parts are taken from m = lam_1."""
+    m = lam[0]
+    return (tuple([m - p for p in reversed(mu)]), tuple([m - p for p in reversed(lam)]),
+            None if rows is None else tuple([r[::-1] for r in reversed(rows)]))
 
 
 def _weakly_decreasing(seq: Sequence[int]) -> bool:
@@ -143,9 +154,7 @@ class SkewShape:
         """Half turn: box (i,j) -> (n+1-i, m+1-j)."""
         if self.is_empty:
             return self
-        n, m = self.n, self.m
-        lam = tuple(m - self.mu[n - 1 - k] for k in range(n))
-        mu = tuple(m - self.lam[n - 1 - k] for k in range(n))
+        lam, mu, _ = _half_turn(self.lam, self.mu)
         return SkewShape._trusted(lam, mu)
 
     def anti_transpose(self) -> "SkewShape":
@@ -164,9 +173,12 @@ class SkewShape:
         lam, mu = self.lam, self.mu
         if not lam:
             return []
-        return [Component(piece, tuple(range(start + 1, stop + 1)),
+        cuts = _cuts(lam, mu)
+        return [Component(SkewShape._trusted(piece_lam, piece_mu),
+                          tuple(range(start + 1, stop + 1)),
                           tuple(range(mu[stop - 1] + 1, lam[start] + 1)))
-                for piece, start, stop in _pieces(lam, mu, _cuts(lam, mu))]
+                for (piece_lam, piece_mu, _), start, stop
+                in zip(_parts(lam, mu, None, cuts), (0, *cuts), (*cuts, len(lam)))]
 
     # -- serialization / rendering ----------------------------------------
 
@@ -202,30 +214,23 @@ def _cuts(lam: Sequence[int], mu: Sequence[int]) -> list[int]:
     return [k for k in range(1, len(lam)) if mu[k - 1] >= lam[k]]
 
 
-def _pieces(lam: tuple[int, ...], mu: tuple[int, ...],
-            cuts: list[int]) -> Iterator[tuple[SkewShape, int, int]]:
-    """The components of the nonempty rows lam/mu cut at ``cuts``, as
-    (shape, start, stop): rows start..stop-1 (0-based), moved left by their
-    last inner part mu_{stop-1} into normal form.  lam and mu are tuples,
-    since the last component keeps its slices as they are."""
+def _parts(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
+           cuts: list[int]) -> Iterator[Part]:
+    """The components of the nonempty rows lam/mu cut at ``cuts``, top to
+    bottom, as (lam, mu, rows) keys: rows start..stop-1 (0-based) moved left
+    by their last inner part mu_{stop-1} into normal form, and their slice
+    of the weight rows ``rows``.  A generator that builds no shape.  lam and
+    mu are tuples, since the last component keeps its slices as they are."""
     start = 0
     for stop in (*cuts, len(lam)):
         shift = mu[stop - 1]
+        piece_rows = None if rows is None else rows[start:stop]
         if shift:
-            piece = SkewShape._trusted(tuple([l - shift for l in lam[start:stop]]),
-                                       tuple([m - shift for m in mu[start:stop]]))
+            yield (tuple([l - shift for l in lam[start:stop]]),
+                   tuple([m - shift for m in mu[start:stop]]), piece_rows)
         else:  # the last component, already in place
-            piece = SkewShape._trusted(lam[start:stop], mu[start:stop])
-        yield piece, start, stop
+            yield lam[start:stop], mu[start:stop], piece_rows
         start = stop
-
-
-def _parts(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
-           cuts: list[int]) -> list[tuple[SkewShape, Rows]]:
-    """The :func:`_pieces` of the rows lam/mu, each with its slice of the
-    weight rows ``rows``: a component is a run of whole rows."""
-    return [(piece, None if rows is None else rows[start:stop])
-            for piece, start, stop in _pieces(lam, mu, cuts)]
 
 
 def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Iterable[int] = (),
@@ -262,7 +267,9 @@ def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Ite
     if not lam:
         return []
     lam, mu = tuple(lam), tuple(mu)
-    return _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu))
+    parts = _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu))
+    return [(SkewShape._trusted(piece_lam, piece_mu), piece_rows)
+            for piece_lam, piece_mu, piece_rows in parts]
 
 
 # -- rendering -----------------------------------------------------------

@@ -84,9 +84,9 @@ def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) 
     """
     if memo is None:
         memo = {}
-    for part in connected_parts(s, rows):
-        key = (part[0].lam, part[0].mu, part[1])
+    for key in connected_parts(s, rows):
         if key not in memo:
+            part = SkewShape(key[0], key[1]), key[2]
             memo[key] = any(all(scm_all_pivots_reference(*u, memo)
                                 for group in _derived(*part, piv) for u in group)
                             for piv in scm_pivots(*part))
@@ -125,6 +125,15 @@ def scm_pivots_reference(s: SkewShape, rows=None) -> list[dict]:
         add("col", j, 2 if j == s.m else (3 if j == 1 else None), nbhd,
             None if rows is None else [rows[i - 1][j - mu[i - 1] - 1] for i in nbhd])
     return sorted(pivots, key=lambda p: p["boundary_case"] or 5)
+
+
+def shape_images(s: SkewShape) -> tuple[SkewShape, SkewShape, SkewShape, SkewShape]:
+    """``s``, its transpose, its half turn and the transpose of its half
+    turn, built as shapes by ``conjugate()`` and ``rotate180()``: the
+    reference for ``skewtab.harness._orbit``, which reads an orbit's keys
+    off one shape without building an image."""
+    rot = s.rotate180()
+    return s, s.conjugate(), rot, rot.conjugate()
 
 
 def constant_filling(s: SkewShape, w: int = 1) -> SkewTableau:

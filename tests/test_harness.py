@@ -8,7 +8,7 @@ from skewtab.graphs import clear_caches, from_shape
 from skewtab.ideals import is_unmixed_ideal
 
 from helpers import (boxes_of, constant_filling, enumerate_skew_shapes_reference,
-                     shape_from_boxes, shapes_up_to)
+                     shape_from_boxes, shape_images, shapes_up_to)
 
 # The transpose, the half turn and the transpose of the half turn of an
 # n x m diagram, box by box.
@@ -47,7 +47,7 @@ def shape_of(x) -> tuple:
 
 def shape_orbit_count(shapes) -> int:
     """Orbits of (lam, mu) pairs under the symmetries."""
-    return len({min(shape_of(t) for t in harness._shape_images(SkewShape(*s))) for s in shapes})
+    return len({min(shape_of(t) for t in shape_images(SkewShape(*s))) for s in shapes})
 
 
 @pytest.fixture
@@ -291,15 +291,29 @@ def test_oracle_flags_agree_on_the_four_images():
 
 def test_orbit_is_the_same_from_each_image():
     """The four images of a shape, or of a filling, give one orbit: the
-    (lam, mu, rows) of exactly those images, rows None for a bare shape."""
-    cases = [(constant_filling(s), False) for s in enumerate_skew_shapes(6)]
-    cases += [(t, True) for t in small_fillings()]
-    for x, weighted in cases:
-        def rows(t):
-            return t.rows if weighted else None
-        orbit = {(t.shape.lam, t.shape.mu, rows(t)) for t in images(x)}
+    (lam, mu, rows) of exactly those images, rows None for a bare shape.
+    ``harness._orbit`` reads the keys off one shape; the reference builds
+    the image shapes by ``conjugate()`` and ``rotate180()``, on every shape
+    with <= 9 boxes (one-row, one-column and Ferrers shapes among them) and
+    a few larger ones, and those images are the boxes moved one by one on
+    the shapes with <= 6 boxes.  A filling's images are rebuilt from its
+    moved weighted boxes."""
+    shapes = list(enumerate_skew_shapes(9))
+    assert len(shapes) == 12227
+    assert {SkewShape((9,)), SkewShape((1,) * 9), SkewShape((4, 3, 2)), SkewShape((3, 3))} \
+        <= set(shapes)
+    shapes += [SkewShape((30,)), SkewShape((1,) * 30), SkewShape((6, 5, 5, 3, 1)),
+               SkewShape((7, 7, 4, 2), (5, 3, 1))]
+    for s in shapes:
+        orbit = {(t.lam, t.mu, None) for t in shape_images(s)}
+        if len(boxes_of(s)) <= 6:
+            assert orbit == {(*shape_of(t), None) for t in images(constant_filling(s))}, s
+        for t in shape_images(s):
+            assert harness._orbit(t) == orbit, t
+    for x in small_fillings():
+        orbit = {(t.shape.lam, t.shape.mu, t.rows) for t in images(x)}
         for t in images(x):
-            assert harness._orbit(harness._shape_images(t.shape), rows(t)) == orbit
+            assert harness._orbit(t.shape, t.rows) == orbit
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

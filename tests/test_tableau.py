@@ -4,11 +4,12 @@ import random
 import pytest
 
 from skewtab import classify as classify_module, tableau as tableau_module
-from skewtab import (SkewShape, SkewTableau, TableauError,
+from skewtab import (Component, SkewShape, SkewTableau, TableauError,
                      classify_tableau, enumerate_fillings, from_shape, is_scm_skew, is_scm_tableau,
                      is_scm_weighted_oracle, is_unmixed_ideal, is_unmixed_skew,
                      is_unmixed_tableau, scm_trace, validate)
-from skewtab.classify import connected_parts
+from skewtab.classify import (ShapeFlags, classify_flags, clear_caches, connected_parts, is_scm,
+                              is_unmixed)
 
 from helpers import constant_filling, random_connected_filling, shapes_up_to
 
@@ -291,22 +292,78 @@ def test_classify_tableau_vacuous_and_disconnected():
     assert classify_tableau(t).cm
 
 
+def component_rows(t: SkewTableau, c: Component) -> tuple:
+    """The weight rows of the component ``c`` of ``t.shape``, read box by box
+    through its index maps."""
+    return tuple(tuple(t.weight(c.row_map[i - 1], c.col_map[j - 1]) for j in range(m + 1, l + 1))
+                 for i, (l, m) in enumerate(zip(c.shape.lam, c.shape.mu), 1))
+
+
 def test_components_carry_weights():
     """A filling's components slice its weight rows; the slices equal the
     rows read box by box through each shape component's index maps, on
     every filling of the shapes with <= 5 boxes, w <= 2.  The bare split
-    gives the shape components on every shape with <= 9 boxes."""
+    gives the keys (lam, mu, None) of the shape components on every shape
+    with <= 9 boxes."""
     t = SkewTableau(SkewShape((2, 1), (1, 0)), [[4], [7]])
-    assert [rows for _, rows in connected_parts(t.shape, t.rows)] == [((4,),), ((7,),)]
+    assert [rows for _, _, rows in connected_parts(t.shape, t.rows)] == [((4,),), ((7,),)]
     for s in shapes_up_to(9):
-        assert connected_parts(s, None) == [(c.shape, None) for c in s.components()], s
+        assert list(connected_parts(s, None)) == [(c.shape.lam, c.shape.mu, None)
+                                                  for c in s.components()], s
     for s in shapes_up_to(5):
         for t in enumerate_fillings(s, 2):
-            assert connected_parts(s, t.rows) == [
-                (c.shape, tuple(tuple(t.weight(c.row_map[i - 1], c.col_map[j - 1])
-                                      for j in range(m + 1, l + 1))
-                                for i, (l, m) in enumerate(zip(c.shape.lam, c.shape.mu), 1)))
-                for c in s.components()], t
+            assert list(connected_parts(s, t.rows)) == [
+                (c.shape.lam, c.shape.mu, component_rows(t, c)) for c in s.components()], t
+
+
+def test_memo_first_split_matches_components_classified_alone():
+    """``is_scm``, ``is_unmixed`` and ``classify_flags`` read the memos on
+    each component's key before building its shape.  On every shape with
+    <= 9 boxes and every filling of a disconnected shape with <= 5 boxes,
+    w <= 2, they match each of ``s.components()`` classified on its own,
+    from a cold memo per instance and with the memos kept warm over a walk
+    forward and then backward.  A disconnected instance is Buchsbaum or gCM
+    exactly when CM.  After the walk, every memo key names a valid connected
+    shape (its filling's rows fitting it) and every memo value is a bool:
+    the cold runs computed the same keys."""
+    shapes = list(shapes_up_to(9))
+    fillings = [t for s in shapes_up_to(5) if not s.is_connected()
+                for t in enumerate_fillings(s, 2)]
+    assert (len(shapes), len(fillings)) == (12227, 2492)
+    cases = [(s, None) for s in shapes] + [(t.shape, t.rows) for t in fillings]
+
+    def alone(s, rows):
+        flags = [classify_flags(c.shape, None if rows is None else
+                                component_rows(SkewTableau._trusted(s, rows), c))
+                 for c in s.components()]
+        unmixed, scm = all(f.unmixed for f in flags), all(f.scm for f in flags)
+        cm = unmixed and scm
+        return scm, unmixed, flags[0] if len(flags) == 1 else ShapeFlags(unmixed, scm, cm, cm, cm)
+
+    def check_memos():
+        for lam, mu, rows in classify_module._scm_cache:
+            shape = SkewShape(lam, mu)
+            assert shape.is_connected()
+            if rows is not None:
+                SkewTableau(shape, rows)  # raises unless the rows fit the shape
+        for lam, mu in classify_module._unmixed_cache:
+            assert SkewShape(lam, mu).is_connected()
+        for memo in (classify_module._scm_cache, classify_module._unmixed_cache):
+            assert all(type(v) is bool for v in memo.values())
+
+    clear_caches()
+    expected = [alone(*case) for case in cases]
+    for case, want in zip(cases, expected):
+        got = []
+        for classifier in (is_scm, is_unmixed, classify_flags):
+            clear_caches()
+            got.append(classifier(*case))
+        assert tuple(got) == want, case
+    clear_caches()
+    for k in [*range(len(cases)), *reversed(range(len(cases)))]:
+        case = cases[k]
+        assert (is_scm(*case), is_unmixed(*case), classify_flags(*case)) == expected[k], case
+    check_memos()
 
 
 def test_delete_carries_weights():

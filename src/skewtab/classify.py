@@ -18,16 +18,16 @@ off the bands, and a filling is constant on every block iff the rows of
 each row band and the columns of each column band carry equal weights.
 
 A shape's ideal is the sum of its components' ideals in disjoint
-variables, so every classifier runs per connected component.
-``connected_parts`` splits a shape into its components' memo keys (lam, mu,
-rows), each in normal form, and a classifier reads the memos on a key
-first and builds the component's shape only on a miss.
-``_scm_cache`` memoizes the SCM verdict on a component's (lam, mu, rows)
-and on its transpose's.
-``_unmixed_cache`` memoizes on a component's (lam, mu) whether the shape
-decomposes: one boolean, never a certificate, whose box sets would outlive
-every large shape classified.  A filling's weights are checked against the
-pieces on each call.  ``clear_caches`` empties both memos.
+variables, so every classifier runs per connected component, read off its
+memo key (lam, mu, rows) in normal form.  ``connected_parts`` splits a
+shape into these keys.  The SCM search runs on keys alone: a pivot's
+deletions yield keys (``shapes._deleted``), and a memo miss builds one
+shape, for the pivots and the transpose's key.  ``_scm_cache`` memoizes the
+verdict on a key and on its transpose's, ``_unmixed_cache`` on a key's
+(lam, mu) whether the shape, built on a miss, decomposes: one boolean,
+never a certificate, whose box sets would outlive every large shape
+classified.  A filling's weights are checked against the pieces on each
+call.  ``clear_caches`` empties both memos.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .shapes import Part, Rows, SkewShape, _cuts, _parts, conjugate_parts, delete_rows_cols
+from .shapes import Part, Rows, SkewShape, _cuts, _deleted, _parts, conjugate_parts
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
@@ -60,7 +60,7 @@ def connected_parts(s: SkewShape, rows: Rows) -> Iterable[Part]:
     to bottom: ``((s.lam, s.mu, rows),)`` for a connected shape, ``()`` for
     the empty one, else a generator, so a classifier that stops at a
     failing component builds no key past it.  No shape is built: the
-    classifiers read the memos on a key first (see :func:`_component`)."""
+    classifiers read the memos on a key first."""
     lam, mu = s.lam, s.mu
     cuts = _cuts(lam, mu)
     if not cuts:
@@ -85,9 +85,7 @@ def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
 
 
 def _as_dict(s: SkewShape, rows: Rows) -> dict:
-    if rows is None:
-        return s.to_dict()
-    return {**s.to_dict(), "rows": [list(r) for r in rows]}
+    return s.to_dict() if rows is None else {**s.to_dict(), "rows": [list(r) for r in rows]}
 
 
 # -- SCM recursion -------------------------------------------------------------
@@ -106,7 +104,7 @@ def scm_pivots(s: SkewShape, rows: Rows = None) -> Iterator[dict]:
     line, the neighbors at most that heavy deleted (weights carried along).
     Levels below the heaviest keep the heavier neighbors in play; the top
     level removes the whole neighborhood, and the emptied pivot line drops
-    out on renormalizing.  Without weights there is one level.  Pendants at
+    out on renormalizing.  A bare shape weighs 1: one level.  Pendants at
     rows 1/n and columns 1/m give the four boundary cases (labeled 1-4 in
     traces); interior pendants are needed as well, e.g. for
     (3,3,2,2,2)/(1,1,1,0,0), whose only pendant row sits at column 2.
@@ -126,27 +124,16 @@ def scm_pivots(s: SkewShape, rows: Rows = None) -> Iterator[dict]:
         row = kind == "row"
         if row:
             nbhd = range(mu[line - 1] + 1, lam[line - 1] + 1)
-            weights = None if rows is None else rows[line - 1]
+            weights = (1,) * len(nbhd) if rows is None else rows[line - 1]
         else:
             nbhd = range(muc[line - 1] + 1, lamc[line - 1] + 1)
-            weights = None if rows is None else [rows[i - 1][line - mu[i - 1] - 1]
-                                                 for i in nbhd]
-        if weights is None:
-            levels, cuts = [1], [set(nbhd)]
-        else:
-            levels = sorted(set(weights))
-            cuts = [{k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
+            weights = [1 if rows is None else rows[i - 1][line - mu[i - 1] - 1] for i in nbhd]
+        levels = sorted(set(weights))
+        cuts = [{k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
         deletions = [({line}, set()) if row else (set(), {line})]
         deletions += [(set(), cut) if row else (cut, set()) for cut in cuts]
         yield {"pivot": (kind, line), "boundary_case": case, "levels": levels,
                "deletions": deletions}
-
-
-def _derived(s: SkewShape, rows: Rows, piv: dict):
-    """A pivot's derived shapes with their weights, one group per deletion;
-    lazy, so that a failing group spares the deletions after it."""
-    for dead_rows, dead_cols in piv["deletions"]:
-        yield delete_rows_cols(s, dead_rows, dead_cols, rows)
 
 
 def is_scm(s: SkewShape, rows: Rows) -> bool:
@@ -185,24 +172,32 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     N[y] is inside N[x] (Woodroofe 2009), so G is vertex decomposable when
     G - x and G - N[x] are.
     """
-    # a loop, not all() over a generator, which would add a frame per level
-    for key in connected_parts(s, rows):
-        if not _scm_connected(s, key):
+    return _scm_all(connected_parts(s, rows))
+
+
+def _scm_all(keys: Iterable[Part]) -> bool:
+    """Whether every component key in ``keys`` is SCM: a loop, not all()
+    over a generator, which would add a frame per level of the search."""
+    for key in keys:
+        if not _scm_connected(key):
             return False
     return True
 
 
-def _scm_connected(s: SkewShape, key: Part) -> bool:
-    """The SCM verdict of the component ``key`` of ``s``, read off the
-    memo; the component's shape is built only on a miss."""
+def _scm_connected(key: Part) -> bool:
+    """The SCM verdict of the connected component ``key``, read off the
+    memo.  A miss builds its shape once, for the pivots and the transpose's
+    key; the first pivot's groups come from :func:`_deleted` as keys, one by
+    one, so that a failing group spares the deletions after it."""
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
-    c, rows = _component(s, key), key[2]
+    lam, mu, rows = key
+    c = SkewShape._trusted(lam, mu)
     piv = next(scm_pivots(c, rows), None)
     # the first pivot decides (proof in is_scm)
-    result = piv is not None and all(is_scm(*u) for group in _derived(c, rows, piv)
-                                     for u in group)
+    result = piv is not None and all(_scm_all(_deleted(lam, mu, rows, *dead))
+                                     for dead in piv["deletions"])
     # The verdict is stored under the transpose's key too.  Every write is
     # such a pair and the transpose is an involution on (lam, mu, rows), so
     # a verdict found for either key is already under this one: one lookup.
@@ -220,7 +215,7 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
         return node
     parts = list(connected_parts(s, rows))
     if len(parts) > 1:
-        node["components"] = [scm_trace(_component(s, key), key[2]) for key in parts]
+        node["components"] = [scm_trace(SkewShape._trusted(l, m), r) for l, m, r in parts]
         return node
     pivots = list(scm_pivots(s, rows))
     node["pivots"] = [list(p["pivot"]) for p in pivots]
@@ -233,7 +228,8 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
         node["levels"] = piv["levels"]
     if piv["boundary_case"] is not None:
         node["case"] = piv["boundary_case"]
-    node["deletions"] = [[scm_trace(*u) for u in group] for group in _derived(s, rows, piv)]
+    node["deletions"] = [[scm_trace(SkewShape._trusted(l, m), r) for l, m, r in
+                          _deleted(s.lam, s.mu, rows, *dead)] for dead in piv["deletions"]]
     return node
 
 
@@ -658,10 +654,10 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     unmixed = scm = True
     for key in connected_parts(s, rows):
         part_unmixed, monotone = _unmixed_connected(s, key)
-        part_scm = _scm_connected(s, key)
+        part_scm = _scm_connected(key)
         if rows is not None:
             part_cm = part_unmixed and part_scm
-            cm_direct = monotone and _scm_connected(s, (*key[:2], None))
+            cm_direct = monotone and _scm_connected((*key[:2], None))
             if part_cm != cm_direct:
                 instance = _as_dict(_component(s, key), key[2])
                 raise RuntimeError(

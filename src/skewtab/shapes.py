@@ -3,10 +3,11 @@
 Rows and columns are 1-based throughout.  A skew shape is kept in normal
 form: the inner boundary is weakly decreasing with last entry zero, every
 row is nonempty, and every column 1..m holds at least one box.  The empty
-shape is a valid degenerate value.  :func:`delete_rows_cols` deletes whole
-rows and columns, drops the lines left empty and splits the rest into its
-connected components, each in normal form; a filling's weight rows
-(``Rows``) are carried along.
+shape is a valid degenerate value.  :func:`_deleted` deletes whole rows
+and columns, drops the lines left empty and splits the rest into its
+connected components as memo keys (``Part``), each in normal form, with a
+filling's weight rows (``Rows``) carried along; :func:`delete_rows_cols`
+checks the indices and builds the components' shapes.
 
 Trust boundary: ``SkewShape(lam, mu)`` and ``SkewShape.from_dict`` take
 outside input and validate it in full.  Shapes the package derives from a
@@ -233,43 +234,46 @@ def _parts(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
         start = stop
 
 
-def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Iterable[int] = (),
-                     rows: Rows = None) -> list[tuple[SkewShape, Rows]]:
-    """The connected components left when the rows ``dead_rows`` and the
-    columns ``dead_cols`` of ``s`` are deleted, top to bottom, as (shape,
-    weight rows) pairs; ``rows`` are the weight rows of a filling of ``s``,
-    None for the bare shape.
+def _deleted(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
+             dead_rows: set[int], dead_cols: set[int]) -> Iterable[Part]:
+    """The connected components of lam/mu left when the rows ``dead_rows``
+    and the columns ``dead_cols`` (1-based sets, in range, neither copied
+    nor checked) are deleted, top to bottom, as memo keys (lam, mu, rows);
+    ``rows`` are the weight rows of a filling, None for the bare shape.
 
     One pass over the rows: a surviving row's lam_i and mu_i drop by the
     number of dead columns at or left of them, found by bisection, its
     weights lose the entries of the dead columns, and a row left empty drops
     out.  A component's columns are contiguous, so a column that only
     deleted rows used lies left of or between components; moving each
-    component flush left removes it.
+    component flush left (:func:`_parts`) removes it.
     """
-    dead_rows = set(dead_rows)
-    gone = set(dead_cols)
-    dead = sorted(gone)
-    if not all(1 <= r <= s.n for r in dead_rows) or dead and not 1 <= dead[0] <= dead[-1] <= s.m:
-        raise ValueError("row/column index out of range")
-    lam, mu, kept = [], [], []
-    for i, (l, u) in enumerate(zip(s.lam, s.mu)):
+    dead = sorted(dead_cols)
+    new_lam, new_mu, kept = [], [], []
+    for i, (l, u) in enumerate(zip(lam, mu)):
         if i + 1 in dead_rows:
             continue
         below, upto = bisect_right(dead, u), bisect_right(dead, l)
         if upto - below == l - u:  # every column of the row is dead
             continue
-        lam.append(l - upto)
-        mu.append(u - below)
+        new_lam.append(l - upto)
+        new_mu.append(u - below)
         if rows is not None:
             kept.append(rows[i] if upto == below else
-                        tuple([w for c, w in enumerate(rows[i], u + 1) if c not in gone]))
-    if not lam:
-        return []
-    lam, mu = tuple(lam), tuple(mu)
-    parts = _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu))
-    return [(SkewShape._trusted(piece_lam, piece_mu), piece_rows)
-            for piece_lam, piece_mu, piece_rows in parts]
+                        tuple([w for c, w in enumerate(rows[i], u + 1) if c not in dead_cols]))
+    lam, mu = tuple(new_lam), tuple(new_mu)
+    return _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu)) if lam else ()
+
+
+def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Iterable[int] = (),
+                     rows: Rows = None) -> list[tuple[SkewShape, Rows]]:
+    """:func:`_deleted` on ``s`` and its weight rows ``rows``, with every index
+    checked to be in range, as (shape, weight rows) pairs."""
+    dead_rows, dead_cols = set(dead_rows), set(dead_cols)
+    if not all(1 <= r <= s.n for r in dead_rows) or not all(1 <= c <= s.m for c in dead_cols):
+        raise ValueError("row/column index out of range")
+    return [(SkewShape._trusted(lam, mu), piece_rows)
+            for lam, mu, piece_rows in _deleted(s.lam, s.mu, rows, dead_rows, dead_cols)]
 
 
 # -- rendering -----------------------------------------------------------

@@ -13,9 +13,10 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
-from skewtab.classify import _derived, _runs, connected_parts, scm_pivots
+from skewtab.classify import _runs, connected_parts, scm_pivots
 from skewtab.graphs import _adjacency, _canonical, _minimal_covers, _pure, _restrict, _vd
 from skewtab.ideals import _threshold_u_sets
+from skewtab.shapes import _deleted
 
 
 def boxes_of(s: SkewShape) -> set[tuple[int, int]]:
@@ -87,12 +88,20 @@ def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) 
     for key in connected_parts(s, rows):
         if key not in memo:
             part = SkewShape(key[0], key[1]), key[2]
-            memo[key] = any(all(scm_all_pivots_reference(*u, memo)
-                                for group in _derived(*part, piv) for u in group)
+            memo[key] = any(all(scm_all_pivots_reference(SkewShape(lam, mu), u_rows, memo)
+                                for group in pivot_groups(*part, piv)
+                                for lam, mu, u_rows in group)
                             for piv in scm_pivots(*part))
         if not memo[key]:
             return False
     return True
+
+
+def pivot_groups(s: SkewShape, rows, piv: dict) -> list[list[tuple]]:
+    """A pivot's derived groups as the SCM search reads them: for each of
+    its deletions, the component keys (lam, mu, rows) that
+    ``skewtab.shapes._deleted`` leaves of ``s`` and its weight rows."""
+    return [list(_deleted(s.lam, s.mu, rows, *dead)) for dead in piv["deletions"]]
 
 
 def scm_pivots_reference(s: SkewShape, rows=None) -> list[dict]:

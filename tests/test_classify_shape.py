@@ -10,14 +10,14 @@ from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate
                      is_saturated, is_scm_skew, is_unmixed_ideal, is_unmixed_skew,
                      is_scm_weighted_oracle, is_unmixed_tableau, scm_trace, tableau,
                      unmixed_decomposition, validate_certificate)
-from skewtab.classify import (_constant_on_blocks, _derived, _piece_as_partition, clear_caches,
+from skewtab.classify import (_constant_on_blocks, _piece_as_partition, clear_caches,
                               is_scm, scm_pivots)
 from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import conjugate_parts
 
 from helpers import (blocks_reference, boxes_of, partitions_up_to, piece_blocks_reference,
-                     random_connected_filling, scm_all_pivots_reference, scm_pivots_reference,
-                     shapes_up_to)
+                     pivot_groups, random_connected_filling, scm_all_pivots_reference,
+                     scm_pivots_reference, shapes_up_to)
 
 
 def test_is_saturated_examples():
@@ -140,8 +140,8 @@ def test_pivots_of_vertex_decomposable_shapes_derive_vertex_decomposable_shapes(
     vertex decomposable too (10,924 derived shapes)."""
     shapes = [s for s in shapes_up_to(10, connected_only=True)
               if is_scm_weighted_oracle(from_shape(s))]
-    derived = [u for s in shapes for piv in scm_pivots(s)
-               for group in _derived(s, None, piv) for u, _ in group]
+    derived = [SkewShape(lam, mu) for s in shapes for piv in scm_pivots(s)
+               for group in pivot_groups(s, None, piv) for lam, mu, _ in group]
     assert (len(shapes), len(derived)) == (1815, 10924)
     for u in derived:
         assert is_scm_weighted_oracle(from_shape(u)), u
@@ -154,8 +154,9 @@ def test_pivots_of_scm_fillings_derive_scm_fillings():
     every pivot is oracle-SCM too (3,016 derived fillings)."""
     fillings = [t for s in shapes_up_to(5, connected_only=True) for t in enumerate_fillings(s, 2)
                 if is_scm_weighted_oracle(from_shape(t.shape, t.rows))]
-    derived = [SkewTableau(*u) for t in fillings for piv in scm_pivots(t.shape, t.rows)
-               for group in _derived(t.shape, t.rows, piv) for u in group]
+    derived = [SkewTableau(SkewShape(lam, mu), rows) for t in fillings
+               for piv in scm_pivots(t.shape, t.rows)
+               for group in pivot_groups(t.shape, t.rows, piv) for lam, mu, rows in group]
     assert (len(fillings), len(derived)) == (794, 3016)
     for u in derived:
         assert is_scm_weighted_oracle(from_shape(u.shape, u.rows)), u.to_dict()
@@ -177,12 +178,12 @@ def test_children_threshold_sets_are_parent_threshold_sets():
             parent = set(_threshold_u_sets(g))
             for piv in scm_pivots(s, t.rows):
                 for (dead_rows, dead_cols), group in zip(piv["deletions"],
-                                                         _derived(s, t.rows, piv)):
+                                                         pivot_groups(s, t.rows, piv)):
                     dead = sum(1 << (i - 1) for i in dead_rows)
                     dead |= sum(1 << (s.n + j - 1) for j in dead_cols)
                     child = WeightedGraph(g.nverts, tuple(
                         e for e in g.edges if not (dead >> e[0] | dead >> e[1]) & 1))
-                    assert len(child.edges) == sum(sum(u.lam) - sum(u.mu) for u, _ in group)
+                    assert len(child.edges) == sum(sum(lam) - sum(mu) for lam, mu, _ in group)
                     for u_mask in _threshold_u_sets(child):
                         assert u_mask | dead in parent, (t.to_dict(), piv["pivot"], u_mask)
                         cases += 1
@@ -441,8 +442,11 @@ def test_cm_flag_matches_oracles():
      (False, True, False, False, False)),
 ])
 def test_deep_shapes_classify_under_default_recursion_limit(lam, mu, flags):
-    """150 rows need about 150 recursion levels; at three interpreter frames
-    per level they fit under the default limit of 1000 (247-248 rows do)."""
+    """150 rows need about 150 recursion levels.  A level costs 4 calls
+    against the recursion limit: the loop over a group's keys, the
+    component's verdict, the builtin ``all`` over the pivot's groups and its
+    generator (on CPython 3.10 and 3.11 a builtin counts too).  So they fit
+    under the default limit of 1000: 248 rows classify, 249 raise."""
     f = classify_shape(SkewShape(lam, mu))
     assert (f.unmixed, f.scm, f.cm, f.buchsbaum, f.gcm) == flags
 
@@ -463,6 +467,42 @@ def test_classifiers_build_no_validated_shapes(monkeypatch):
         is_scm_skew(s)
         scm_trace(s, None)
     assert calls == []
+
+
+def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
+    """The SCM search runs on memo keys: a derived component is a key, and
+    a shape is built only on a memo miss, for the pivots and the transpose's
+    key.  From a cold memo per instance, on the 986 connected shapes with
+    <= 9 boxes and the 5,718 connected fillings with <= 5 boxes, w <= 3,
+    ``is_scm`` builds at most one shape (trusted or validated) per miss."""
+    instances = [(s, None) for s in shapes_up_to(9, connected_only=True)]
+    instances += [(t.shape, t.rows) for s in shapes_up_to(5, connected_only=True)
+                  for t in enumerate_fillings(s, 3)]
+    assert len(instances) == 986 + 5718
+    counts = {"builds": 0, "misses": 0}
+
+    class Memo(dict):
+        def get(self, key, default=None):
+            hit = super().get(key, default)
+            counts["misses"] += hit is None
+            return hit
+
+    trusted, init = SkewShape._trusted.__func__, SkewShape.__init__
+
+    def counted(build):
+        def wrapper(*args):
+            counts["builds"] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(classify, "_scm_cache", Memo())
+    monkeypatch.setattr(SkewShape, "_trusted", classmethod(counted(trusted)))
+    monkeypatch.setattr(SkewShape, "__init__", counted(init))
+    for s, rows in instances:
+        clear_caches()
+        is_scm(s, rows)
+    assert counts["misses"] == 25860
+    assert counts["builds"] <= counts["misses"], counts
 
 
 def test_unmixed_memo_is_faithful():

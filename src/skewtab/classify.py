@@ -22,12 +22,15 @@ variables, so every classifier runs per connected component, read off its
 memo key (lam, mu, rows) in normal form.  ``connected_parts`` splits a
 shape into these keys.  The SCM search runs on keys alone: a pivot's
 deletions yield keys (``shapes._deleted``), and a memo miss builds one
-shape, for the pivots and the transpose's key.  ``_scm_cache`` memoizes the
-verdict on a key and on its transpose's, ``_unmixed_cache`` on a key's
-(lam, mu) whether the shape, built on a miss, decomposes: one boolean,
-never a certificate, whose box sets would outlive every large shape
-classified.  A filling's weights are checked against the pieces on each
-call.  ``clear_caches`` empties both memos.
+shape, for the pivots and the transpose's key.  ``scm_trace`` lists the
+keys the search settles as its DAG, one node each: a True node's first
+pivot derives its children, and a False node names the child that failed,
+a chain down to a pendant-free leaf.  ``_scm_cache`` memoizes the verdict
+on a key and on its transpose's, ``_unmixed_cache`` on a key's (lam, mu)
+whether the shape, built on a miss, decomposes: one boolean, never a
+certificate, whose box sets would outlive every large shape classified.
+A filling's weights are checked against the pieces on each call.
+``clear_caches`` empties both memos.
 """
 
 from __future__ import annotations
@@ -207,30 +210,43 @@ def _scm_connected(key: Part) -> bool:
 
 
 def scm_trace(s: SkewShape, rows: Rows) -> dict:
-    """Decision-tree trace of the SCM recursion, JSON-ready."""
-    node: dict = {"shape" if rows is None else "tableau": _as_dict(s, rows),
-                  "scm": is_scm(s, rows)}
-    if s.is_empty:
-        node["empty"] = True
-        return node
-    parts = list(connected_parts(s, rows))
-    if len(parts) > 1:
-        node["components"] = [scm_trace(SkewShape._trusted(l, m), r) for l, m, r in parts]
-        return node
-    pivots = list(scm_pivots(s, rows))
-    node["pivots"] = [list(p["pivot"]) for p in pivots]
-    if not node["scm"]:
-        return node
-    # on a True node the first pivot succeeds (proof in is_scm)
-    piv = pivots[0]
-    node["pivot"] = list(piv["pivot"])
-    if rows is not None:
-        node["levels"] = piv["levels"]
-    if piv["boundary_case"] is not None:
-        node["case"] = piv["boundary_case"]
-    node["deletions"] = [[scm_trace(SkewShape._trusted(l, m), r) for l, m, r in
-                          _deleted(s.lam, s.mu, rows, *dead)] for dead in piv["deletions"]]
-    return node
+    """The SCM search of ``s`` as its DAG, JSON-ready: one node per distinct
+    component key, numbered as first met, from the ``components`` of
+    ``connected_parts`` on.  A True node lists its first pivot's deletion
+    groups as node ids; a False node with a pivot names in ``failed`` the
+    first derived key, in search order, that is not SCM; a node with no
+    pivot is a pendant-free leaf.  Verdicts are read off the memo."""
+    keys: list[Part] = []
+    ids: dict[Part, int] = {}
+
+    def node_id(key: Part) -> int:
+        if ids.setdefault(key, len(keys)) == len(keys):
+            keys.append(key)
+        return ids[key]
+
+    trace = {"scm": is_scm(s, rows), "components": [node_id(k) for k in connected_parts(s, rows)],
+             "nodes": []}
+    for lam, mu, r in keys:  # grows as the nodes meet new keys
+        c = SkewShape._trusted(lam, mu)
+        pivots = list(scm_pivots(c, r))
+        node = {"shape" if r is None else "tableau": _as_dict(c, r),
+                "scm": _scm_connected((lam, mu, r)), "pivots": [list(p["pivot"]) for p in pivots]}
+        trace["nodes"].append(node)
+        if not pivots:
+            continue
+        piv = pivots[0]
+        node["pivot"] = list(piv["pivot"])
+        if r is not None:
+            node["levels"] = piv["levels"]
+        if piv["boundary_case"] is not None:
+            node["case"] = piv["boundary_case"]
+        groups = (_deleted(lam, mu, r, *dead) for dead in piv["deletions"])
+        if node["scm"]:  # the first pivot decides (proof in is_scm)
+            node["deletions"] = [[node_id(k) for k in group] for group in groups]
+        else:
+            node["failed"] = node_id(next(k for group in groups for k in group
+                                          if not _scm_connected(k)))
+    return trace
 
 
 def is_scm_skew(s: SkewShape) -> bool:
@@ -366,33 +382,6 @@ def _peel_top(f: _Frame, drop: int) -> _Frame:
     return _Frame(sub, f.amb_rows[:sub.m], f.amb_cols[drop:], True)
 
 
-def _partition_piece_data(nu: tuple[int, ...], mu1: int, frame: _Frame):
-    """Extremal and defect blocks of the partition piece occupying the
-    frame's top rows, from its bands alone.
-
-    Returns (entry, exit, defect) as ambient box sets: entry is the block
-    through the top-right box, exit the one through the bottom-left box,
-    and defect the first nonsquare corner block by row band, or None.  The
-    row bands of a partition have strictly decreasing lengths, so each one
-    ends in exactly one corner block, whose column band ends at the band's
-    length.
-    """
-    row_bands = _runs(nu)
-    col_bands = _runs(conjugate_parts(nu))
-    ending_at = {hi: (lo, hi) for lo, hi in col_bands}
-
-    def ambient(rows: tuple[int, int], cols: tuple[int, int]) -> BoxSet:
-        return frame.boxset((i, j + mu1) for i, j in _rect(rows, cols))
-
-    defect = None
-    for rows in row_bands:
-        cols = ending_at[nu[rows[0] - 1]]
-        if rows[1] - rows[0] != cols[1] - cols[0]:
-            defect = ambient(rows, cols)
-            break
-    return ambient(row_bands[0], col_bands[-1]), ambient(row_bands[-1], col_bands[0]), defect
-
-
 def _extract_piece(frame: _Frame, entering: BoxSet | None):
     """Take the top prime piece off the frame's shape (upper in local
     coordinates).  Returns (piece, next_frame, next_entering)."""
@@ -405,9 +394,17 @@ def _extract_piece(frame: _Frame, entering: BoxSet | None):
     while k < s.n and s.mu[k] == mu1:
         k += 1
     nu = tuple(l - mu1 for l in s.lam[:k])
-    entry, exit_, defect = _partition_piece_data(nu, mu1, frame)
-    if defect is not None:
-        raise _DecompFail("nonsquare corner block", {"block": sorted(defect)})
+    grid = _partition_grid(nu)
+
+    def ambient(rows: tuple[int, int], cols: tuple[int, int]) -> BoxSet:
+        return frame.boxset((i, j + mu1) for i, j in _rect(rows, cols))
+
+    for rows, bands in grid:  # a row band's last column band is its corner block
+        if rows[1] - rows[0] != bands[-1][1] - bands[-1][0]:
+            raise _DecompFail("nonsquare corner block",
+                              {"block": sorted(ambient(rows, bands[-1]))})
+    # the entry block holds the top-right box, the exit block the bottom-left one
+    entry, exit_ = ambient(grid[0][0], grid[0][1][-1]), ambient(grid[-1][0], grid[-1][1][0])
     orientation = "lower" if frame.swap else "upper"
     piece_boxes = frame.boxset((i, j) for i in range(1, k + 1)
                                for j in range(mu1 + 1, s.lam[i - 1] + 1))

@@ -205,6 +205,15 @@ def _check_share(args: tuple) -> tuple[int, list[dict]]:
     return instances, bad
 
 
+# Bounds past which a cross-check would run for days.  Each extra box
+# multiplies the shapes by about 3.1 (1,171,631 with <= 13 boxes, about
+# 3 * 10**9 with <= 20), and a shape of b boxes has max_weight ** b
+# fillings.  CI runs at most 12 boxes, and weighted at most 3 ** 7 = 2,187
+# fillings per shape.
+MAX_BOXES = 20
+MAX_FILLINGS_PER_SHAPE = 10**7
+
+
 def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
                max_weight: int = 2, jobs: int = 1) -> CrossCheckReport:
     """Run classifier vs oracle over every instance within bounds.
@@ -212,7 +221,9 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
     Weighted runs range over connected shapes and all fillings with weights
     1..max_weight; unweighted runs include disconnected shapes.  The report
     is deterministic for fixed bounds regardless of the job count, which is
-    capped at the CPU count.
+    capped at the CPU count.  Bounds above ``MAX_BOXES``, or weighted ones
+    with max_weight ** max_boxes above ``MAX_FILLINGS_PER_SHAPE``, raise
+    ValueError before any instance is enumerated.
     """
     if prop not in FLAG_NAMES:
         raise ValueError(f"property must be one of {FLAG_NAMES}")
@@ -220,6 +231,10 @@ def crosscheck(prop: str, max_boxes: int, weighted: bool = False,
                         ("max_weight", max_weight if weighted else 1)):
         if bound < 1:
             raise ValueError(f"{name} must be >= 1")
+    if max_boxes > MAX_BOXES:
+        raise ValueError(f"max_boxes must be <= {MAX_BOXES}")
+    if weighted and max_weight ** max_boxes > MAX_FILLINGS_PER_SHAPE:
+        raise ValueError(f"max_weight ** max_boxes must be <= {MAX_FILLINGS_PER_SHAPE}")
     t0 = time.monotonic()
     report = CrossCheckReport(property=prop, weighted=weighted, max_boxes=max_boxes,
                               max_weight=max_weight if weighted else None)

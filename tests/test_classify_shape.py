@@ -12,12 +12,13 @@ from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate
                      unmixed_decomposition, validate_certificate)
 from skewtab.classify import (_constant_on_blocks, _piece_as_partition, clear_caches,
                               is_scm, scm_pivots)
+from skewtab.graphs import _adjacency, _is_shedding, _vd
 from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import conjugate_parts
 
-from helpers import (blocks_reference, boxes_of, partitions_up_to, piece_blocks_reference,
-                     pivot_groups, random_connected_filling, scm_all_pivots_reference,
-                     scm_pivots_reference, shapes_up_to)
+from helpers import (blocks_reference, boxes_of, delete_rows_cols_reference, partitions_up_to,
+                     piece_blocks_reference, pivot_groups, random_connected_filling,
+                     scm_all_pivots_reference, scm_pivots_reference, shapes_up_to)
 
 
 def test_is_saturated_examples():
@@ -191,32 +192,132 @@ def test_children_threshold_sets_are_parent_threshold_sets():
 
 
 EXPLAIN_554 = {
-    "shape": {"lambda": [5, 5, 4], "mu": [2, 1, 0]}, "scm": True,
-    "pivots": [["row", 3]], "pivot": ["row", 3], "case": 4,
-    "deletions": [
-        [{"shape": {"lambda": [4, 4], "mu": [1, 0]}, "scm": True,
-          "pivots": [["row", 2]], "pivot": ["row", 2], "case": 4,
-          "deletions": [
-              [{"shape": {"lambda": [3], "mu": [0]}, "scm": True,
-                "pivots": [["row", 1]], "pivot": ["row", 1], "case": 1,
-                "deletions": [[], []]}],
-              []]}],
-        [{"shape": {"lambda": [1, 1], "mu": [0, 0]}, "scm": True,
-          "pivots": [["col", 1]], "pivot": ["col", 1], "case": 2,
-          "deletions": [[], []]}]]}
+    "scm": True, "components": [0],
+    "nodes": [
+        {"shape": {"lambda": [5, 5, 4], "mu": [2, 1, 0]}, "scm": True,
+         "pivots": [["row", 3]], "pivot": ["row", 3], "case": 4, "deletions": [[1], [2]]},
+        {"shape": {"lambda": [4, 4], "mu": [1, 0]}, "scm": True,
+         "pivots": [["row", 2]], "pivot": ["row", 2], "case": 4, "deletions": [[3], []]},
+        {"shape": {"lambda": [1, 1], "mu": [0, 0]}, "scm": True,
+         "pivots": [["col", 1]], "pivot": ["col", 1], "case": 2, "deletions": [[], []]},
+        {"shape": {"lambda": [3], "mu": [0]}, "scm": True,
+         "pivots": [["row", 1]], "pivot": ["row", 1], "case": 1, "deletions": [[], []]}]}
 
 
 def test_explain_scm_trace():
     trace = scm_trace(SkewShape((5, 5, 4), (2, 1, 0)), None)
-    assert trace["scm"] is True
-    assert trace["pivot"] == ["row", 3]
-    assert trace["case"] == 4
-    assert len(trace["deletions"]) == 2
-    # the whole tree, key order included, as the CLI prints it
+    root = trace["nodes"][trace["components"][0]]
+    assert trace["scm"] is True and root["scm"] is True
+    assert root["pivot"] == ["row", 3]
+    assert root["case"] == 4
+    assert len(root["deletions"]) == 2
+    # the whole DAG, key order included, as the CLI prints it: nodes are
+    # numbered in the order first met, and the row-3 pivot deletes its line,
+    # then its neighbours
     assert trace == EXPLAIN_554
     assert json.dumps(trace) == json.dumps(EXPLAIN_554)
     bad = scm_trace(SkewShape((2, 2)), None)
-    assert bad["scm"] is False and bad["pivots"] == []
+    assert bad == {"scm": False, "components": [0], "nodes": [
+        {"shape": {"lambda": [2, 2], "mu": [0, 0]}, "scm": False, "pivots": []}]}
+    # a False node names the first derived key that is not SCM: deleting
+    # column 1 of (3, 3, 1) leaves the pendant-free 2 x 2 square
+    assert scm_trace(SkewShape((3, 3, 1)), None)["nodes"] == [
+        {"shape": {"lambda": [3, 3, 1], "mu": [0, 0, 0]}, "scm": False,
+         "pivots": [["col", 1]], "pivot": ["col", 1], "case": 3, "failed": 1},
+        bad["nodes"][0]]
+    # two components with one key are one node; the empty shape has none
+    assert scm_trace(SkewShape((2, 1), (1, 0)), None)["components"] == [0, 0]
+    assert scm_trace(SkewShape(()), None) == {"scm": True, "components": [], "nodes": []}
+
+
+def _node_key(node: dict) -> tuple:
+    """A trace node's (lam, mu, rows), rows None for a bare shape."""
+    data = node.get("shape") or node["tableau"]
+    rows = data.get("rows")
+    return (tuple(data["lambda"]), tuple(data["mu"]),
+            None if rows is None else tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("n, nodes", [(14, 27), (40, 79)])
+def test_scm_trace_has_one_node_per_key(n, nodes):
+    """The trace is the search's DAG: each component key the search settles
+    is one node.  A width-2 ribbon of n rows settles 2n - 1 keys, the
+    ribbons of k < n rows and one box less, so its trace grows linearly; the
+    tree that re-expanded every shared sub-ribbon printed 7.3 MB at 14
+    rows.  The printed 14-row trace is under 20 KB."""
+    trace = scm_trace(SkewShape(tuple(range(n + 1, 1, -1)), tuple(range(n - 1, -1, -1))), None)
+    keys = [_node_key(node) for node in trace["nodes"]]
+    assert trace["scm"] is True and len(keys) == nodes == len(set(keys))
+    if n == 14:
+        assert len(json.dumps(trace, indent=2)) < 20_000
+
+
+def test_scm_trace_true_nodes_replay_as_vertex_decompositions():
+    """Every True node in the traces of the connected shapes with <= 8
+    boxes replays on its bipartite graph G without the classifier: the
+    pivot line v is a shedding vertex (Woodroofe 2009), and its two
+    deletion groups are the components of G - v and G - N[v], as the set
+    reference deletes them.  The dead sets come from the pivot's name
+    alone: row i deletes {i}, then row i's columns, and a column likewise.
+    So G is vertex decomposable when the nodes it points to are, and a
+    bipartite graph is SCM iff vertex decomposable (Van Tuyl 2009)."""
+    true_nodes = 0
+    for s in shapes_up_to(8, connected_only=True):
+        nodes = scm_trace(s, None)["nodes"]
+        keys = [_node_key(node) for node in nodes]
+        assert len(set(keys)) == len(keys), s
+        for node in nodes:
+            if not node["scm"]:
+                continue
+            lam, mu, _ = _node_key(node)
+            shape = SkewShape(lam, mu)
+            kind, line = node["pivot"]
+            if kind == "row":
+                v, nbhd = line - 1, set(range(mu[line - 1] + 1, lam[line - 1] + 1))
+                dead = [({line}, ()), ((), nbhd)]
+            else:
+                v, nbhd = shape.n + line - 1, {i for i in range(1, shape.n + 1)
+                                               if mu[i - 1] < line <= lam[i - 1]}
+                dead = [((), {line}), (nbhd, ())]
+            assert _is_shedding(_adjacency(from_shape(shape)), v), (lam, mu, node["pivot"])
+            assert len(node["deletions"]) == 2
+            for (rows, cols), group in zip(dead, node["deletions"]):
+                want = [(c.shape.lam, c.shape.mu)
+                        for c in delete_rows_cols_reference(shape, rows, cols)]
+                assert [keys[k][:2] for k in group] == want, (lam, mu, node["pivot"])
+            true_nodes += 1
+    assert true_nodes == 1287
+
+
+def test_scm_trace_false_nodes_end_at_non_vertex_decomposable_leaves():
+    """Following ``failed`` from the root of every non-SCM connected shape
+    with <= 9 boxes and filling with <= 6 boxes, w <= 2, ends at a
+    connected node with no pivots whose unweighted graph G is not vertex
+    decomposable: the leaf is not SCM without the classifier.  For a
+    filling this is the threshold set U = {}, where sqrt(I) = I(G).  The box
+    count drops at each step, so the walk ends."""
+    instances = [(s, None) for s in shapes_up_to(9, connected_only=True)]
+    instances += [(t.shape, t.rows) for s in shapes_up_to(6, connected_only=True)
+                  for t in enumerate_fillings(s, 2)]
+    failures, leaves = 0, set()
+    for s, rows in instances:
+        trace = scm_trace(s, rows)
+        if trace["scm"]:
+            continue
+        node = trace["nodes"][trace["components"][0]]
+        while "failed" in node:
+            child = trace["nodes"][node["failed"]]
+            lam, mu, _ = _node_key(node)
+            clam, cmu, _ = _node_key(child)
+            assert sum(clam) - sum(cmu) < sum(lam) - sum(mu)
+            node = child
+        lam, mu, _ = _node_key(node)
+        leaf = SkewShape(lam, mu)
+        assert node["scm"] is False and node["pivots"] == [] and leaf.is_connected()
+        assert not _vd(_adjacency(from_shape(leaf))), (s, rows)
+        failures += 1
+        leaves.add((lam, mu))
+    assert (failures, len(leaves)) == (603, 17)
 
 
 def test_unmixed_decomposition_paper_example():

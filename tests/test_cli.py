@@ -140,7 +140,8 @@ def test_classify_explain_scm_trace_is_json(shape_file, capsys):
     data = json.loads(out)
     assert data["verdict"] is True
     trace = data["explain"]["scm_trace"]
-    assert trace["pivot"] == ["row", 3] and trace["case"] == 4
+    root = trace["nodes"][trace["components"][0]]
+    assert root["pivot"] == ["row", 3] and root["case"] == 4
 
     fpath = shape_file("f.json", {"rows": [[1, 2], [3]]})
     s2 = shape_file("s2.json", {"lambda": [2, 1]})
@@ -148,7 +149,7 @@ def test_classify_explain_scm_trace_is_json(shape_file, capsys):
                            "--explain")
     assert code == 0
     trace = json.loads(out)["explain"]["scm_trace"]
-    assert trace["scm"] is True and "levels" in trace
+    assert trace["scm"] is True and "levels" in trace["nodes"][0]
 
 
 def test_decompose(shape_file, capsys):
@@ -198,6 +199,35 @@ def test_crosscheck_bad_bounds_exit_2(capsys, bounds):
     """A bound below 1 is invalid input, also --jobs, which is not taken as 1."""
     code, out, err = run_cli(capsys, "crosscheck", "--property", "scm", *bounds)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bounds, code, message", [
+    (["--max-boxes", "100000000"], 2, "max_boxes must be <= 20"),
+    (["--max-boxes", "21"], 2, "max_boxes must be <= 20"),
+    (["--weighted", "--max-boxes", "6", "--max-weight", "1000000"], 2,
+     "max_weight ** max_boxes must be <= 10000000"),
+    (["--weighted", "--max-boxes", "7", "--max-weight", "11"], 2,
+     "max_weight ** max_boxes must be <= 10000000"),
+    (["--max-boxes", "20"], 0, ""),
+    (["--max-boxes", "17"], 0, ""),
+    (["--weighted", "--max-boxes", "7", "--max-weight", "10"], 0, ""),
+    (["--weighted", "--max-boxes", "7", "--max-weight", "3"], 0, ""),
+    (["--weighted", "--max-boxes", "8"], 0, ""),
+    (["--weighted", "--max-boxes", "5", "--max-weight", "4"], 0, ""),
+])
+def test_crosscheck_refuses_bounds_out_of_reach(capsys, monkeypatch, bounds, code, message):
+    """Bounds whose run would not end, above 20 boxes or with more than
+    10**7 fillings per shape, exit 2 before any instance is enumerated;
+    every bound run in CI, and 17 boxes, is accepted.  No run starts: each
+    worker's share of the run is replaced by an empty one."""
+    calls = []
+    monkeypatch.setattr(harness, "_check_share", lambda task: calls.append(task) or (0, []))
+    got, out, err = run_cli(capsys, "crosscheck", "--property", "scm", *bounds)
+    assert got == code
+    if code:
+        assert out == "" and err == f"error: {message}\n" and calls == []
+    else:
+        assert json.loads(out)["instances"] == 0 and len(calls) >= 1
 
 
 def test_invalid_inputs_exit_2(shape_file, capsys):

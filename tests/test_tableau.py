@@ -215,29 +215,31 @@ def test_non_essential_variables():
 
 
 EXPLAIN_21 = {
-    "tableau": {"lambda": [2, 1], "mu": [0, 0], "rows": [[1, 2], [3]]}, "scm": True,
-    "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [1, 2], "case": 1,
-    "deletions": [
-        [{"tableau": {"lambda": [1], "mu": [0], "rows": [[3]]}, "scm": True,
-          "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [3], "case": 1,
-          "deletions": [[], []]}],
-        [{"tableau": {"lambda": [1], "mu": [0], "rows": [[2]]}, "scm": True,
-          "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [2], "case": 1,
-          "deletions": [[], []]}],
-        []]}
+    "scm": True, "components": [0],
+    "nodes": [
+        {"tableau": {"lambda": [2, 1], "mu": [0, 0], "rows": [[1, 2], [3]]}, "scm": True,
+         "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [1, 2], "case": 1,
+         "deletions": [[1], [2], []]},
+        {"tableau": {"lambda": [1], "mu": [0], "rows": [[3]]}, "scm": True,
+         "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [3], "case": 1,
+         "deletions": [[], []]},
+        {"tableau": {"lambda": [1], "mu": [0], "rows": [[2]]}, "scm": True,
+         "pivots": [["row", 1], ["col", 1]], "pivot": ["row", 1], "levels": [2], "case": 1,
+         "deletions": [[], []]}]}
 
 
 def test_explain_scm_tableau():
     trace = scm_trace(SkewShape((2, 1)), ((1, 2), (3,)))
+    root = trace["nodes"][trace["components"][0]]
     assert trace["scm"] is True
-    assert trace["pivot"] in (["row", 1], ["col", 1], ["col", 2], ["row", 2])
-    assert "deletions" in trace
-    # the whole tree, key order included: the row-1 pivot deletes its line,
+    assert root["pivot"] in (["row", 1], ["col", 1], ["col", 2], ["row", 2])
+    assert "deletions" in root
+    # the whole DAG, key order included: the row-1 pivot deletes its line,
     # then its weight-1 neighbor (level 1), then both neighbors (level 2)
     assert trace == EXPLAIN_21
     assert json.dumps(trace) == json.dumps(EXPLAIN_21)
     bad = scm_trace(SkewShape((2, 2)), ((1, 1), (1, 1)))
-    assert bad["scm"] is False and bad["pivots"] == []
+    assert bad["scm"] is False and bad["nodes"][0]["pivots"] == []
 
 
 def test_classify_tableau_examples():

@@ -6,6 +6,14 @@ filling: box (i, j) is the edge x_i y_j, with x_i the vertex i-1 and y_j the
 vertex n+j-1, weighted by the filling or by 1; a bare shape is its all-ones
 filling.  Everything else reads the neighbour bitmasks of ``_adjacency``.
 
+Both searches decide a graph one connected component at a time.  The
+independence complex of a disjoint union is the join of its parts'
+complexes; a join is pure iff each factor is, as its facets are the unions
+of one facet from each, and vertex decomposable iff each factor is
+(Provan-Billera 1980).  Isolated vertices are cone points and change
+neither.  ``_components`` finds the components with an edge in one bitmask
+pass and relabels each densely, which makes it the memo key.
+
 ``_pure`` checks that all minimal vertex covers have one size, drawing them
 from the generator ``_minimal_covers`` and stopping at the first cover of a
 second size.  Minimal covers are the complements of maximal independent
@@ -13,14 +21,14 @@ sets, enumerated once each by Bron-Kerbosch with a pivot on an explicit
 stack.  ``_vd`` decides vertex decomposability by the definition; a
 shedding vertex v is recognised by a short search for an independent set at
 distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
-covers.  ``_vd_cache`` memoizes it on the relabelled graph, and
-``_vd_minus_cache`` on an adjacency and a removed vertex mask U, for the
-SCM oracle's many G - U; ``clear_caches`` empties both.  The unmixed and
-SCM oracles of :mod:`skewtab.ideals` rest on both searches, and
-``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle of a bare
-shape, runs both on every vertex link.  Everything here is definitional and
-independent of the combinatorial classifiers, so the two routes can referee
-each other.
+covers.  ``_pure_cache`` and ``_vd_cache`` memoize them per component, and
+``_vd_minus_cache`` memoizes ``_vd`` on an adjacency and a removed vertex
+mask U, for the SCM oracle's many G - U; ``clear_caches`` empties all
+three.  The unmixed and SCM oracles of :mod:`skewtab.ideals` rest on both
+searches, and ``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle
+of a bare shape, runs both on every vertex link.  Everything here is
+definitional and independent of the combinatorial classifiers, so the two
+routes can referee each other.
 """
 
 from __future__ import annotations
@@ -166,58 +174,98 @@ def _restrict(adj: tuple[int, ...], keep: int) -> tuple[int, ...]:
     return tuple(adj[v] & keep if (keep >> v) & 1 else 0 for v in range(len(adj)))
 
 
+def _components(adj: tuple[int, ...], keep: int = -1) -> list[tuple[int, ...]]:
+    """The connected components with an edge of the subgraph induced on the
+    vertex mask ``keep``, each densely relabelled, in the order of their
+    lowest vertices; isolated vertices are dropped.
+
+    A component grows from its lowest unseen vertex by breadth-first layers
+    of neighbour masks.  It is relabelled run by run: a maximal run of
+    consecutive vertices in it keeps its order, so a neighbour mask maps
+    to the new labels by one shift per run.  A component on one run, as
+    the graph of a connected shape is, just shifts down.
+    """
+    parts = []
+    unseen = keep & ((1 << len(adj)) - 1)
+    while unseen:
+        low = unseen & -unseen
+        unseen ^= low
+        layer = adj[low.bit_length() - 1] & unseen
+        if not layer:
+            continue  # isolated
+        comp = low
+        while layer:
+            comp |= layer
+            unseen &= ~layer
+            nxt = 0
+            while layer:
+                bit = layer & -layer
+                layer ^= bit
+                nxt |= adj[bit.bit_length() - 1]
+            layer = nxt & unseen
+        runs = []  # per run: its first vertex, a mask of its length, its first new label
+        rest, width = comp, 0
+        while rest:
+            first = (rest & -rest).bit_length() - 1
+            tail = rest >> first
+            ones = tail ^ (tail & (tail + 1))
+            runs.append((first, ones, width))
+            width += ones.bit_length()
+            rest ^= ones << first
+        if len(runs) == 1:
+            parts.append(tuple([(a & comp) >> first for a in adj[first:first + width]]))
+            continue
+        key = []
+        for start, span, _ in runs:
+            for a in adj[start:start + span.bit_length()]:
+                a &= comp
+                mask = 0
+                for first, ones, at in runs:
+                    mask |= (a >> first & ones) << at
+                key.append(mask)
+        parts.append(tuple(key))
+    return parts
+
+
+# component -> verdict, for _vd and _pure
 _vd_cache: dict[tuple[int, ...], bool] = {}
-# adjacency -> U bitmask -> _vd(_restrict(adj, ~U))
+_pure_cache: dict[tuple[int, ...], bool] = {}
+# adjacency -> U bitmask -> _vd(adj, ~U)
 _vd_minus_cache: dict[tuple[int, ...], dict[int, bool]] = {}
 
 
-def _canonical(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Densely relabeled adjacency of the non-isolated part."""
-    live = [v for v in range(len(adj)) if adj[v]]
-    pos = {v: k for k, v in enumerate(live)}
-    out = []
-    for v in live:
-        mask = 0
-        nb = adj[v]
-        while nb:
-            w = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            mask |= 1 << pos[w]
-        out.append(mask)
-    return tuple(out)
+def _vd(adj: tuple[int, ...], keep: int = -1) -> bool:
+    """Vertex decomposability of the subgraph induced on ``keep``, by the
+    definition, memoized per connected component.
 
-
-def _vd(adj: tuple[int, ...]) -> bool:
-    """Vertex decomposability by the definition, memoized.
-
-    Isolated vertices are immaterial (the independence complex is a cone
-    over them), so the memo key is the compacted non-isolated part.
+    Isolated vertices are immaterial: the independence complex is a cone
+    over them.  The independence complex of a disjoint union is the join
+    of its parts' complexes, and a join is vertex decomposable iff each
+    factor is (Provan-Billera 1980).  So a graph is vertex decomposable iff
+    each component with an edge is, and ``_vd_cache`` is keyed on those
+    components as ``_components`` relabels them.  A component is decided
+    by a shedding vertex v with G - v and G - N[v] vertex decomposable,
+    both of which split again.  The search recurses through this one
+    function, one frame per level.
     """
-    key = _canonical(adj)
-    if not key:
-        return True  # totally disconnected
-    hit = _vd_cache.get(key)
-    if hit is not None:
-        return hit
-
-    adj = key
-    nverts = len(adj)
-    all_mask = (1 << nverts) - 1
-    result = False
-    for v in range(nverts):
-        if not _is_shedding(adj, v):
-            continue
-        del_v = _restrict(adj, all_mask & ~(1 << v))
-        del_nv = _restrict(adj, all_mask & ~(adj[v] | (1 << v)))
-        if _vd(del_v) and _vd(del_nv):
-            result = True
-            break
-    _vd_cache[key] = result
-    return result
+    for key in _components(adj, keep):
+        hit = _vd_cache.get(key)
+        if hit is None:
+            hit = False
+            for v in range(len(key)):
+                if (_is_shedding(key, v) and _vd(key, ~(1 << v))
+                        and _vd(key, ~(key[v] | 1 << v))):
+                    hit = True
+                    break
+            _vd_cache[key] = hit
+        if not hit:
+            return False
+    return True
 
 
 def clear_caches() -> None:
     _vd_cache.clear()
+    _pure_cache.clear()
     _vd_minus_cache.clear()
 
 
@@ -225,10 +273,24 @@ def clear_caches() -> None:
 
 
 def _pure(adj: tuple[int, ...]) -> bool:
-    """Whether all minimal vertex covers have one size (Ind(G) is pure)."""
-    covers = _minimal_covers(adj)
-    size = next(covers).bit_count()
-    return all(c.bit_count() == size for c in covers)
+    """Whether all minimal vertex covers have one size (Ind(G) is pure),
+    memoized per connected component.
+
+    The independence complex of a disjoint union is the join of its parts'
+    complexes, whose facets are the unions of one facet from each part; so
+    it is pure iff each part is, and isolated vertices, a cone, change
+    nothing.  A component is pure when the minimal covers drawn from
+    ``_minimal_covers`` have one size; the walk stops at a second size.
+    """
+    for key in _components(adj):
+        hit = _pure_cache.get(key)
+        if hit is None:
+            covers = _minimal_covers(key)
+            size = next(covers).bit_count()
+            hit = _pure_cache[key] = all(c.bit_count() == size for c in covers)
+        if not hit:
+            return False
+    return True
 
 
 def is_buchsbaum_graph(g: WeightedGraph) -> bool:
@@ -242,6 +304,4 @@ def is_buchsbaum_graph(g: WeightedGraph) -> bool:
     it is vertex decomposable (Van Tuyl-Villarreal 2008).
     """
     adj = _adjacency(g)
-    everything = (1 << len(adj)) - 1
-    return _pure(adj) and all(_vd(_restrict(adj, everything & ~(adj[v] | 1 << v)))
-                              for v in range(len(adj)))
+    return _pure(adj) and all(_vd(adj, ~(adj[v] | 1 << v)) for v in range(len(adj)))

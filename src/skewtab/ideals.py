@@ -174,7 +174,7 @@ def is_scm_weighted_oracle(g: WeightedGraph) -> bool:
     for u_mask in _threshold_u_sets(g):
         vd = memo.get(u_mask)
         if vd is None:
-            vd = memo[u_mask] = _vd(_restrict(adj, ~u_mask))
+            vd = memo[u_mask] = _vd(adj, ~u_mask)
         if not vd:
             return False
     return True

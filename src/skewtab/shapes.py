@@ -10,7 +10,8 @@ filling's weight rows (``Rows``) carried along; :func:`delete_rows_cols`
 checks the indices and builds the components' shapes.
 
 Trust boundary: ``SkewShape(lam, mu)`` and ``SkewShape.from_dict`` take
-outside input and validate it in full.  Shapes the package derives from a
+outside input and validate it in full, refusing more than
+``MAX_SHAPE_BOXES`` boxes.  Shapes the package derives from a
 valid shape (components, deletions, conjugate, half turn, the pieces of the
 unmixed decomposition, enumerated shapes) are in normal form by
 construction and are built by ``SkewShape._trusted``, which skips the
@@ -57,6 +58,12 @@ def _half_turn(lam: Sequence[int], mu: Sequence[int], rows: Rows = None) -> Part
             None if rows is None else tuple([r[::-1] for r in reversed(rows)]))
 
 
+# The most boxes a shape built from outside input may have.  Validation and
+# every classifier cost grow with the box count (the column check alone is
+# O(lam_1)), so a larger shape is refused before any such pass.
+MAX_SHAPE_BOXES = 10**6
+
+
 def _weakly_decreasing(seq: Sequence[int]) -> bool:
     return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
 
@@ -98,6 +105,8 @@ class SkewShape:
             raise ValueError(f"outer shape must be weakly decreasing positive: {lam}")
         if not all(type(p) is int and p >= 0 for p in mu) or not _weakly_decreasing(mu):
             raise ValueError(f"inner shape must be weakly decreasing nonnegative: {mu}")
+        if sum(lam) - sum(mu) > MAX_SHAPE_BOXES:
+            raise ValueError(f"shape has more than MAX_SHAPE_BOXES = {MAX_SHAPE_BOXES} boxes")
         if mu[-1] != 0:
             raise ValueError(f"not in normal form: last inner part {mu[-1]} != 0")
         if any(l <= m for l, m in zip(lam, mu)):

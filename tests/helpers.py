@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
 from skewtab.classify import _runs, connected_parts, scm_pivots
-from skewtab.graphs import _adjacency, _canonical, _minimal_covers, _pure, _restrict, _vd
+from skewtab.graphs import _adjacency, _minimal_covers, _pure, _restrict, _vd
 from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import _deleted
 
@@ -637,15 +638,26 @@ def irreducible_decomposition_reference(ideal: MonomialIdeal) -> list[MonomialId
     rec(ideal.generators)
     comps = [MonomialIdeal(ideal.variables, gens) for gens in parts]
 
-    # drop components containing another component (absorbed in intersections)
+    # drop components containing another component (absorbed in
+    # intersections).  A component is generated by pure powers, at most one
+    # per variable, so it is its exponent vector, with ``big`` for a missing
+    # variable, and C contains D iff C's vector is <= D's in every entry.
     comps.sort(key=lambda c: sorted(c.generators))
-    kept = [c for c in comps
-            if not any(c is not d and contains_ideal(c, d) and c != d for d in comps)]
+    big = max(e for gens in parts for g in gens for e in g) + 1
+    vectors = []
+    for c in comps:
+        vector = [big] * nvars
+        for g in c.generators:
+            k = next(k for k, e in enumerate(g) if e)
+            vector[k] = g[k]
+        vectors.append(tuple(vector))
+    kept = [c for c, v in zip(comps, vectors)
+            if not any(w != v and all(map(le, v, w)) for w in vectors)]
 
     # witness filter: C is needed iff the maximal monomial outside C lies in
     # every other component; membership only compares against bounded
-    # exponents, so a clamp at max exponent + 1 is a faithful stand-in.
-    big = max((e for c in kept for g in c.generators for e in g), default=0) + 1
+    # exponents, so the clamp ``big`` above every exponent is a faithful
+    # stand-in.
     result = list(kept)
     changed = True
     while changed:
@@ -723,9 +735,27 @@ def is_shedding_reference(adj: tuple[int, ...], v: int) -> bool:
     return True
 
 
+def _canonical(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Densely relabeled adjacency of the non-isolated part, whole: a
+    disconnected graph stays one key, so ``vd_reference`` never splits."""
+    live = [v for v in range(len(adj)) if adj[v]]
+    pos = {v: k for k, v in enumerate(live)}
+    out = []
+    for v in live:
+        mask = 0
+        nb = adj[v]
+        while nb:
+            w = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            mask |= 1 << pos[w]
+        out.append(mask)
+    return tuple(out)
+
+
 def vd_reference(adj: tuple[int, ...], cache: dict) -> bool:
     """Vertex decomposability by the definition, on the cover-based shedding
-    test; ``cache`` is the caller's memo, keyed like ``skewtab.graphs._vd``."""
+    test, searched on the whole graph with no split into components;
+    ``cache`` is the caller's memo, keyed on the relabeled whole graph."""
     key = _canonical(adj)
     if not key:
         return True

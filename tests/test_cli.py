@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -307,6 +308,21 @@ def test_deeply_nested_json_exits_2(shape_file, capsys, tmp_path, argv):
     files = {"SHAPE": shape_file("s.json", {"lambda": [2, 1]}), "NESTED": str(nested)}
     code, out, err = run_cli(capsys, *[files.get(arg, arg) for arg in argv])
     assert code == 2 and out == "" and err.startswith("error: ") and "nested" in err
+
+
+@pytest.mark.parametrize("shape", [
+    {"lambda": [10**8]},  # one row: the column check alone would walk 10^8 columns
+    {"lambda": [10**4] * 10**4},  # a 10^4 x 10^4 rectangle
+])
+def test_shapes_over_the_box_budget_exit_2(shape_file, capsys, shape):
+    """A shape of more than ``MAX_SHAPE_BOXES`` boxes is refused before any
+    pass over its columns: exit 2 and an error line, at once."""
+    path = shape_file("big.json", shape)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--shape", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: ") and "MAX_SHAPE_BOXES" in err
+    assert "Traceback" not in err
 
 
 def test_console_entry_point(tmp_path):

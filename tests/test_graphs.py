@@ -4,7 +4,10 @@ import time
 
 from skewtab import (SkewShape, WeightedGraph, from_shape, is_buchsbaum_graph,
                      is_scm_weighted_oracle, is_unmixed_ideal)
-from skewtab.graphs import _adjacency, _is_shedding, _minimal_covers, _vd, clear_caches
+from skewtab import graphs
+from skewtab.graphs import (_adjacency, _is_shedding, _minimal_covers, _pure, _restrict, _vd,
+                            clear_caches)
+from skewtab.ideals import _bipartition
 
 from helpers import (_minimal_cover_masks, brute_minimal_covers,
                      is_shedding_reference, shapes_up_to, vd_reference)
@@ -128,6 +131,120 @@ def test_vd_matches_reference():
     for s in shapes_up_to(8):
         adj = _adjacency(from_shape(s))
         assert _vd(adj) == vd_reference(adj, cache), s
+
+
+def random_connected_graph(rng, nverts, bipartite):
+    """Adjacency bitmasks of a seeded random connected graph: a random tree
+    plus extra edges, only between the tree's two colour classes when
+    ``bipartite``."""
+    adj = [0] * nverts
+    colour = [0] * nverts
+    for v in range(1, nverts):
+        u = rng.randrange(v)
+        colour[v] = 1 - colour[u]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for u in range(nverts):
+        for v in range(u + 1, nverts):
+            if rng.random() < 0.3 and (not bipartite or colour[u] != colour[v]):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def disjoint_unions(seed, count):
+    """(adjacency, pieces, in order) of ``count`` disjoint unions of 1-3
+    seeded random connected graphs of 2-5 vertices, half of them drawn with
+    no bipartite constraint, and an isolated vertex before some pieces.
+    Odd unions take the pieces as consecutive vertex blocks, in order; even
+    ones scatter every vertex to a random label, so the components
+    interleave."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        pieces = [random_connected_graph(rng, rng.randint(2, 5), rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 3))]
+        blocks = []  # each piece's vertex labels before the scatter
+        nverts = 0
+        for piece in pieces:
+            nverts += rng.randint(0, 1)  # an isolated vertex before it
+            blocks.append(range(nverts, nverts + len(piece)))
+            nverts += len(piece)
+        label = list(range(nverts))
+        if k % 2 == 0:
+            rng.shuffle(label)
+        adj = [0] * nverts
+        for piece, block in zip(pieces, blocks):
+            for v, mask in zip(block, piece):
+                adj[label[v]] = sum(1 << label[block[w]] for w in range(len(piece))
+                                    if mask >> w & 1)
+        out.append((tuple(adj), pieces, k % 2 == 1))
+    return out
+
+
+def is_bipartite(adj):
+    try:
+        _bipartition(adj)
+    except ValueError:
+        return False
+    return True
+
+
+def pure_reference(adj):
+    """All minimal vertex covers of the whole graph, from the edge-branching
+    reference, have one size."""
+    return len({c.bit_count() for c in _minimal_cover_masks(adj)}) == 1
+
+
+def test_split_oracles_match_whole_graph_references():
+    """``_vd`` and ``_pure`` decide a graph one connected component at a
+    time and memoize each component; ``vd_reference`` and the cover sizes
+    of ``_minimal_cover_masks`` search the whole graph, unsplit.  They agree
+    on disjoint unions of random graphs from cold memos, then with the memos
+    warm, walked forward and backward, and on induced subgraphs.  The last
+    component alone decides some of the unions with the blocks in order, so
+    a split that lost a component would fail here."""
+    unions = disjoint_unions(1980, 400)
+    assert sum(not all(adj) for adj, _, _ in unions) > 100  # isolated vertices
+    assert sum(not is_bipartite(adj) for adj, _, _ in unions) > 100
+    cache = {}
+    want = [(vd_reference(adj, cache), pure_reference(adj)) for adj, _, _ in unions]
+    assert 0 < sum(vd for vd, _ in want) < len(want)
+    assert 0 < sum(pure for _, pure in want) < len(want)
+    last_only = [0, 0]  # unions in block order decided by their last component
+    for (adj, pieces, in_order), (vd, pure) in zip(unions, want):
+        if in_order and len(pieces) > 1:
+            head = [(vd_reference(tuple(p), cache), pure_reference(tuple(p))) for p in pieces]
+            last_only[0] += all(v for v, _ in head[:-1]) and not vd
+            last_only[1] += all(p for _, p in head[:-1]) and not pure
+    assert min(last_only) > 0, last_only
+
+    for (adj, _, _), verdicts in zip(unions, want):  # each from a cold memo
+        clear_caches()
+        assert (_vd(adj), _pure(adj)) == verdicts, adj
+    clear_caches()
+    for walk in (range(len(unions)), reversed(range(len(unions)))):
+        for k in walk:
+            adj = unions[k][0]
+            assert (_vd(adj), _pure(adj)) == want[k], adj
+    rng = random.Random(1981)
+    for adj, _, _ in unions:
+        keep = rng.getrandbits(len(adj))
+        assert _vd(adj, keep) == vd_reference(_restrict(adj, keep), cache), (adj, keep)
+
+    assert is_scm_weighted_oracle(WeightedGraph(2, ((0, 1, 2),)))  # fills the G - U memo
+    assert graphs._vd_cache and graphs._pure_cache and graphs._vd_minus_cache
+    clear_caches()
+    assert not graphs._vd_cache and not graphs._pure_cache and not graphs._vd_minus_cache
+
+
+def test_vd_of_a_deep_ribbon_under_the_default_recursion_limit():
+    """``_vd`` recurses one frame per level, split included, so the graph of
+    a 150-row width-2 ribbon (301 vertices) decides at the default limit."""
+    assert sys.getrecursionlimit() <= 1000
+    clear_caches()
+    ribbon = SkewShape(tuple(range(151, 1, -1)), tuple(range(149, -1, -1)))
+    assert is_scm_weighted_oracle(from_shape(ribbon))
 
 
 def test_is_unmixed_graph():

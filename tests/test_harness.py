@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from skewtab import (SkewShape, SkewTableau, UnmixedCertificate, classify, classify_shape,
@@ -8,7 +11,7 @@ from skewtab.graphs import clear_caches, from_shape
 from skewtab.ideals import is_unmixed_ideal
 
 from helpers import (boxes_of, constant_filling, enumerate_skew_shapes_reference,
-                     shape_from_boxes, shape_images, shapes_up_to)
+                     random_connected_filling, shape_from_boxes, shape_images, shapes_up_to)
 
 # The transpose, the half turn and the transpose of the half turn of an
 # n x m diagram, box by box.
@@ -423,3 +426,25 @@ def test_wrong_component_verdict_reported_wherever_it_applies(monkeypatch, cold_
     assert len(want) > 1
     assert [d["instance"] for d in report.disagreements] == sorted(want, key=str)
     assert all(not d["classifier"] and d["oracle"] for d in report.disagreements)
+
+
+def test_oracle_decides_large_connected_shapes():
+    """The brute-force oracles reach shapes of 40-150 boxes, far past the
+    exhaustive bound, because they decide a graph one component at a time:
+    the searches on G - v and G - N[v] meet the same small components
+    again and again.  On 30 seeded random connected shapes, a 40-row width-2
+    ribbon and a 40-row staircase, from cold oracle memos, each call ends
+    within a fixed bound and agrees with the classifier."""
+    rng = random.Random(1980)
+    shapes = [random_connected_filling(rng, rng.randint(40, 150), 1, rng.randint(3, 8)).shape
+              for _ in range(30)]
+    shapes.append(SkewShape(tuple(range(41, 1, -1)), tuple(range(39, -1, -1))))  # ribbon
+    shapes.append(SkewShape(tuple(range(40, 0, -1))))  # staircase
+    clear_caches()
+    for s in shapes:
+        start = time.perf_counter()
+        got = harness.oracle_verdicts(s, ("unmixed", "scm"))
+        assert time.perf_counter() - start < 2.0, s
+        flags = classify_shape(s)
+        assert got == {"unmixed": flags.unmixed, "scm": flags.scm}, s
+    assert sum(classify_shape(s).scm for s in shapes) == 4

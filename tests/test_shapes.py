@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from skewtab import SkewShape, delete_rows_cols, render
-from skewtab.shapes import conjugate_parts
+from skewtab.shapes import MAX_SHAPE_BOXES, conjugate_parts
 
 from helpers import (bfs_connected, blocks_reference, boxes_of, delete_rows_cols_reference,
                      normalize, partitions_up_to, shape_from_boxes, shapes_up_to)
@@ -41,6 +41,17 @@ def test_shape_validation():
         SkewShape((True, 1))  # bool outer part
     with pytest.raises(ValueError):
         SkewShape((2, 1), (True, False))  # bool inner parts
+
+
+def test_shape_box_budget():
+    """Outside input is refused above ``MAX_SHAPE_BOXES`` boxes, which stays
+    above the 36,046 boxes of the 268-row staircase the benchmark builds."""
+    assert MAX_SHAPE_BOXES == 1000 * 1000
+    SkewShape((1000,) * 1000)
+    with pytest.raises(ValueError, match="MAX_SHAPE_BOXES"):
+        SkewShape((1001,) + (1000,) * 999)
+    SkewShape((1001,) + (1000,) * 999, (1,))  # mu's boxes are not counted
+    SkewShape(tuple(range(268, 0, -1)))
 
 
 def test_shape_mu_padding():

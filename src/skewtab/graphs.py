@@ -182,8 +182,7 @@ def _components(adj: tuple[int, ...], keep: int = -1) -> list[tuple[int, ...]]:
     A component grows from its lowest unseen vertex by breadth-first layers
     of neighbour masks.  It is relabelled run by run: a maximal run of
     consecutive vertices in it keeps its order, so a neighbour mask maps
-    to the new labels by one shift per run.  A component on one run, as
-    the graph of a connected shape is, just shifts down.
+    to the new labels by one shift per run.
     """
     parts = []
     unseen = keep & ((1 << len(adj)) - 1)
@@ -212,9 +211,6 @@ def _components(adj: tuple[int, ...], keep: int = -1) -> list[tuple[int, ...]]:
             runs.append((first, ones, width))
             width += ones.bit_length()
             rest ^= ones << first
-        if len(runs) == 1:
-            parts.append(tuple([(a & comp) >> first for a in adj[first:first + width]]))
-            continue
         key = []
         for start, span, _ in runs:
             for a in adj[start:start + span.bit_length()]:

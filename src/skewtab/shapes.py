@@ -11,7 +11,8 @@ checks the indices and builds the components' shapes.
 
 Trust boundary: ``SkewShape(lam, mu)`` and ``SkewShape.from_dict`` take
 outside input and validate it in full, refusing more than
-``MAX_SHAPE_BOXES`` boxes.  Shapes the package derives from a
+``MAX_SHAPE_BOXES`` boxes, or more columns than boxes, before any pass
+over the columns.  Shapes the package derives from a
 valid shape (components, deletions, conjugate, half turn, the pieces of the
 unmixed decomposition, enumerated shapes) are in normal form by
 construction and are built by ``SkewShape._trusted``, which skips the
@@ -105,12 +106,16 @@ class SkewShape:
             raise ValueError(f"outer shape must be weakly decreasing positive: {lam}")
         if not all(type(p) is int and p >= 0 for p in mu) or not _weakly_decreasing(mu):
             raise ValueError(f"inner shape must be weakly decreasing nonnegative: {mu}")
-        if sum(lam) - sum(mu) > MAX_SHAPE_BOXES:
+        boxes = sum(lam) - sum(mu)
+        if boxes > MAX_SHAPE_BOXES:
             raise ValueError(f"shape has more than MAX_SHAPE_BOXES = {MAX_SHAPE_BOXES} boxes")
         if mu[-1] != 0:
             raise ValueError(f"not in normal form: last inner part {mu[-1]} != 0")
         if any(l <= m for l, m in zip(lam, mu)):
             raise ValueError(f"empty row in {lam}/{mu}")
+        if lam[0] > boxes:
+            # every column holds a box; this also bounds the column pass below
+            raise ValueError(f"empty column in {lam}/{mu}: {lam[0]} columns, {boxes} boxes")
         for j, (lj, mj) in enumerate(zip(*self._conj()), start=1):
             if lj <= mj:
                 raise ValueError(f"empty column {j} in {lam}/{mu}")

@@ -310,18 +310,22 @@ def test_deeply_nested_json_exits_2(shape_file, capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("error: ") and "nested" in err
 
 
-@pytest.mark.parametrize("shape", [
-    {"lambda": [10**8]},  # one row: the column check alone would walk 10^8 columns
-    {"lambda": [10**4] * 10**4},  # a 10^4 x 10^4 rectangle
+@pytest.mark.parametrize("shape, reason", [
+    # one row: the column check alone would walk 10^8 columns
+    ({"lambda": [10**8]}, "MAX_SHAPE_BOXES"),
+    ({"lambda": [10**4] * 10**4}, "MAX_SHAPE_BOXES"),  # a 10^4 x 10^4 rectangle
+    # two boxes in 10^8 columns: within the budget, but lam_1 exceeds the box count
+    ({"lambda": [10**8, 1], "mu": [10**8 - 1]}, "empty column"),
 ])
-def test_shapes_over_the_box_budget_exit_2(shape_file, capsys, shape):
-    """A shape of more than ``MAX_SHAPE_BOXES`` boxes is refused before any
-    pass over its columns: exit 2 and an error line, at once."""
+def test_shapes_over_the_box_budget_exit_2(shape_file, capsys, shape, reason):
+    """A shape of more than ``MAX_SHAPE_BOXES`` boxes, or of more columns
+    than boxes, is refused before any pass over its columns: exit 2 and an
+    error line, at once."""
     path = shape_file("big.json", shape)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "classify", "--shape", path)
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == "" and err.startswith("error: ") and "MAX_SHAPE_BOXES" in err
+    assert code == 2 and out == "" and err.startswith("error: ") and reason in err
     assert "Traceback" not in err
 
 

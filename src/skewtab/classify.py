@@ -25,9 +25,10 @@ deletions yield keys (``shapes._deleted``), and a memo miss builds one
 shape, for the pivots and the transpose's key.  ``scm_trace`` lists the
 keys the search settles as its DAG, one node each: a True node's first
 pivot derives its children, and a False node names the child that failed,
-a chain down to a pendant-free leaf.  ``_scm_cache`` memoizes the verdict
-on a key and on its transpose's, ``_unmixed_cache`` on a key's (lam, mu)
-whether the shape, built on a miss, decomposes: one boolean, never a
+a chain down to a pendant-free leaf.  Both memos are read off the key
+alone, and a miss builds the component's shape from it.  ``_scm_cache``
+memoizes the verdict on a key and on its transpose's, ``_unmixed_cache``
+on a key's (lam, mu) whether the shape decomposes: one boolean, never a
 certificate, whose box sets would outlive every large shape classified.
 A filling's weights are checked against the pieces on each call.
 ``clear_caches`` empties both memos.
@@ -69,12 +70,6 @@ def connected_parts(s: SkewShape, rows: Rows) -> Iterable[Part]:
     if not cuts:
         return ((lam, mu, rows),) if lam else ()
     return _parts(lam, mu, rows, cuts)
-
-
-def _component(s: SkewShape, key: Part) -> SkewShape:
-    """The shape of the component ``key`` of ``s``: ``s`` itself when the
-    component holds all the rows of ``s``, else built unchecked."""
-    return s if len(key[0]) == len(s.lam) else SkewShape._trusted(key[0], key[1])
 
 
 def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
@@ -482,8 +477,8 @@ def _constant_on_blocks(s: SkewShape, rows: Rows) -> bool:
 _unmixed_cache: dict[tuple, bool] = {}
 
 
-def _unmixed_connected(s: SkewShape, key: Part) -> tuple[bool, bool]:
-    """(unmixed, monotone) for the component ``key`` of ``s``, both False
+def _unmixed_connected(key: Part) -> tuple[bool, bool]:
+    """(unmixed, monotone) for the connected component ``key``, both False
     when its shape has no prime-piece decomposition; monotone alone is the
     filling's half of the direct Cohen-Macaulay criterion.  Whether the
     shape decomposes is memoized on (lam, mu) with no conjugate lookup, so
@@ -493,7 +488,7 @@ def _unmixed_connected(s: SkewShape, key: Part) -> tuple[bool, bool]:
     lam, mu, rows = key
     ok = _unmixed_cache.get((lam, mu))
     if ok is None or ok and rows is not None:  # the certificate is needed
-        c = _component(s, key)
+        c = SkewShape._trusted(lam, mu)
         cert = unmixed_decomposition(c)
         ok = _unmixed_cache[lam, mu] = cert.ok
     if not ok or rows is None:
@@ -511,7 +506,7 @@ def is_unmixed(s: SkewShape, rows: Rows) -> bool:
     and the weights are constant on every block and monotone, i.e. weakly
     increasing along rows and columns of upper pieces, weakly decreasing
     along lower ones."""
-    return all(_unmixed_connected(s, key)[0] for key in connected_parts(s, rows))
+    return all(_unmixed_connected(key)[0] for key in connected_parts(s, rows))
 
 
 def is_unmixed_skew(s: SkewShape) -> bool:
@@ -650,13 +645,13 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
         return ShapeFlags(True, True, True, True, True, vacuous=True)
     unmixed = scm = True
     for key in connected_parts(s, rows):
-        part_unmixed, monotone = _unmixed_connected(s, key)
+        part_unmixed, monotone = _unmixed_connected(key)
         part_scm = _scm_connected(key)
         if rows is not None:
             part_cm = part_unmixed and part_scm
             cm_direct = monotone and _scm_connected((*key[:2], None))
             if part_cm != cm_direct:
-                instance = _as_dict(_component(s, key), key[2])
+                instance = _as_dict(SkewShape._trusted(*key[:2]), key[2])
                 raise RuntimeError(
                     f"internal inconsistency classifying {instance}: "
                     f"unmixed&scm={part_cm} but direct criterion={cm_direct}")

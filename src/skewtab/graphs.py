@@ -6,29 +6,28 @@ filling: box (i, j) is the edge x_i y_j, with x_i the vertex i-1 and y_j the
 vertex n+j-1, weighted by the filling or by 1; a bare shape is its all-ones
 filling.  Everything else reads the neighbour bitmasks of ``_adjacency``.
 
-Both searches decide a graph one connected component at a time.  The
-independence complex of a disjoint union is the join of its parts'
-complexes; a join is pure iff each factor is, as its facets are the unions
-of one facet from each, and vertex decomposable iff each factor is
-(Provan-Billera 1980).  Isolated vertices are cone points and change
-neither.  ``_components`` finds the components with an edge in one bitmask
-pass and relabels each densely, which makes it the memo key.
+Both searches decide a graph one connected component at a time: the
+minimal covers of a disjoint union have one size iff each part's do, the
+sizes adding, and it is vertex decomposable iff each part is (proofs in
+``_cover_size`` and ``_vd``).  ``_components`` finds the components with
+an edge in one bitmask pass and relabels each densely, which makes it the
+memo key.
 
-``_pure`` checks that all minimal vertex covers have one size, drawing them
-from the generator ``_minimal_covers`` and stopping at the first cover of a
-second size.  Minimal covers are the complements of maximal independent
-sets, enumerated once each by Bron-Kerbosch with a pivot on an explicit
-stack.  ``_vd`` decides vertex decomposability by the definition; a
-shedding vertex v is recognised by a short search for an independent set at
-distance 2 from v that dominates N(v) (Woodroofe 2009), not by enumerating
-covers.  ``_pure_cache`` and ``_vd_cache`` memoize them per component, and
-``_vd_minus_cache`` memoizes ``_vd`` on an adjacency and a removed vertex
-mask U, for the SCM oracle's many G - U; ``clear_caches`` empties all
-three.  The unmixed and SCM oracles of :mod:`skewtab.ideals` rest on both
-searches, and ``is_buchsbaum_graph``, the Buchsbaum/generalized CM oracle
-of a bare shape, runs both on every vertex link.  Everything here is
-definitional and independent of the combinatorial classifiers, so the two
-routes can referee each other.
+``_cover_size`` returns the one size of the minimal vertex covers, or None
+for two, stopping at the first cover of a second size that the generator
+``_minimal_covers`` draws.  Minimal covers are the complements of maximal
+independent sets, enumerated once each by Bron-Kerbosch with a pivot on an
+explicit stack.  ``_vd`` decides vertex decomposability by the definition;
+a shedding vertex v is recognised by a short search for an independent set
+at distance 2 from v that dominates N(v) (Woodroofe 2009), not by
+enumerating covers.  ``_cover_cache`` and ``_vd_cache`` memoize them per
+component, and ``_vd_minus_cache`` memoizes ``_vd`` on an adjacency and a
+removed vertex mask U, for the SCM oracle's many G - U; ``clear_caches``
+empties all three.  The unmixed and SCM oracles of :mod:`skewtab.ideals`
+rest on both searches, and ``is_buchsbaum_graph``, the
+Buchsbaum/generalized CM oracle of a bare shape, runs both on every vertex
+link.  Everything here is definitional and independent of the combinatorial
+classifiers, so the two routes can referee each other.
 """
 
 from __future__ import annotations
@@ -169,11 +168,6 @@ def _is_shedding(adj: tuple[int, ...], v: int) -> bool:
     return True
 
 
-def _restrict(adj: tuple[int, ...], keep: int) -> tuple[int, ...]:
-    """Induced subgraph on the kept vertex mask (dead rows zeroed)."""
-    return tuple(adj[v] & keep if (keep >> v) & 1 else 0 for v in range(len(adj)))
-
-
 def _components(adj: tuple[int, ...], keep: int = -1) -> list[tuple[int, ...]]:
     """The connected components with an edge of the subgraph induced on the
     vertex mask ``keep``, each densely relabelled, in the order of their
@@ -223,9 +217,9 @@ def _components(adj: tuple[int, ...], keep: int = -1) -> list[tuple[int, ...]]:
     return parts
 
 
-# component -> verdict, for _vd and _pure
+# component -> its _vd verdict, and its _cover_size (an int, or None)
 _vd_cache: dict[tuple[int, ...], bool] = {}
-_pure_cache: dict[tuple[int, ...], bool] = {}
+_cover_cache: dict[tuple[int, ...], int | None] = {}
 # adjacency -> U bitmask -> _vd(adj, ~U)
 _vd_minus_cache: dict[tuple[int, ...], dict[int, bool]] = {}
 
@@ -261,32 +255,40 @@ def _vd(adj: tuple[int, ...], keep: int = -1) -> bool:
 
 def clear_caches() -> None:
     _vd_cache.clear()
-    _pure_cache.clear()
+    _cover_cache.clear()
     _vd_minus_cache.clear()
 
 
 # -- public oracle surface --------------------------------------------------
 
 
-def _pure(adj: tuple[int, ...]) -> bool:
-    """Whether all minimal vertex covers have one size (Ind(G) is pure),
+def _cover_size(adj: tuple[int, ...], keep: int = -1) -> int | None:
+    """The one size of the minimal vertex covers of the subgraph induced on
+    ``keep``, or None when they have two sizes (Ind(G) is not pure),
     memoized per connected component.
 
-    The independence complex of a disjoint union is the join of its parts'
-    complexes, whose facets are the unions of one facet from each part; so
-    it is pure iff each part is, and isolated vertices, a cone, change
-    nothing.  A component is pure when the minimal covers drawn from
-    ``_minimal_covers`` have one size; the walk stops at a second size.
+    The minimal covers of a disjoint union are the unions of one minimal
+    cover per part: a set covers the union iff its trace on each part covers
+    that part, and it is minimal iff each trace is.  So their sizes are the
+    sums of one size per part, and the union's covers have one size iff
+    each part's do, that size the sum.  Isolated vertices lie in no minimal
+    cover.  A component's size is that of the first cover drawn from
+    ``_minimal_covers``; the walk stops at a second size.  A component has
+    an edge, so no size is 0, and 0 marks a miss in ``_cover_cache``.
     """
-    for key in _components(adj):
-        hit = _pure_cache.get(key)
-        if hit is None:
+    total = 0
+    for key in _components(adj, keep):
+        size = _cover_cache.get(key, 0)
+        if size == 0:
             covers = _minimal_covers(key)
             size = next(covers).bit_count()
-            hit = _pure_cache[key] = all(c.bit_count() == size for c in covers)
-        if not hit:
-            return False
-    return True
+            if any(c.bit_count() != size for c in covers):
+                size = None
+            _cover_cache[key] = size
+        if size is None:
+            return None
+        total += size
+    return total
 
 
 def is_buchsbaum_graph(g: WeightedGraph) -> bool:
@@ -300,4 +302,5 @@ def is_buchsbaum_graph(g: WeightedGraph) -> bool:
     it is vertex decomposable (Van Tuyl-Villarreal 2008).
     """
     adj = _adjacency(g)
-    return _pure(adj) and all(_vd(adj, ~(adj[v] | 1 << v)) for v in range(len(adj)))
+    return _cover_size(adj) is not None and all(
+        _vd(adj, ~(adj[v] | 1 << v)) for v in range(len(adj)))

@@ -17,15 +17,15 @@ the least weight of its edges already dominated from the other end, below
 which its exponent must stay.  The oracles mask the adjacency by each U to
 get G - U: the SCM oracle asks that every G - U be vertex decomposable
 (memoized per adjacency and U), the unmixed oracle that |U| + |C| be one
-number over the minimal vertex covers C of every G - U.
+number over the minimal vertex covers C of every G - U, whose one size
+``graphs._cover_size`` reads per connected component.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import (WeightedGraph, _adjacency, _minimal_covers, _pure, _restrict, _vd,
-                     _vd_minus_cache)
+from .graphs import WeightedGraph, _adjacency, _cover_size, _vd, _vd_minus_cache
 
 
 def _threshold_u_sets(g: WeightedGraph) -> Iterator[int]:
@@ -107,20 +107,17 @@ def is_unmixed_ideal(g: WeightedGraph) -> bool:
     every threshold set U and every such C.
 
     U = {} gives Min(I), the minimal covers of G, so they fix that number,
-    and a G whose minimal covers have two sizes is mixed at once.  When
-    every weight is 1, as for a bare shape, I = I(G) is squarefree, hence
-    radical, so Ass(I) = Min(I) and ``_pure`` alone decides.  An edgeless G,
-    the empty filling's included, gives the zero ideal, whose one prime is
-    (0): unmixed.
+    and a G whose minimal covers have two sizes is mixed at once; so is a
+    G - U whose covers have two sizes.  When every weight is 1, as for a
+    bare shape, I = I(G) is squarefree, hence radical, so Ass(I) = Min(I)
+    and G's covers alone decide.  An edgeless G, the empty filling's
+    included, gives the zero ideal, whose one prime is (0): unmixed.
     """
     adj = _adjacency(g)
-    if all(w == 1 for _, _, w in g.edges):
-        return _pure(adj)
-    covers = _minimal_covers(adj)  # one walk for the size and G's purity
-    size = next(covers).bit_count()
-    return all(c.bit_count() == size for c in covers) and all(
-        u.bit_count() + c.bit_count() == size
-        for u in _threshold_u_sets(g) if u for c in _minimal_covers(_restrict(adj, ~u)))
+    size = _cover_size(adj)
+    if size is None or all(w == 1 for _, _, w in g.edges):
+        return size is not None
+    return all(_cover_size(adj, ~u) == size - u.bit_count() for u in _threshold_u_sets(g))
 
 
 def _bipartition(adj: tuple[int, ...]) -> None:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from skewtab import Component, SkewShape, SkewTableau, WeightedGraph, enumerate_skew_shapes
 from skewtab.classify import _runs, connected_parts, scm_pivots
-from skewtab.graphs import _adjacency, _minimal_covers, _pure, _restrict, _vd
+from skewtab.graphs import _adjacency, _minimal_covers, _vd
 from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import _deleted
 
@@ -583,15 +583,19 @@ def associated_radicals_weighted(g: WeightedGraph) -> frozenset[MonomialIdeal]:
     return frozenset(out)
 
 
+def _restrict(adj: tuple[int, ...], keep: int) -> tuple[int, ...]:
+    """Induced subgraph on the kept vertex mask (dead rows zeroed)."""
+    return tuple(adj[v] & keep if (keep >> v) & 1 else 0 for v in range(len(adj)))
+
+
 def unmixed_walk_reference(g: WeightedGraph) -> bool:
-    """``skewtab.ideals.is_unmixed_ideal`` with no early exit: |U| + |C|
-    checked over every threshold set U and minimal cover C of G - U, also
-    when every weight is 1."""
+    """``skewtab.ideals.is_unmixed_ideal`` with no early exit and no split
+    into components: |U| + |C| is one number over every threshold set U,
+    the empty one included, and every minimal cover C of the whole G - U,
+    also when every weight is 1."""
     adj = _adjacency(g)
-    size = next(_minimal_covers(adj)).bit_count()
-    return _pure(adj) and all(u.bit_count() + c.bit_count() == size
-                              for u in _threshold_u_sets(g) if u
-                              for c in _minimal_covers(_restrict(adj, ~u)))
+    return len({u.bit_count() + c.bit_count() for u in _threshold_u_sets(g)
+                for c in _minimal_covers(_restrict(adj, ~u))}) == 1
 
 
 def scm_walk_reference(g: WeightedGraph) -> bool:

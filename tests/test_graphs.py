@@ -5,11 +5,11 @@ import time
 from skewtab import (SkewShape, WeightedGraph, from_shape, is_buchsbaum_graph,
                      is_scm_weighted_oracle, is_unmixed_ideal)
 from skewtab import graphs
-from skewtab.graphs import (_adjacency, _is_shedding, _minimal_covers, _pure, _restrict, _vd,
+from skewtab.graphs import (_adjacency, _cover_size, _is_shedding, _minimal_covers, _vd,
                             clear_caches)
 from skewtab.ideals import _bipartition
 
-from helpers import (_minimal_cover_masks, brute_minimal_covers,
+from helpers import (_minimal_cover_masks, _restrict, brute_minimal_covers,
                      is_shedding_reference, shapes_up_to, vd_reference)
 
 
@@ -190,52 +190,65 @@ def is_bipartite(adj):
     return True
 
 
-def pure_reference(adj):
-    """All minimal vertex covers of the whole graph, from the edge-branching
-    reference, have one size."""
-    return len({c.bit_count() for c in _minimal_cover_masks(adj)}) == 1
+def cover_size_reference(adj):
+    """The one size of the minimal vertex covers of the whole graph, from
+    the edge-branching reference, or None when they have two sizes."""
+    sizes = {c.bit_count() for c in _minimal_cover_masks(adj)}
+    return sizes.pop() if len(sizes) == 1 else None
 
 
 def test_split_oracles_match_whole_graph_references():
-    """``_vd`` and ``_pure`` decide a graph one connected component at a
-    time and memoize each component; ``vd_reference`` and the cover sizes
+    """``_vd`` and ``_cover_size`` decide a graph one connected component at
+    a time and memoize each component; ``vd_reference`` and the cover sizes
     of ``_minimal_cover_masks`` search the whole graph, unsplit.  They agree
     on disjoint unions of random graphs from cold memos, then with the memos
-    warm, walked forward and backward, and on induced subgraphs.  The last
-    component alone decides some of the unions with the blocks in order, so
-    a split that lost a component would fail here."""
+    warm, walked forward and backward, and on induced subgraphs on random
+    vertex masks, cold and warm.  The last component alone decides some of
+    the unions with the blocks in order, so a split that lost a component
+    would fail here, and some pure unions have two pure components with
+    edges, whose sizes add, so a split that took the largest size would
+    fail too."""
     unions = disjoint_unions(1980, 400)
     assert sum(not all(adj) for adj, _, _ in unions) > 100  # isolated vertices
     assert sum(not is_bipartite(adj) for adj, _, _ in unions) > 100
     cache = {}
-    want = [(vd_reference(adj, cache), pure_reference(adj)) for adj, _, _ in unions]
+    want = [(vd_reference(adj, cache), cover_size_reference(adj)) for adj, _, _ in unions]
     assert 0 < sum(vd for vd, _ in want) < len(want)
-    assert 0 < sum(pure for _, pure in want) < len(want)
+    assert 0 < sum(size is None for _, size in want) < len(want)
     last_only = [0, 0]  # unions in block order decided by their last component
-    for (adj, pieces, in_order), (vd, pure) in zip(unions, want):
+    summed = 0  # pure unions of two or more components
+    for (adj, pieces, in_order), (vd, size) in zip(unions, want):
+        head = [(vd_reference(tuple(p), cache), cover_size_reference(tuple(p))) for p in pieces]
         if in_order and len(pieces) > 1:
-            head = [(vd_reference(tuple(p), cache), pure_reference(tuple(p))) for p in pieces]
             last_only[0] += all(v for v, _ in head[:-1]) and not vd
-            last_only[1] += all(p for _, p in head[:-1]) and not pure
-    assert min(last_only) > 0, last_only
+            last_only[1] += all(s is not None for _, s in head[:-1]) and size is None
+        summed += len(pieces) > 1 and size is not None
+        assert size == (None if None in (s for _, s in head) else sum(s for _, s in head))
+    assert min(last_only) > 0 and summed > 0, (last_only, summed)
 
     for (adj, _, _), verdicts in zip(unions, want):  # each from a cold memo
         clear_caches()
-        assert (_vd(adj), _pure(adj)) == verdicts, adj
+        assert (_vd(adj), _cover_size(adj)) == verdicts, adj
     clear_caches()
     for walk in (range(len(unions)), reversed(range(len(unions)))):
         for k in walk:
             adj = unions[k][0]
-            assert (_vd(adj), _pure(adj)) == want[k], adj
+            assert (_vd(adj), _cover_size(adj)) == want[k], adj
     rng = random.Random(1981)
-    for adj, _, _ in unions:
-        keep = rng.getrandbits(len(adj))
+    masks = [(adj, rng.getrandbits(len(adj))) for adj, _, _ in unions]
+    sizes = [cover_size_reference(_restrict(adj, keep)) for adj, keep in masks]
+    assert 0 < sum(size is None for size in sizes) < len(sizes)
+    for (adj, keep), size in zip(masks, sizes):  # each from a cold memo
+        clear_caches()
+        assert _cover_size(adj, keep) == size, (adj, keep)
+    for (adj, keep), size in zip(masks, sizes):  # the memos warm
         assert _vd(adj, keep) == vd_reference(_restrict(adj, keep), cache), (adj, keep)
+        assert _cover_size(adj, keep) == size, (adj, keep)
 
     assert is_scm_weighted_oracle(WeightedGraph(2, ((0, 1, 2),)))  # fills the G - U memo
-    assert graphs._vd_cache and graphs._pure_cache and graphs._vd_minus_cache
+    assert graphs._vd_cache and graphs._cover_cache and graphs._vd_minus_cache
     clear_caches()
-    assert not graphs._vd_cache and not graphs._pure_cache and not graphs._vd_minus_cache
+    assert not graphs._vd_cache and not graphs._cover_cache and not graphs._vd_minus_cache
 
 
 def test_vd_of_a_deep_ribbon_under_the_default_recursion_limit():

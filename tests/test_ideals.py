@@ -7,10 +7,10 @@ import pytest
 from skewtab import (SkewShape, SkewTableau, WeightedGraph, enumerate_fillings,
                      enumerate_skew_shapes, from_shape, graphs, is_scm_weighted_oracle,
                      is_unmixed_ideal)
-from skewtab.graphs import _adjacency, _minimal_covers, _pure, _restrict, clear_caches
+from skewtab.graphs import _adjacency, _cover_size, _minimal_covers, clear_caches
 from skewtab.ideals import _threshold_u_sets
 
-from helpers import (MonomialIdeal, _minimalize, associated_radical,
+from helpers import (MonomialIdeal, _minimalize, _restrict, associated_radical,
                      associated_radicals_weighted, contains,
                      contains_ideal, intersect, irreducible_decomposition_reference,
                      make_weighted_graph, radical, scm_walk_reference, shapes_up_to,
@@ -400,7 +400,7 @@ def test_unmixed_oracle_matches_reference():
         for g in graphs:
             want = unmixed_reference(weighted_edge_ideal(g))
             assert is_unmixed_ideal(g) == want, g
-            seen += _pure(_adjacency(g)) and not want
+            seen += _cover_size(_adjacency(g)) is not None and not want
         assert seen == pure_but_mixed
     assert is_unmixed_ideal(WeightedGraph(0, ()))
     assert is_unmixed_ideal(WeightedGraph(2, ()))
@@ -427,8 +427,8 @@ def random_all_ones_graphs():
 
 
 def test_all_ones_exits_match_threshold_walk():
-    """When every weight is 1 the unmixed oracle decides by ``_pure`` and
-    the SCM oracle by ``_vd`` of G alone, as their docstrings prove; here
+    """When every weight is 1 the unmixed oracle decides by ``_cover_size``
+    and the SCM oracle by ``_vd`` of G alone, as their docstrings prove; here
     both equal the full threshold-set walk, with no exit: on the 400
     shapes with <= 6 boxes, disconnected ones included, and on 300 random
     bipartite graphs with isolated vertices (edgeless ones included).  Each
@@ -449,12 +449,14 @@ def test_all_ones_exits_match_threshold_walk():
 
 
 def test_scm_oracle_memo_is_faithful():
-    """One memo of VD(G - U) per adjacency and threshold set U, for a whole
-    pass walked forward or backward, gives every weighted graph the SCM
-    verdict it gets from a cold memo: the 5,718 connected fillings with
-    <= 5 boxes, w <= 3, and 300 seeded random bipartite graphs with weights
-    1..3 and an isolated vertex on each side.  The memo holds only
-    booleans, and ``graphs.clear_caches`` empties it."""
+    """One memo of VD(G - U) per adjacency and threshold set U, and one of
+    the minimal covers' size per connected component, for a whole pass
+    walked forward or backward, give every weighted graph the SCM and the
+    unmixed verdict it gets from cold memos: the 5,718 connected fillings
+    with <= 5 boxes, w <= 3, and 300 seeded random bipartite graphs with
+    weights 1..3 and an isolated vertex on each side.  The VD memo holds
+    only booleans, the cover memo only ints and None, and
+    ``graphs.clear_caches`` empties both."""
     rng = random.Random(20261021)
     instances = [from_shape(s, t.rows) for s in shapes_up_to(5, connected_only=True)
                  for t in enumerate_fillings(s, 3)]
@@ -463,19 +465,23 @@ def test_scm_oracle_memo_is_faithful():
         instances.append(WeightedGraph(n + m + 2, tuple(
             (i, n + 1 + j, rng.randint(1, 3)) for i in range(n) for j in range(m)
             if rng.random() < 0.5)))
-    cold = []
-    for g in instances:
-        clear_caches()
-        cold.append(is_scm_weighted_oracle(g))
-    assert set(cold[:5718]) == set(cold[5718:]) == {False, True}
-    memo = graphs._vd_minus_cache
-    for order in (1, -1):
-        clear_caches()
-        warm = [is_scm_weighted_oracle(g) for g in instances[::order]]
-        assert warm[::order] == cold
-        assert memo and all(type(vd) is bool for per in memo.values() for vd in per.values())
-        clear_caches()
-        assert not memo
+    vd_memo, cover_memo = graphs._vd_minus_cache, graphs._cover_cache
+    for oracle, memo, entries, types in (
+            (is_scm_weighted_oracle, vd_memo,
+             lambda: [vd for per in vd_memo.values() for vd in per.values()], {bool}),
+            (is_unmixed_ideal, cover_memo, cover_memo.values, {int, type(None)})):
+        cold = []
+        for g in instances:
+            clear_caches()
+            cold.append(oracle(g))
+        assert set(cold[:5718]) == set(cold[5718:]) == {False, True}, oracle
+        for order in (1, -1):
+            clear_caches()
+            warm = [oracle(g) for g in instances[::order]]
+            assert warm[::order] == cold, oracle
+            assert memo and {type(v) for v in entries()} <= types, oracle
+            clear_caches()
+            assert not memo
 
 
 @pytest.mark.parametrize("weights", [1, 2])

@@ -336,16 +336,10 @@ class UnmixedCertificate:
         return {"unmixed": False, "reason": self.reason, "witness": self.witness}
 
 
-class _DecompFail(Exception):
-    def __init__(self, reason: str, witness: dict | None = None):
-        super().__init__(reason)
-        self.reason = reason
-        self.witness = witness or {}
-
-
 @dataclass(frozen=True)
 class _Frame:
-    """A working sub-shape plus the map of its boxes back to ambient ones."""
+    """A working sub-shape plus the map of its boxes back to ambient ones;
+    a ``swap`` frame is reflected, its rows ambient columns."""
 
     shape: SkewShape
     amb_rows: tuple[int, ...]
@@ -360,81 +354,38 @@ class _Frame:
     def boxset(self, boxes: Iterable[tuple[int, int]]) -> BoxSet:
         return frozenset(self.to_ambient(i, j) for i, j in boxes)
 
-
-def _flip(f: _Frame) -> _Frame:
-    return _Frame(f.shape.anti_transpose(),
-                  tuple(reversed(f.amb_rows)),
-                  tuple(reversed(f.amb_cols)),
-                  not f.swap)
-
-
-def _peel_top(f: _Frame, drop: int) -> _Frame:
-    s = f.shape
-    lam, mu = s.lam[drop:], s.mu[drop:]
-    sub = SkewShape._trusted(lam, mu)
-    if not f.swap:
-        return _Frame(sub, f.amb_rows[drop:], f.amb_cols[:sub.m], False)
-    return _Frame(sub, f.amb_rows[:sub.m], f.amb_cols[drop:], True)
-
-
-def _extract_piece(frame: _Frame, entering: BoxSet | None):
-    """Take the top prime piece off the frame's shape (upper in local
-    coordinates).  Returns (piece, next_frame, next_entering)."""
-    s = frame.shape
-    if s.n != s.m:
-        raise _DecompFail("piece has a different number of rows and columns",
-                          {"rows": s.n, "cols": s.m})
-    mu1 = s.mu[0]
-    k = 1
-    while k < s.n and s.mu[k] == mu1:
-        k += 1
-    nu = tuple(l - mu1 for l in s.lam[:k])
-    grid = _partition_grid(nu)
-
-    def ambient(rows: tuple[int, int], cols: tuple[int, int]) -> BoxSet:
-        return frame.boxset((i, j + mu1) for i, j in _rect(rows, cols))
-
-    for rows, bands in grid:  # a row band's last column band is its corner block
-        if rows[1] - rows[0] != bands[-1][1] - bands[-1][0]:
-            raise _DecompFail("nonsquare corner block",
-                              {"block": sorted(ambient(rows, bands[-1]))})
-    # the entry block holds the top-right box, the exit block the bottom-left one
-    entry, exit_ = ambient(grid[0][0], grid[0][1][-1]), ambient(grid[-1][0], grid[-1][1][0])
-    orientation = "lower" if frame.swap else "upper"
-    piece_boxes = frame.boxset((i, j) for i in range(1, k + 1)
-                               for j in range(mu1 + 1, s.lam[i - 1] + 1))
-    piece = PrimeShapePiece(orientation=orientation, boxes=piece_boxes,
-                            entry_block=entry, exit_block=exit_)
-    if entering is not None and entry != entering:
-        raise _DecompFail("pieces do not glue along a shared extremal block",
-                          {"expected": sorted(entering), "found": sorted(entry)})
-    # A square piece that is the whole frame cannot follow another piece:
-    # its one block would be its entry, equal to the previous exit block,
-    # but the frame also holds the previous frame's rows below that block.
-    if k == s.n:
-        return piece, None, None
-    if len(nu) == nu[0] == nu[-1]:
-        raise _DecompFail("square piece with boxes left over",
-                          {"piece": sorted(piece_boxes)})
-    # The rows below the piece end at or left of its last column, as
-    # lam_{k+1} <= lam_k = mu1 + nu_k: no box extends past the exit block.
-    return piece, _peel_top(frame, k - nu.count(nu[-1])), exit_
+    def step(self, drop: int) -> _Frame:
+        """The top ``drop`` rows dropped, the rest reflected along the
+        anti-diagonal.  The rows left span the leftmost columns, as the
+        bottom row starts in column 1."""
+        s = self.shape
+        sub = SkewShape._trusted(s.lam[drop:], s.mu[drop:])
+        rows, cols = self.amb_rows[drop:], self.amb_cols[:sub.m]
+        if self.swap:
+            rows, cols = self.amb_rows[:sub.m], self.amb_cols[drop:]
+        return _Frame(sub.anti_transpose(), rows[::-1], cols[::-1], not self.swap)
 
 
 def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
     """Alternating prime-piece decomposition of a connected shape.
 
     Succeeds exactly when the skew Ferrers ideal is unmixed; otherwise the
-    certificate carries the first violated condition as a witness.
+    certificate carries the first violated condition as a witness.  Each
+    pass takes the top prime piece, upper in the frame's coordinates, off
+    the frame: its rows down to the first change of mu.  A piece that is
+    the whole frame ends the chain; else the frame drops the rows above the
+    piece's exit block and flips, so the pieces alternate.  With blocks
+    below the top-right corner block, an opening flip starts with a lower
+    piece.
     """
     if s.is_empty:
         return UnmixedCertificate(ok=True)
     if not s.is_connected():
         raise ValueError("unmixed_decomposition needs a connected shape")
     if s.n != s.m:
-        return UnmixedCertificate(ok=False,
-                                  reason="shape has a different number of rows and columns",
-                                  witness={"rows": s.n, "cols": s.m})
+        return UnmixedCertificate(
+            False, reason="shape has a different number of rows and columns",
+            witness={"rows": s.n, "cols": s.m})
     frame = _Frame(s, tuple(range(1, s.n + 1)), tuple(range(1, s.m + 1)), False)
     # the top-right block: the first row band times the last column band
     top = _runs(list(zip(s.lam, s.mu)))[0]
@@ -443,22 +394,50 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
     left = right[0] > 1 and s.contains(1, right[0] - 1)
     if below and left:
         return UnmixedCertificate(
-            ok=False,
-            reason="top-right corner block has blocks both below and to its left",
+            False, reason="top-right corner block has blocks both below and to its left",
             witness={"block": sorted(_rect(top, right))})
     if below:
-        frame = _flip(frame)
-    pieces = []
-    entering: BoxSet | None = None
+        frame = frame.step(0)
+    pieces: list[PrimeShapePiece] = []
     while True:
-        try:
-            piece, nxt, entering = _extract_piece(frame, entering)
-        except _DecompFail as err:
-            return UnmixedCertificate(ok=False, reason=err.reason, witness=err.witness)
-        pieces.append(piece)
-        if nxt is None:
-            return UnmixedCertificate(ok=True, pieces=tuple(pieces))
-        frame = _flip(nxt)
+        t = frame.shape
+        if t.n != t.m:
+            return UnmixedCertificate(
+                False, reason="piece has a different number of rows and columns",
+                witness={"rows": t.n, "cols": t.m})
+        mu1 = t.mu[0]
+        k = t.mu.count(mu1)  # the rows of mu_1 come first: mu decreases
+        nu = tuple(l - mu1 for l in t.lam[:k])
+        grid = _partition_grid(nu)
+
+        def ambient(rows: tuple[int, int], cols: tuple[int, int]) -> BoxSet:
+            return frame.boxset((i, j + mu1) for i, j in _rect(rows, cols))
+
+        for rows, bands in grid:  # a row band's last column band is its corner block
+            if rows[1] - rows[0] != bands[-1][1] - bands[-1][0]:
+                return UnmixedCertificate(False, reason="nonsquare corner block",
+                                          witness={"block": sorted(ambient(rows, bands[-1]))})
+        # the entry block holds the top-right box, the exit block the bottom-left one
+        entry = ambient(grid[0][0], grid[0][1][-1])
+        if pieces and entry != pieces[-1].exit_block:
+            return UnmixedCertificate(
+                False, reason="pieces do not glue along a shared extremal block",
+                witness={"expected": sorted(pieces[-1].exit_block), "found": sorted(entry)})
+        boxes = frame.boxset((i, j) for i in range(1, k + 1)
+                             for j in range(mu1 + 1, t.lam[i - 1] + 1))
+        pieces.append(PrimeShapePiece("lower" if frame.swap else "upper", boxes, entry,
+                                      ambient(grid[-1][0], grid[-1][1][0])))
+        # A square piece that is the whole frame cannot follow another piece:
+        # its one block would be its entry, equal to the previous exit block,
+        # but the frame also holds the previous frame's rows below that block.
+        if k == t.n:
+            return UnmixedCertificate(True, tuple(pieces))
+        if len(nu) == nu[0] == nu[-1]:
+            return UnmixedCertificate(False, reason="square piece with boxes left over",
+                                      witness={"piece": sorted(boxes)})
+        # The rows below the piece end at or left of its last column, as
+        # lam_{k+1} <= lam_k = mu1 + nu_k: no box extends past the exit block.
+        frame = frame.step(k - nu.count(nu[-1]))
 
 
 def _constant_on_blocks(s: SkewShape, rows: Rows) -> bool:

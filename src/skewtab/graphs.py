@@ -84,10 +84,7 @@ def _minimal_covers(adj: tuple[int, ...]) -> Iterator[int]:
     (candidates that an earlier sibling branch already added).  R is
     maximal, and met for the first time, exactly when P and X are empty.
     Every maximal extension of R meets N[u] for any u in P | X, so a frame
-    branches only over P & N[u] for the pivot u minimising that set.  A
-    frame where some vertex of X has no closed neighbour left in P is cut:
-    adding a candidate never removes that vertex from X, so no extension
-    of R is maximal.
+    branches only over P & N[u] for the pivot u minimising that set.
     """
     closed = [a | (1 << v) for v, a in enumerate(adj)]
     live = sum(1 << v for v, a in enumerate(adj) if a)
@@ -97,14 +94,6 @@ def _minimal_covers(adj: tuple[int, ...]) -> Iterator[int]:
         if not p:
             if not x:
                 yield live & ~r
-            continue
-        rest = x
-        while rest:
-            low = rest & -rest
-            if not closed[low.bit_length() - 1] & p:
-                break  # the cut: no extension of R is maximal
-            rest ^= low
-        if rest:
             continue
         branch = p
         best = p.bit_count()

@@ -362,6 +362,17 @@ def test_unmixed_decomposition_failures():
     assert cert.reason == "square piece with boxes left over"
     assert cert.witness == {"piece": [(1, 2), (1, 3), (2, 2), (2, 3)]}
 
+    # Found after a flip, in ambient coordinates: on the second piece, a
+    # lower one (its frame reflected once) ...
+    cert = unmixed_decomposition(SkewShape((4, 3, 3, 2), (1, 1, 1, 0)))
+    assert cert.reason == "nonsquare corner block"
+    assert cert.witness == {"block": [(2, 3), (3, 3)]}
+    # ... and on the second piece after the opening flip, an upper one (its
+    # frame reflected twice).
+    cert = unmixed_decomposition(SkewShape((4, 4, 4, 1), (3, 1, 0, 0)))
+    assert cert.reason == "nonsquare corner block"
+    assert cert.witness == {"block": [(2, 2), (2, 3)]}
+
 
 def test_unmixed_decomposition_requires_connected():
     with pytest.raises(ValueError):

@@ -68,6 +68,9 @@ def test_minimal_covers_match_reference_on_shapes():
 
 
 def test_minimal_covers_match_reference_with_isolated_vertices():
+    """Seeded bipartite graphs with isolated vertices, then the seeded
+    disjoint unions, which have isolated vertices too and more than 100 of
+    which are not bipartite."""
     rng = random.Random(20090101)
     for _ in range(300):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -75,6 +78,11 @@ def test_minimal_covers_match_reference_with_isolated_vertices():
                           if rng.random() < 0.4)
         # x_{n+1} and y_{m+1} are isolated, and so may be others
         adj = _adjacency(bipartite(n + 1, m + 1, edges))
+        _assert_covers_match_reference(adj)
+    unions = disjoint_unions(1980, 400)
+    assert sum(not is_bipartite(adj) for adj, _, _ in unions) > 100
+    assert any(not all(adj) for adj, _, _ in unions)
+    for adj, _, _ in unions:
         _assert_covers_match_reference(adj)
 
 

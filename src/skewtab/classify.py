@@ -377,6 +377,19 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
     piece's exit block and flips, so the pieces alternate.  With blocks
     below the top-right corner block, an opening flip starts with a lower
     piece.
+
+    No frame or glue is checked: every frame is square and every piece
+    glues to the last.  The first frame is ``s``, checked square, or its
+    reflection.  In an n x n frame whose top piece nu has square corner
+    blocks, the row band of part v_b, over the parts v_1 > ... > v_p >
+    v_{p+1} = 0, has height v_b - v_{b+1}: nu has k = v_1 = n - mu_1 rows
+    (row 1 ends in column n) and a v_p x v_p exit block.  The step leaves
+    n - k + v_p rows and mu_1 + v_p columns; the reflection keeps this
+    square.  The old exit block is now the top-right v_p x v_p square, and
+    as mu_1 >= 1 no row below it reaches the last column, so the new top
+    row band has h <= v_p rows.  For h < v_p the next row has another mu,
+    the piece is h rows at least v_p long and its corner block is not
+    square; for h = v_p the entry block, if square, is the old exit block.
     """
     if s.is_empty:
         return UnmixedCertificate(ok=True)
@@ -401,10 +414,6 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
     pieces: list[PrimeShapePiece] = []
     while True:
         t = frame.shape
-        if t.n != t.m:
-            return UnmixedCertificate(
-                False, reason="piece has a different number of rows and columns",
-                witness={"rows": t.n, "cols": t.m})
         mu1 = t.mu[0]
         k = t.mu.count(mu1)  # the rows of mu_1 come first: mu decreases
         nu = tuple(l - mu1 for l in t.lam[:k])
@@ -419,10 +428,6 @@ def unmixed_decomposition(s: SkewShape) -> UnmixedCertificate:
                                           witness={"block": sorted(ambient(rows, bands[-1]))})
         # the entry block holds the top-right box, the exit block the bottom-left one
         entry = ambient(grid[0][0], grid[0][1][-1])
-        if pieces and entry != pieces[-1].exit_block:
-            return UnmixedCertificate(
-                False, reason="pieces do not glue along a shared extremal block",
-                witness={"expected": sorted(pieces[-1].exit_block), "found": sorted(entry)})
         boxes = frame.boxset((i, j) for i in range(1, k + 1)
                              for j in range(mu1 + 1, t.lam[i - 1] + 1))
         pieces.append(PrimeShapePiece("lower" if frame.swap else "upper", boxes, entry,

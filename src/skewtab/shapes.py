@@ -161,8 +161,6 @@ class SkewShape:
 
     def conjugate(self) -> "SkewShape":
         """Transpose: box (i,j) -> (j,i)."""
-        if self.is_empty:
-            return self
         return SkewShape._trusted(*self._conj())
 
     def rotate180(self) -> "SkewShape":
@@ -207,9 +205,6 @@ class SkewShape:
             raise ValueError("shape JSON must be an object with a 'lambda' list "
                              "and an optional 'mu' list")
         return cls(data["lambda"], data.get("mu"))
-
-    def __str__(self) -> str:
-        return f"{list(self.lam)}/{list(self.mu)}"
 
 
 @dataclass(frozen=True)

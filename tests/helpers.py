@@ -171,6 +171,51 @@ def random_connected_filling(rng, boxes: int, max_weight: int, width: int = 4) -
                                for a, b in spans])
 
 
+def line_ranks(t: SkewTableau) -> tuple[tuple[int, ...], ...]:
+    """Each row, then each column, of ``t`` as the dense ranks of its
+    weights: two fillings of one shape have the same weak order on every
+    line exactly when their line ranks are equal."""
+    w = t.weights()
+    lines = [[(i, j) for j in range(t.shape.mu[i - 1] + 1, t.shape.lam[i - 1] + 1)]
+             for i in range(1, t.shape.n + 1)]
+    lines += [[(i, j) for i in range(t.shape.mu_conj()[j - 1] + 1, t.shape.lam_conj()[j - 1] + 1)]
+              for j in range(1, t.shape.m + 1)]
+    return tuple(tuple(sorted({w[b] for b in line}).index(w[b]) for b in line) for line in lines)
+
+
+def order_preserving_refill(rng, t: SkewTableau, max_gap: int = 3) -> SkewTableau:
+    """A random filling of ``t.shape`` with the same weak order as ``t`` on
+    every row and column.  Boxes of equal weight on a line are merged into
+    one class; in order of their weights, each class gets a value above
+    every class below it on a line, by a random gap of 1 to ``max_gap``."""
+    w = t.weights()
+    parent = {b: b for b in w}
+
+    def root(b):
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        return b
+
+    lines: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for i, j in w:
+        lines.setdefault(("row", i), []).append((i, j))
+        lines.setdefault(("col", j), []).append((i, j))
+    for line in lines.values():
+        first = {}
+        for b in line:
+            parent[root(b)] = root(first.setdefault(w[b], b))
+    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for b in sorted(w, key=w.get):
+        classes.setdefault(root(b), []).append(b)
+    new = {}
+    for boxes in classes.values():  # by weight: every class below has its value
+        floor = max((new[c] for i, j in boxes for c in (*lines["row", i], *lines["col", j])
+                     if w[c] < w[i, j]), default=0)
+        value = floor + rng.randint(1, max_gap)
+        new.update(dict.fromkeys(boxes, value))
+    return SkewTableau.from_weights(t.shape, new)
+
+
 def polarize(weights: dict[tuple[int, int], int]) -> list[frozenset[str]]:
     """Supports of the polarized generators of the ideal ((x_i y_j)^w).
 

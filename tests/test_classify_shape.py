@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -338,6 +339,7 @@ def test_unmixed_decomposition_single_piece():
     cert = unmixed_decomposition(SkewShape((3, 3, 1)))
     assert cert.ok and len(cert.pieces) == 1
     assert cert.pieces[0].orientation == "upper"
+    assert unmixed_decomposition(SkewShape(())) == UnmixedCertificate(ok=True, pieces=())
 
 
 def test_unmixed_decomposition_failures():
@@ -398,20 +400,33 @@ def test_unmixed_conjugation_invariance():
 
 
 def test_certificates_validate_on_small_shapes():
-    for s in shapes_up_to(8, connected_only=True):
+    """Every certificate of the 12,077 connected shapes with <= 12 boxes
+    validates, and the failures are counted by reason: a check that lets a
+    bad shape through, or stops one at another check, changes the count."""
+    reasons = Counter()
+    for s in shapes_up_to(12, connected_only=True):
         cert = unmixed_decomposition(s)
+        reasons[cert.reason if not cert.ok else "ok"] += 1
         if cert.ok:
             ok, msg = validate_certificate(s, cert)
             assert ok, (s, msg)
             total = sum(len(p.boxes) for p in cert.pieces)
             shared = sum(len(p.exit_block) for p in cert.pieces[:-1])
             assert total - shared == len(boxes_of(s))
+    assert reasons == {
+        "shape has a different number of rows and columns": 10_354,
+        "nonsquare corner block": 1_504,
+        "square piece with boxes left over": 106,
+        "top-right corner block has blocks both below and to its left": 42,
+        "ok": 71,
+    }
 
 
 def test_validate_certificate_rejects_hand_built_certificates():
     """A widened entry block, a piece whose corner block is not square, an
     empty piece and a piece that is not flush each pass every chain check
-    and fail on the piece itself."""
+    and fail on the piece itself; a chain that breaks fails at the first
+    check it breaks."""
     s = SkewShape((2, 1))
     (piece,) = unmixed_decomposition(s).pieces
     widened = dataclasses.replace(piece, entry_block=frozenset({(1, 1), (1, 2)}))
@@ -441,6 +456,34 @@ def test_validate_certificate_rejects_hand_built_certificates():
                             exit_block=frozenset({(2, 1)}))
     assert validate_certificate(s, UnmixedCertificate(ok=True, pieces=(piece,))) \
         == (False, "upper piece is not a flush partition diagram")
+
+    # a failure witness, pieces on the empty shape, and the chain of the
+    # paper's example (lower, upper, lower pieces p1, p2, p3) broken at each
+    # chain check in turn
+    s = SkewShape((6, 6, 6, 6, 2, 2), (5, 4, 1, 1, 1, 0))
+    p1, p2, p3 = unmixed_decomposition(s).pieces
+    rep = dataclasses.replace
+    x = frozenset({(1, 6), (2, 6), (2, 5), (3, 2)})
+    empty = SkewShape(())
+    corner = rep(unmixed_decomposition(SkewShape((2, 1))).pieces[0],
+                 entry_block=frozenset({(1, 1)}))
+    for shape, cert, want in [
+        (SkewShape((3, 2)), unmixed_decomposition(SkewShape((3, 2))),
+         (False, "certificate is a failure witness")),
+        (empty, UnmixedCertificate(ok=True), (True, "empty shape")),
+        (empty, UnmixedCertificate(ok=True, pieces=(p1, p2, p3)), (False, "empty shape")),
+        (s, UnmixedCertificate(ok=True, pieces=(p1, p2, p3, p3)),
+         (False, "pieces overlap outside the shared extremal blocks")),
+        (s, UnmixedCertificate(ok=True, pieces=(p1, rep(p2, orientation="lower"), p3)),
+         (False, "orientations do not alternate")),
+        (s, UnmixedCertificate(ok=True, pieces=(p1, rep(p2, entry_block=frozenset()), p3)),
+         (False, "exit and entry blocks differ")),
+        (s, UnmixedCertificate(ok=True, pieces=(rep(p1, exit_block=x), rep(p2, entry_block=x), p3)),
+         (False, "consecutive pieces do not meet exactly in the shared block")),
+        (SkewShape((2, 1)), UnmixedCertificate(ok=True, pieces=(corner,)),
+         (False, "chain does not run from the top-right to the bottom-left corner")),
+    ]:
+        assert validate_certificate(shape, cert) == want, want
 
 
 @pytest.mark.parametrize("orientation, boxes, reason", [

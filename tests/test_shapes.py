@@ -41,6 +41,10 @@ def test_shape_validation():
         SkewShape((True, 1))  # bool outer part
     with pytest.raises(ValueError):
         SkewShape((2, 1), (True, False))  # bool inner parts
+    with pytest.raises(ValueError, match=r"^not in normal form: last inner part 1 != 0$"):
+        SkewShape((2, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"^empty column 2 in \(5, 5, 1\)/\(4, 2, 0\)$"):
+        SkewShape((5, 5, 1), (4, 2, 0))  # as many columns as boxes, one of them empty
 
 
 def test_shape_box_budget():
@@ -249,6 +253,9 @@ def test_derived_shapes_are_valid_and_match_box_sets():
         assert covered == boxes
         if s.is_connected():
             assert [c.shape for c in s.components()] == [s]
+    empty = SkewShape(())
+    assert empty.conjugate() == empty.rotate180() == empty.anti_transpose() == empty
+    assert empty.components() == []
 
 
 def test_delete_nothing_is_identity():

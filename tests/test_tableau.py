@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,8 @@ from skewtab import (Component, SkewShape, SkewTableau, TableauError,
 from skewtab.classify import (ShapeFlags, classify_flags, clear_caches, connected_parts, is_scm,
                               is_unmixed)
 
-from helpers import constant_filling, random_connected_filling, shapes_up_to
+from helpers import (constant_filling, line_ranks, order_preserving_refill,
+                     random_connected_filling, shapes_up_to)
 
 EXAMPLE_SHAPE = SkewShape((5, 4, 4), (2, 1, 0))
 EXAMPLE_FILL = SkewTableau(EXAMPLE_SHAPE, [[2, 3, 1], [2, 2, 1], [2, 2, 4, 3]])
@@ -33,6 +35,8 @@ def test_validate_errors():
     with pytest.raises(TableauError):
         SkewTableau.from_weights(SkewShape((2, 1)), {(1, 1): 1, (1, 2): 1,
                                                      (2, 1): 1, (2, 2): 7})
+    with pytest.raises(TableauError, match=r"^no weight for box \(1, 2\)$"):
+        SkewTableau.from_weights(SkewShape((2,)), {(1, 1): 1})
 
 
 def test_weight_lookup_and_round_trip():
@@ -166,7 +170,13 @@ def test_verdicts_survive_symmetries_past_the_oracles():
     the transpose's first pivot is another line, so two pivot choices meet
     at sizes no oracle reaches.  Random weights leave these mixed, so 6
     staircases of 5 to 10 rows with weights weakly increasing along rows
-    and columns add Cohen-Macaulay instances."""
+    and columns add Cohen-Macaulay instances.
+
+    Each filling also gets 5 random refillings with the same weak order on
+    every row and column.  Whether x^a lies in I(G,w), and its threshold
+    set, depend only on which edges at each vertex (a line) weigh <= a_v,
+    so the threshold sets, and with them these three verdicts, depend only
+    on each line's weak order.  Buchsbaum is not invariant."""
     def flags(t):
         classify_module.clear_caches()
         f = classify_tableau(t)
@@ -191,6 +201,9 @@ def test_verdicts_survive_symmetries_past_the_oracles():
                   "half turn": SkewTableau(t.shape.rotate180(), [r[::-1] for r in t.rows[::-1]]),
                   "2w": SkewTableau(t.shape, [[2 * w for w in r] for r in t.rows]),
                   "w+3": SkewTableau(t.shape, [[w + 3 for w in r] for r in t.rows])}
+        for k in range(5):
+            image = images[f"refill {k}"] = order_preserving_refill(rng, t)
+            assert line_ranks(image) == line_ranks(t), (t.to_dict(), image.to_dict())
         for name, image in images.items():
             assert flags(image) == verdicts[-1], (t.to_dict(), name)
     assert sum(scm for _, scm, _ in verdicts[:40]) == 16
@@ -286,6 +299,17 @@ def test_classify_tableau_decomposes_each_component_once(monkeypatch):
     calls.clear()
     classify_tableau(SkewTableau(SkewShape((2, 1), (1, 0)), [[4], [7]]))
     assert calls == [SkewShape((1,)), SkewShape((1,))]
+
+
+def test_classify_flags_raises_when_the_direct_criterion_disagrees(monkeypatch):
+    """cm of a filling is computed twice, as unmixed and scm and by the
+    direct criterion (monotone weights on a Cohen-Macaulay shape); an
+    unmixed verdict that is not monotone makes the two disagree, and the
+    error names the instance."""
+    monkeypatch.setattr(classify_module, "_unmixed_connected", lambda key: (True, False))
+    instance = {"lambda": [1], "mu": [0], "rows": [[1]]}
+    with pytest.raises(RuntimeError, match=re.escape(str(instance))):
+        classify_flags(SkewShape((1,)), ((1,),))
 
 
 def test_classify_tableau_vacuous_and_disconnected():

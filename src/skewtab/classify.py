@@ -36,8 +36,10 @@ A filling's weights are checked against the pieces on each call.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from .shapes import Part, Rows, SkewShape, _cuts, _deleted, _parts, conjugate_parts
@@ -110,24 +112,33 @@ def scm_pivots(s: SkewShape, rows: Rows = None) -> Iterator[dict]:
     A generator: the boundary cases come first, in order 1-4, then the
     interior rows and the interior columns, each in ascending order.  A
     pivot's deletion sets are built only when it is reached, so the
-    recursion, which uses the first pivot alone, builds no others.
+    recursion, which uses the first pivot alone, builds no others.  Row i
+    owns a pendant iff mu_{i-1} > lam_{i+1} (mu_0 = infinity, lam_{n+1} = 0),
+    so cases 1-4 are read off the end parts, with no pass over the shape; a
+    column's rows are found by bisection.
     """
-    lam, mu = s.lam, s.mu
-    lamc, muc = s.lam_conj(), s.mu_conj()
-    lines = [("row", i, 1 if i == 1 else (4 if i == s.n else None))
-             for i in sorted({lamc[j] for j in range(s.m) if lamc[j] - muc[j] == 1})]
-    lines += [("col", j, 2 if j == s.m else (3 if j == 1 else None))
-              for j in sorted({lam[i] for i in range(s.n) if lam[i] - mu[i] == 1})]
-    for kind, line, case in sorted(lines, key=lambda p: p[2] or 5):
+    lam, mu, n, m = s.lam, s.mu, s.n, s.m
+
+    def lines() -> Iterator[tuple[str, int, int | None]]:
+        ends = (("row", 1, 1, n == 1 or lam[0] > lam[1]), ("col", m, 2, lam[0] - mu[0] == 1),
+                ("col", 1, 3, m > 1 and lam[-1] == 1), ("row", n, 4, n > 1 and mu[-2] > 0))
+        yield from ((kind, line, case) for kind, line, case, found in ends if found)
+        yield from (("row", i, None) for i in range(2, n) if mu[i - 2] > lam[i])
+        yield from (("col", j, None) for j in sorted({l for l, u in zip(lam, mu) if l - u == 1})
+                    if 1 < j < m)
+
+    for kind, line, case in lines():
         row = kind == "row"
         if row:
             nbhd = range(mu[line - 1] + 1, lam[line - 1] + 1)
-            weights = (1,) * len(nbhd) if rows is None else rows[line - 1]
+            weights = None if rows is None else rows[line - 1]
         else:
-            nbhd = range(muc[line - 1] + 1, lamc[line - 1] + 1)
-            weights = [1 if rows is None else rows[i - 1][line - mu[i - 1] - 1] for i in nbhd]
-        levels = sorted(set(weights))
-        cuts = [{k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
+            below, upto = bisect_right(mu, -line, key=neg), bisect_right(lam, -line, key=neg)
+            nbhd = range(below + 1, upto + 1)  # the rows with mu_i < line <= lam_i
+            weights = None if rows is None else [rows[i - 1][line - mu[i - 1] - 1] for i in nbhd]
+        levels = [1] if weights is None else sorted(set(weights))
+        cuts = [set(nbhd)] if weights is None else [
+            {k for k, w in zip(nbhd, weights) if w <= c} for c in levels]
         deletions = [({line}, set()) if row else (set(), {line})]
         deletions += [(set(), cut) if row else (cut, set()) for cut in cuts]
         yield {"pivot": (kind, line), "boundary_case": case, "levels": levels,

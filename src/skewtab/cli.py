@@ -2,7 +2,7 @@
 
 Verdicts and certificates are JSON on stdout; diagnostics go to stderr.
 Exit codes: 0 = classified (or cross-check agreed), 1 = cross-check found a
-disagreement, 2 = invalid input.
+disagreement, 2 = invalid input, 3 = internal error.
 """
 
 from __future__ import annotations
@@ -146,6 +146,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:  # a shape too deep for the recursive search
+        raise
+    except RuntimeError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 
@@ -256,22 +257,45 @@ def _deleted(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
     out.  A component's columns are contiguous, so a column that only
     deleted rows used lies left of or between components; moving each
     component flush left (:func:`_parts`) removes it.
+
+    Lines of one kind dead from an end on (a boundary pivot's line, or its
+    whole neighbourhood) are sliced off instead: rows from each sequence,
+    columns 1..k or past c from the rows that keep a box, cut at that column.
     """
-    dead = sorted(dead_cols)
-    new_lam, new_mu, kept = [], [], []
-    for i, (l, u) in enumerate(zip(lam, mu)):
-        if i + 1 in dead_rows:
-            continue
-        below, upto = bisect_right(dead, u), bisect_right(dead, l)
-        if upto - below == l - u:  # every column of the row is dead
-            continue
-        new_lam.append(l - upto)
-        new_mu.append(u - below)
-        if rows is not None:
-            kept.append(rows[i] if upto == below else
-                        tuple([w for c, w in enumerate(rows[i], u + 1) if c not in dead_cols]))
-    lam, mu = tuple(new_lam), tuple(new_mu)
-    return _parts(lam, mu, None if rows is None else tuple(kept), _cuts(lam, mu)) if lam else ()
+    dead = dead_rows or dead_cols
+    k = len(dead)
+    end = (len(lam) if dead_rows else lam[0]) if k else 0
+    # the end line (1 or end) of an interval of dead lines of one kind, else 0
+    at = 0 if not k or dead_rows and dead_cols else (
+        1 if max(dead) == k else end if min(dead) == end - k + 1 else 0)
+    if not at:
+        dead = sorted(dead_cols)
+        new_lam, new_mu, kept = [], [], []
+        for i, (l, u) in enumerate(zip(lam, mu)):
+            if i + 1 in dead_rows:
+                continue
+            below, upto = bisect_right(dead, u), bisect_right(dead, l)
+            if upto - below == l - u:  # every column of the row is dead
+                continue
+            new_lam.append(l - upto)
+            new_mu.append(u - below)
+            if rows is not None:
+                kept.append(rows[i] if upto == below else
+                            tuple([w for c, w in enumerate(rows[i], u + 1) if c not in dead_cols]))
+        lam, mu, rows = tuple(new_lam), tuple(new_mu), None if rows is None else tuple(kept)
+    elif dead_rows:
+        keep = slice(k, None) if at == 1 else slice(end - k)
+        lam, mu, rows = lam[keep], mu[keep], None if rows is None else rows[keep]
+    elif at == 1:  # rows[:q] have mu_i > k, rows[:r] lam_i > k
+        q, r = bisect_right(mu, -k - 1, key=neg), bisect_right(lam, -k - 1, key=neg)
+        rows = rows and rows[:q] + tuple([w[k - u:] for w, u in zip(rows[q:r], mu[q:r])])
+        lam, mu = tuple([l - k for l in lam[:r]]), tuple([u - k for u in mu[:q]]) + (0,) * (r - q)
+    else:  # rows[:f] have mu_i >= c, rows[:p] lam_i > c
+        c = end - k
+        f, p = bisect_right(mu, -c, key=neg), bisect_right(lam, -c - 1, key=neg)
+        rows = rows and tuple([w[:c - u] for w, u in zip(rows[f:p], mu[f:p])]) + rows[p:]
+        lam, mu = (c,) * (p - f) + lam[p:], mu[f:]
+    return _parts(lam, mu, rows, _cuts(lam, mu)) if lam else ()
 
 
 def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Iterable[int] = (),

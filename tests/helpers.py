@@ -378,6 +378,18 @@ def delete_rows_cols_reference(s: SkewShape, rows=(), cols=()) -> list[Component
     return normalize(contents)
 
 
+def deleted_reference(lam, mu, rows, dead_rows, dead_cols) -> list[tuple]:
+    """``skewtab.shapes._deleted`` by the set-based reference: the component
+    keys (lam, mu, rows) of lam/mu with the rows ``dead_rows`` and the
+    columns ``dead_cols`` deleted, each weight row read box by box through
+    the reference's index maps."""
+    return [(c.shape.lam, c.shape.mu,
+             None if rows is None else
+             tuple(tuple(rows[r - 1][j - mu[r - 1] - 1] for j in c.col_map[cm:cl])
+                   for r, cl, cm in zip(c.row_map, c.shape.lam, c.shape.mu)))
+            for c in delete_rows_cols_reference(SkewShape(lam, mu), dead_rows, dead_cols)]
+
+
 def blocks_reference(s: SkewShape) -> list[tuple[tuple[int, int], tuple[int, int], bool]]:
     """Band grid of a connected shape, as (row band, column band, corner)
     triples; bands are 1-based inclusive intervals.

@@ -17,9 +17,10 @@ from skewtab.graphs import _adjacency, _is_shedding, _vd
 from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import conjugate_parts
 
-from helpers import (blocks_reference, boxes_of, delete_rows_cols_reference, partitions_up_to,
-                     piece_blocks_reference, pivot_groups, random_connected_filling,
-                     scm_all_pivots_reference, scm_pivots_reference, shapes_up_to)
+from helpers import (blocks_reference, boxes_of, delete_rows_cols_reference, deleted_reference,
+                     partitions_up_to, piece_blocks_reference, pivot_groups,
+                     random_connected_filling, scm_all_pivots_reference, scm_pivots_reference,
+                     shapes_up_to)
 
 
 def test_is_saturated_examples():
@@ -85,6 +86,39 @@ def test_scm_pivots_match_list_reference():
         interior += any(p["boundary_case"] is None for p in want)
     assert (several, interior) == (4752, 942)
 
+
+
+def test_scm_search_on_large_instances_matches_reference(monkeypatch):
+    """Past the exhaustive bounds: on staircases and width-2 and width-3
+    ribbons of 40, 95 and 150 rows, and on seeded random connected shapes
+    and fillings of 40 to 200 boxes, w <= 3, the search settles the same
+    keys with the same verdicts when its deletions go through the set-based
+    reference, and ``scm_pivots`` equals the list reference on every key
+    settled (transposes included), so boundary pivots read off the end
+    parts and sliced deletions are checked on every boundary case."""
+    instances = [(f(n), None) for n in (40, 95, 150)
+                 for f in (_staircase, lambda n: _ribbon(n, 2), lambda n: _ribbon(n, 3))]
+    rng = random.Random(20261021)
+    for boxes in (40, 70, 100, 150, 200):
+        t = random_connected_filling(rng, boxes, 3, 8)
+        instances += [(t.shape, None), (t.shape, t.rows)]
+    memos = []
+    for deleted in (classify._deleted, deleted_reference):
+        monkeypatch.setattr(classify, "_deleted", deleted)
+        memos.append([])
+        for s, rows in instances:
+            clear_caches()
+            is_scm(s, rows)
+            memos[-1].append(dict(classify._scm_cache))
+    assert memos[0] == memos[1]
+    cases = Counter()
+    for memo in memos[0]:
+        for lam, mu, rows in memo:
+            c = SkewShape(lam, mu)
+            pivots = scm_pivots_reference(c, rows)
+            assert list(scm_pivots(c, rows)) == pivots, (c, rows)
+            cases[pivots[0]["boundary_case"] if pivots else "none"] += 1
+    assert cases == {1: 938, 2: 1256, 3: 22, 4: 36, None: 24, "none": 15}
 
 def test_scm_conjugation_invariance():
     """The recursion decides a shape and its transpose alike.  The memo
@@ -601,7 +635,12 @@ def test_deep_shapes_classify_under_default_recursion_limit(lam, mu, flags):
     against the recursion limit: the loop over a group's keys, the
     component's verdict, the builtin ``all`` over the pivot's groups and its
     generator (on CPython 3.10 and 3.11 a builtin counts too).  So they fit
-    under the default limit of 1000: 248 rows classify, 249 raise."""
+    under the default limit of 1000.  The largest width-2 ribbon that fits
+    depends on the frames below the call (CPython 3.11): ``classify_shape``
+    called from a script's top level classifies 248 rows and raises at 249;
+    ``python -m skewtab classify`` exits 0 at 247 rows and fails at 248; a
+    test of this module under pytest classifies 239 rows and raises at
+    240."""
     f = classify_shape(SkewShape(lam, mu))
     assert (f.unmixed, f.scm, f.cm, f.buchsbaum, f.gcm) == flags
 

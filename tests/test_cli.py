@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from skewtab import harness
+from skewtab import classify, harness
 from skewtab.cli import main
 
 
@@ -293,6 +293,30 @@ def test_json_booleans_are_not_integers(shape_file, capsys, shape, filling):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 
+
+
+def test_internal_error_exits_3(shape_file, capsys, monkeypatch):
+    """A filling's cm is computed twice, and ``classify_flags`` raises
+    RuntimeError when the two disagree: a fault of the classifier, not of
+    the input or a cross-check, so exit 3 with one line on stderr that
+    names the instance."""
+    monkeypatch.setattr(classify, "_unmixed_connected", lambda key: (True, False))
+    spath = shape_file("s.json", {"lambda": [1]})
+    fpath = shape_file("f.json", {"rows": [[1]]})
+    code, out, err = run_cli(capsys, "classify", "--shape", spath, "--filling", fpath)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert str({"lambda": [1], "mu": [0], "rows": [[1]]}) in err
+
+
+def test_recursion_error_escapes(shape_file, monkeypatch):
+    """A RecursionError (a shape too deep for the recursive SCM search) is
+    not turned into an exit code."""
+    def too_deep(key):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(classify, "_scm_connected", too_deep)
+    with pytest.raises(RecursionError):
+        main(["classify", "--shape", shape_file("s.json", {"lambda": [1]})])
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--shape", "NESTED"],

@@ -3,10 +3,10 @@ from itertools import combinations
 import pytest
 
 from skewtab import SkewShape, delete_rows_cols, render
-from skewtab.shapes import MAX_SHAPE_BOXES, conjugate_parts
+from skewtab.shapes import MAX_SHAPE_BOXES, _deleted, conjugate_parts
 
-from helpers import (bfs_connected, blocks_reference, boxes_of, delete_rows_cols_reference,
-                     normalize, partitions_up_to, shape_from_boxes, shapes_up_to)
+from helpers import (bfs_connected, blocks_reference, boxes_of, deleted_reference, normalize,
+                     partitions_up_to, shape_from_boxes, shapes_up_to)
 
 
 def box_labels(s: SkewShape) -> tuple[tuple[int, ...], ...]:
@@ -217,10 +217,8 @@ def test_delete_rows_cols_matches_reference():
         for rows in row_sets:
             for cols in col_sets:
                 got = delete_rows_cols(s, rows, cols, labels)
-                want = [(c.shape, tuple(tuple(labels[r - 1][j - s.mu[r - 1] - 1]
-                                              for j in c.col_map[m:l])
-                                        for r, l, m in zip(c.row_map, c.shape.lam, c.shape.mu)))
-                        for c in delete_rows_cols_reference(s, rows, cols)]
+                want = [(SkewShape(lam, mu), kept)
+                        for lam, mu, kept in deleted_reference(s.lam, s.mu, labels, rows, cols)]
                 assert got == want, (s, rows, cols)
                 for shape, _ in got:
                     if shape not in valid:
@@ -228,6 +226,32 @@ def test_delete_rows_cols_matches_reference():
                         valid.add(shape)
                 deletions += 1
     assert deletions == 252_869
+
+
+def test_end_interval_deletions_match_reference():
+    """Rows 1..k or n-k+1..n, or columns 1..k or m-k+1..m, for every k,
+    are cut off by slicing (a boundary pivot's line, or its whole
+    neighbourhood); any other deletion takes the general pass.  On every
+    shape with <= 8 boxes, disconnected ones included, each such deletion,
+    bare and with labelled weight rows, gives the reference's components,
+    and so does one that also deletes a line of the other kind."""
+    deletions = 0
+    for s in shapes_up_to(8):
+        labels = box_labels(s)
+        dead_sets = []
+        for size, last_other, by_rows in ((s.n, s.m, True), (s.m, s.n, False)):
+            for k in range(1, size + 1):
+                for lines in (set(range(1, k + 1)), set(range(size - k + 1, size + 1))):
+                    for other in (set(), {last_other}):
+                        dead_sets.append((lines, other) if by_rows else (other, lines))
+        for dead_rows, dead_cols in dead_sets:
+            want = deleted_reference(s.lam, s.mu, labels, dead_rows, dead_cols)
+            got = list(_deleted(s.lam, s.mu, labels, dead_rows, dead_cols))
+            assert got == want, (s, dead_rows, dead_cols)
+            got = list(_deleted(s.lam, s.mu, None, dead_rows, dead_cols))
+            assert got == [(lam, mu, None) for lam, mu, _ in want], (s, dead_rows, dead_cols)
+            deletions += 1
+    assert deletions == 161_792
 
 
 def test_derived_shapes_are_valid_and_match_box_sets():

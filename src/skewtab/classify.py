@@ -22,16 +22,16 @@ variables, so every classifier runs per connected component, read off its
 memo key (lam, mu, rows) in normal form.  ``connected_parts`` splits a
 shape into these keys.  The SCM search runs on keys alone: a pivot's
 deletions yield keys (``shapes._deleted``), and a memo miss builds one
-shape, for the pivots and the transpose's key.  ``scm_trace`` lists the
-keys the search settles as its DAG, one node each: a True node's first
-pivot derives its children, and a False node names the child that failed,
-a chain down to a pendant-free leaf.  Both memos are read off the key
-alone, and a miss builds the component's shape from it.  ``_scm_cache``
-memoizes the verdict on a key and on its transpose's, ``_unmixed_cache``
-on a key's (lam, mu) whether the shape decomposes: one boolean, never a
-certificate, whose box sets would outlive every large shape classified.
-A filling's weights are checked against the pieces on each call.
-``clear_caches`` empties both memos.
+shape, for the pivots.  ``scm_trace`` lists the keys the search settles as
+its DAG, one node each: a True node's first pivot derives its children, and
+a False node names the child that failed, a chain down to a pendant-free
+leaf.  Both memos are read off the key alone, and a miss builds the
+component's shape from it.  ``_scm_cache`` memoizes the verdict on every
+key the search settles, and once per top-level component on its
+transpose's key too; ``_unmixed_cache`` on a key's (lam, mu) whether the
+shape decomposes: one boolean, never a certificate, whose box sets would
+outlive every large shape classified.  A filling's weights are checked
+against the pieces on each call.  ``clear_caches`` empties both memos.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     over their components (mixed sums).  A connected shape or filling is
     SCM iff its first pivot (:func:`scm_pivots`) has all of its derived
     shapes sequentially Cohen-Macaulay, and False when it has no pivot.
-    Memoized on (lam, mu, rows) and on the transpose's key.
+    Memoized on (lam, mu, rows) at every node of the search, and each
+    component's verdict on its transpose's key too (:func:`_scm_connected`).
 
     Every pivot gives the same answer, so the first one decides.  Let G be
     the filling's weighted graph (a vertex per line, an edge per box,
@@ -181,7 +182,10 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     N[y] is inside N[x] (Woodroofe 2009), so G is vertex decomposable when
     G - x and G - N[x] are.
     """
-    return _scm_all(connected_parts(s, rows))
+    for key in connected_parts(s, rows):  # a loop, as in _scm_all
+        if not _scm_connected(key, top=True):
+            return False
+    return True
 
 
 def _scm_all(keys: Iterable[Part]) -> bool:
@@ -193,11 +197,15 @@ def _scm_all(keys: Iterable[Part]) -> bool:
     return True
 
 
-def _scm_connected(key: Part) -> bool:
+def _scm_connected(key: Part, top: bool = False) -> bool:
     """The SCM verdict of the connected component ``key``, read off the
-    memo.  A miss builds its shape once, for the pivots and the transpose's
-    key; the first pivot's groups come from :func:`_deleted` as keys, one by
-    one, so that a failing group spares the deletions after it."""
+    memo.  A miss builds its shape once, for the pivots; the first pivot's
+    groups come from :func:`_deleted` as keys, one by one, so that a failing
+    group spares the deletions after it.  A ``top`` component, one that
+    ``is_scm`` or ``classify_flags`` decides, has its verdict stored under
+    its transpose's key too, as the cross-check meets K and its transpose
+    as two instances; the search's own nodes are not paired, as that would
+    cost each a conjugate pass and save a search almost nothing."""
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
@@ -207,11 +215,9 @@ def _scm_connected(key: Part) -> bool:
     # the first pivot decides (proof in is_scm)
     result = piv is not None and all(_scm_all(_deleted(lam, mu, rows, *dead))
                                      for dead in piv["deletions"])
-    # The verdict is stored under the transpose's key too.  Every write is
-    # such a pair and the transpose is an involution on (lam, mu, rows), so
-    # a verdict found for either key is already under this one: one lookup.
     _scm_cache[key] = result
-    _scm_cache[c.lam_conj(), c.mu_conj(), conjugate_rows(c, rows)] = result
+    if top:
+        _scm_cache[c.lam_conj(), c.mu_conj(), conjugate_rows(c, rows)] = result
     return result
 
 
@@ -641,10 +647,10 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
     unmixed = scm = True
     for key in connected_parts(s, rows):
         part_unmixed, monotone = _unmixed_connected(key)
-        part_scm = _scm_connected(key)
+        part_scm = _scm_connected(key, top=True)
         if rows is not None:
             part_cm = part_unmixed and part_scm
-            cm_direct = monotone and _scm_connected((*key[:2], None))
+            cm_direct = monotone and _scm_connected((*key[:2], None), top=True)
             if part_cm != cm_direct:
                 instance = _as_dict(SkewShape._trusted(*key[:2]), key[2])
                 raise RuntimeError(

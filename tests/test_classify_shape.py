@@ -12,7 +12,7 @@ from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate
                      is_scm_weighted_oracle, is_unmixed_tableau, scm_trace, tableau,
                      unmixed_decomposition, validate_certificate)
 from skewtab.classify import (_constant_on_blocks, _piece_as_partition, clear_caches,
-                              is_scm, scm_pivots)
+                              conjugate_rows, is_scm, scm_pivots)
 from skewtab.graphs import _adjacency, _is_shedding, _vd
 from skewtab.ideals import _threshold_u_sets
 from skewtab.shapes import conjugate_parts
@@ -94,8 +94,10 @@ def test_scm_search_on_large_instances_matches_reference(monkeypatch):
     and fillings of 40 to 200 boxes, w <= 3, the search settles the same
     keys with the same verdicts when its deletions go through the set-based
     reference, and ``scm_pivots`` equals the list reference on every key
-    settled (transposes included), so boundary pivots read off the end
-    parts and sliced deletions are checked on every boundary case."""
+    settled and on its transpose, so boundary pivots read off the end parts
+    and sliced deletions are checked on every boundary case.  The memo
+    pairs only the top-level components with their transposes; the
+    transposes of the search's nodes are added here."""
     instances = [(f(n), None) for n in (40, 95, 150)
                  for f in (_staircase, lambda n: _ribbon(n, 2), lambda n: _ribbon(n, 3))]
     rng = random.Random(20261021)
@@ -113,7 +115,11 @@ def test_scm_search_on_large_instances_matches_reference(monkeypatch):
     assert memos[0] == memos[1]
     cases = Counter()
     for memo in memos[0]:
+        keys = set(memo)
         for lam, mu, rows in memo:
+            s = SkewShape(lam, mu)
+            keys.add((s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows)))
+        for lam, mu, rows in keys:
             c = SkewShape(lam, mu)
             pivots = scm_pivots_reference(c, rows)
             assert list(scm_pivots(c, rows)) == pivots, (c, rows)
@@ -663,24 +669,29 @@ def test_classifiers_build_no_validated_shapes(monkeypatch):
     assert calls == []
 
 
+class MissCountingMemo(dict):
+    """An SCM memo that counts its lookups and the lookups that miss."""
+    lookups = misses = 0
+
+    def get(self, key, default=None):
+        hit = super().get(key, default)
+        self.lookups += 1
+        self.misses += hit is None
+        return hit
+
+
 def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
     """The SCM search runs on memo keys: a derived component is a key, and
-    a shape is built only on a memo miss, for the pivots and the transpose's
-    key.  From a cold memo per instance, on the 986 connected shapes with
-    <= 9 boxes and the 5,718 connected fillings with <= 5 boxes, w <= 3,
-    ``is_scm`` builds at most one shape (trusted or validated) per miss."""
+    a shape is built only on a memo miss, for the pivots and, at the top
+    level only, the transpose's key.  From a cold memo per instance, on the
+    986 connected shapes with <= 9 boxes and the 5,718 connected fillings
+    with <= 5 boxes, w <= 3, ``is_scm`` builds at most one shape (trusted
+    or validated) per miss, of 25,952."""
     instances = [(s, None) for s in shapes_up_to(9, connected_only=True)]
     instances += [(t.shape, t.rows) for s in shapes_up_to(5, connected_only=True)
                   for t in enumerate_fillings(s, 3)]
     assert len(instances) == 986 + 5718
-    counts = {"builds": 0, "misses": 0}
-
-    class Memo(dict):
-        def get(self, key, default=None):
-            hit = super().get(key, default)
-            counts["misses"] += hit is None
-            return hit
-
+    counts = {"builds": 0}
     trusted, init = SkewShape._trusted.__func__, SkewShape.__init__
 
     def counted(build):
@@ -689,14 +700,15 @@ def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
             return build(*args)
         return wrapper
 
-    monkeypatch.setattr(classify, "_scm_cache", Memo())
+    memo = MissCountingMemo()
+    monkeypatch.setattr(classify, "_scm_cache", memo)
     monkeypatch.setattr(SkewShape, "_trusted", classmethod(counted(trusted)))
     monkeypatch.setattr(SkewShape, "__init__", counted(init))
     for s, rows in instances:
         clear_caches()
         is_scm(s, rows)
-    assert counts["misses"] == 25860
-    assert counts["builds"] <= counts["misses"], counts
+    assert memo.misses == 25952
+    assert counts["builds"] <= memo.misses, (counts, memo.misses)
 
 
 def test_unmixed_memo_is_faithful():
@@ -731,12 +743,14 @@ def test_unmixed_memo_is_faithful():
 
 
 def test_scm_memo_holds_transpose_pairs():
-    """Every SCM verdict sits under its key and under its transpose's key,
-    so the recursion's one memo lookup finds a verdict reached from either
-    side.  The memo is filled from one instance of each transpose pair, so
-    that no transpose gets there by a call of its own: of the shapes with
-    <= 7 boxes and of the fillings with <= 4 boxes, w <= 2.  The transpose
-    is taken box by box."""
+    """A top-level component's SCM verdict sits under its key and under its
+    transpose's key, so one memo lookup finds an instance met before from
+    either side.  The memo is filled from one instance of each transpose
+    pair, so that no transpose gets there by a call of its own: of the
+    shapes with <= 7 boxes and of the fillings with <= 4 boxes, w <= 2.
+    Every key the searches settle is then also a top-level component of the
+    run, or the transpose of one, so every key in the memo is paired.  The
+    transpose is taken box by box."""
     def transpose(lam, mu, rows):
         s = SkewShape(lam, mu)
         conj = s.conjugate()
@@ -758,3 +772,31 @@ def test_scm_memo_holds_transpose_pairs():
     assert any(rows is not None for _, _, rows in memo)  # fillings reached it
     for key, verdict in memo.items():
         assert memo[transpose(*key)] == verdict, key
+
+
+def test_scm_memo_pairs_top_level_components_only(monkeypatch):
+    """From a cold memo, the search's nodes are memoized on their own keys
+    and only the top-level component on its transpose's key too: a width-2
+    ribbon of n rows, whose search settles 2n - 1 keys, leaves 2n entries,
+    and a staircase, its own transpose, leaves n.  A call on the transpose
+    of a connected instance classified from a cold memo makes no memo miss:
+    on the connected shapes with <= 7 boxes, the connected fillings with
+    <= 4 boxes, w <= 2, and ribbons and staircases."""
+    memo = MissCountingMemo()
+    monkeypatch.setattr(classify, "_scm_cache", memo)
+    for n in (20, 100, 200):
+        for s, entries in ((_ribbon(n, 2), 2 * n), (_staircase(n), n)):
+            clear_caches()
+            assert is_scm(s, None)
+            assert len(classify._scm_cache) == entries, (s, n)
+    instances = [(s, None) for s in shapes_up_to(7, connected_only=True)]
+    instances += [(t.shape, t.rows) for s in shapes_up_to(4, connected_only=True)
+                  for t in enumerate_fillings(s, 2)]
+    instances += [(f(n), None) for n in (20, 100) for f in (_staircase, lambda n: _ribbon(n, 2))]
+    assert len(instances) == 187 + 186 + 4
+    for s, rows in instances:
+        clear_caches()
+        scm = is_scm(s, rows)
+        memo.lookups = memo.misses = 0
+        assert is_scm(s.conjugate(), conjugate_rows(s, rows)) == scm, (s, rows)
+        assert (memo.lookups, memo.misses) == (1, 0), (s, rows)

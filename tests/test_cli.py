@@ -312,11 +312,15 @@ def test_internal_error_exits_3(shape_file, capsys, monkeypatch):
 def test_recursion_error_escapes(shape_file, monkeypatch):
     """A RecursionError (a shape too deep for the recursive SCM search) is
     not turned into an exit code."""
-    def too_deep(key):
+    calls = []
+
+    def too_deep(key, top=False):
+        calls.append((key, top))
         raise RecursionError("maximum recursion depth exceeded")
     monkeypatch.setattr(classify, "_scm_connected", too_deep)
     with pytest.raises(RecursionError):
         main(["classify", "--shape", shape_file("s.json", {"lambda": [1]})])
+    assert calls == [(((1,), (0,), None), True)]
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--shape", "NESTED"],

@@ -20,18 +20,18 @@ each row band and the columns of each column band carry equal weights.
 A shape's ideal is the sum of its components' ideals in disjoint
 variables, so every classifier runs per connected component, read off its
 memo key (lam, mu, rows) in normal form.  ``connected_parts`` splits a
-shape into these keys.  The SCM search runs on keys alone: a pivot's
-deletions yield keys (``shapes._deleted``), and a memo miss builds one
-shape, for the pivots.  ``scm_trace`` lists the keys the search settles as
-its DAG, one node each: a True node's first pivot derives its children, and
-a False node names the child that failed, a chain down to a pendant-free
-leaf.  Both memos are read off the key alone, and a miss builds the
-component's shape from it.  ``_scm_cache`` memoizes the verdict on every
-key the search settles, and once per top-level component on its
-transpose's key too; ``_unmixed_cache`` on a key's (lam, mu) whether the
-shape decomposes: one boolean, never a certificate, whose box sets would
-outlive every large shape classified.  A filling's weights are checked
-against the pieces on each call.  ``clear_caches`` empties both memos.
+shape into these keys.  The SCM search runs on keys alone, with no shape
+built: a memo miss reads its first pivot off the key and cuts its children
+off it as keys (``shapes._deleted``).  ``scm_trace`` lists the keys the
+search settles as its DAG, one node each: a True node's first pivot
+derives its children, and a False node names the child that failed, a
+chain down to a pendant-free leaf.  Both memos are read off the key alone;
+an unmixed miss builds the component's shape.  ``_scm_cache`` memoizes the
+verdict on every key the search settles, and once per top-level component
+on its transpose's key too; ``_unmixed_cache`` on a key's (lam, mu) whether
+the shape decomposes: one boolean, never a certificate, whose box sets
+would outlive every large shape classified.  A filling's weights are
+checked against the pieces on each call.  ``clear_caches`` empties both.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import cached_property
 from operator import neg
 from typing import Iterable, Iterator, Sequence
 
-from .shapes import Part, Rows, SkewShape, _cuts, _deleted, _parts, conjugate_parts
+from .shapes import Part, Rows, SkewShape, _cuts, _deleted, _parts, _transpose, conjugate_parts
 
 
 # -- saturation (Ferrers case) ------------------------------------------------
@@ -74,18 +74,9 @@ def connected_parts(s: SkewShape, rows: Rows) -> Iterable[Part]:
     return _parts(lam, mu, rows, cuts)
 
 
-def conjugate_rows(s: SkewShape, rows: Rows) -> Rows:
-    """Weight rows of the transpose of ``s``: box (i, j) moves to (j, i)."""
-    if rows is None:
-        return None
-    mu, lamc, muc = s.mu, s.lam_conj(), s.mu_conj()
-    # 0-based row i and column j
-    return tuple([tuple([rows[i][j - mu[i]] for i in range(muc[j], lamc[j])])
-                  for j in range(s.m)])
-
-
-def _as_dict(s: SkewShape, rows: Rows) -> dict:
-    return s.to_dict() if rows is None else {**s.to_dict(), "rows": [list(r) for r in rows]}
+def _as_dict(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows) -> dict:
+    shape = {"lambda": list(lam), "mu": list(mu)}
+    return shape if rows is None else {**shape, "rows": [list(r) for r in rows]}
 
 
 # -- SCM recursion -------------------------------------------------------------
@@ -94,8 +85,8 @@ def _as_dict(s: SkewShape, rows: Rows) -> dict:
 _scm_cache: dict[tuple, bool] = {}
 
 
-def scm_pivots(s: SkewShape, rows: Rows = None) -> Iterator[dict]:
-    """Deletion pivots for the SCM recursion of a connected shape or filling.
+def scm_pivots(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows = None) -> Iterator[dict]:
+    """Deletion pivots for the SCM recursion of a connected key (lam, mu, rows).
 
     A pivot is a row or column owning a pendant neighbor: a column j some of
     whose rows consist of the single box (i, j), or a row i some of whose
@@ -114,10 +105,10 @@ def scm_pivots(s: SkewShape, rows: Rows = None) -> Iterator[dict]:
     pivot's deletion sets are built only when it is reached, so the
     recursion, which uses the first pivot alone, builds no others.  Row i
     owns a pendant iff mu_{i-1} > lam_{i+1} (mu_0 = infinity, lam_{n+1} = 0),
-    so cases 1-4 are read off the end parts, with no pass over the shape; a
+    so cases 1-4 are read off the key's end parts, with no pass over it; a
     column's rows are found by bisection.
     """
-    lam, mu, n, m = s.lam, s.mu, s.n, s.m
+    n, m = len(lam), lam[0]
 
     def lines() -> Iterator[tuple[str, int, int | None]]:
         ends = (("row", 1, 1, n == 1 or lam[0] > lam[1]), ("col", m, 2, lam[0] - mu[0] == 1),
@@ -182,42 +173,39 @@ def is_scm(s: SkewShape, rows: Rows) -> bool:
     N[y] is inside N[x] (Woodroofe 2009), so G is vertex decomposable when
     G - x and G - N[x] are.
     """
-    for key in connected_parts(s, rows):  # a loop, as in _scm_all
-        if not _scm_connected(key, top=True):
-            return False
-    return True
+    return _scm_all(connected_parts(s, rows), top=True)
 
 
-def _scm_all(keys: Iterable[Part]) -> bool:
-    """Whether every component key in ``keys`` is SCM: a loop, not all()
-    over a generator, which would add a frame per level of the search."""
+def _scm_all(keys: Iterable[Part], top: bool = False) -> bool:
+    """Whether every component key in ``keys`` is SCM, ``top`` as in
+    :func:`_scm_connected`: a loop, not all() over a generator, which would
+    add a frame per level of the search."""
     for key in keys:
-        if not _scm_connected(key):
+        if not _scm_connected(key, top):
             return False
     return True
 
 
 def _scm_connected(key: Part, top: bool = False) -> bool:
     """The SCM verdict of the connected component ``key``, read off the
-    memo.  A miss builds its shape once, for the pivots; the first pivot's
-    groups come from :func:`_deleted` as keys, one by one, so that a failing
-    group spares the deletions after it.  A ``top`` component, one that
-    ``is_scm`` or ``classify_flags`` decides, has its verdict stored under
-    its transpose's key too, as the cross-check meets K and its transpose
-    as two instances; the search's own nodes are not paired, as that would
-    cost each a conjugate pass and save a search almost nothing."""
+    memo.  A miss reads the first pivot off the key, and its groups come
+    from :func:`_deleted` as keys, one by one, so that a failing group
+    spares the deletions after it.  A ``top`` component, one that ``is_scm``
+    or ``classify_flags`` decides, has its verdict stored under its
+    transpose's key too, as the cross-check meets K and its transpose as
+    two instances; the search's own nodes are not paired, as that would
+    cost each a transpose and save a search almost nothing."""
     hit = _scm_cache.get(key)
     if hit is not None:
         return hit
     lam, mu, rows = key
-    c = SkewShape._trusted(lam, mu)
-    piv = next(scm_pivots(c, rows), None)
+    piv = next(scm_pivots(lam, mu, rows), None)
     # the first pivot decides (proof in is_scm)
     result = piv is not None and all(_scm_all(_deleted(lam, mu, rows, *dead))
                                      for dead in piv["deletions"])
     _scm_cache[key] = result
     if top:
-        _scm_cache[c.lam_conj(), c.mu_conj(), conjugate_rows(c, rows)] = result
+        _scm_cache[_transpose(lam, mu, rows)] = result
     return result
 
 
@@ -239,9 +227,8 @@ def scm_trace(s: SkewShape, rows: Rows) -> dict:
     trace = {"scm": is_scm(s, rows), "components": [node_id(k) for k in connected_parts(s, rows)],
              "nodes": []}
     for lam, mu, r in keys:  # grows as the nodes meet new keys
-        c = SkewShape._trusted(lam, mu)
-        pivots = list(scm_pivots(c, r))
-        node = {"shape" if r is None else "tableau": _as_dict(c, r),
+        pivots = list(scm_pivots(lam, mu, r))
+        node = {"shape" if r is None else "tableau": _as_dict(lam, mu, r),
                 "scm": _scm_connected((lam, mu, r)), "pivots": [list(p["pivot"]) for p in pivots]}
         trace["nodes"].append(node)
         if not pivots:
@@ -467,8 +454,7 @@ def _constant_on_blocks(s: SkewShape, rows: Rows) -> bool:
     is a row band times a column band, so it is exactly when consecutive
     rows of one row band (equal (lam_i, mu_i)) carry equal weight rows, and
     consecutive columns of one column band equal weight columns."""
-    for lam, mu, lines in ((s.lam, s.mu, rows),
-                           (s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows))):
+    for lam, mu, lines in ((s.lam, s.mu, rows), _transpose(s.lam, s.mu, rows)):
         if any(lines[k] != lines[k + 1] for k in range(len(lines) - 1)
                if lam[k] == lam[k + 1] and mu[k] == mu[k + 1]):
             return False
@@ -652,7 +638,7 @@ def classify_flags(s: SkewShape, rows: Rows) -> ShapeFlags:
             part_cm = part_unmixed and part_scm
             cm_direct = monotone and _scm_connected((*key[:2], None), top=True)
             if part_cm != cm_direct:
-                instance = _as_dict(SkewShape._trusted(*key[:2]), key[2])
+                instance = _as_dict(*key)
                 raise RuntimeError(
                     f"internal inconsistency classifying {instance}: "
                     f"unmixed&scm={part_cm} but direct criterion={cm_direct}")

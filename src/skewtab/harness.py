@@ -36,10 +36,10 @@ from itertools import accumulate, product
 from multiprocessing import Pool
 from typing import Iterator
 
-from .shapes import Rows, SkewShape, _half_turn
+from .shapes import Rows, SkewShape, _half_turn, _transpose
 from .graphs import from_shape, is_buchsbaum_graph
-from .classify import (FLAG_NAMES, classify_shape, conjugate_rows, is_constant_full_square,
-                       is_scm_skew, is_unmixed_skew)
+from .classify import (FLAG_NAMES, classify_shape, is_constant_full_square, is_scm_skew,
+                       is_unmixed_skew)
 from .ideals import is_scm_weighted_oracle, is_unmixed_ideal
 from .tableau import SkewTableau, classify_tableau, is_scm_tableau, is_unmixed_tableau
 
@@ -161,13 +161,12 @@ def oracle_verdict(x: SkewShape | SkewTableau, prop: str) -> bool:
 def _orbit(s: SkewShape, rows: Rows = None) -> set[tuple]:
     """(lam, mu, rows) of an instance and its three images, where ``s`` is
     the instance's shape and ``rows`` its weight rows, None for a bare
-    shape.  The keys are read off s and its conjugate parts, with no image
-    shape built: the transpose of the half turn is the half turn of the
-    transpose."""
-    lamc, muc = s.lam_conj(), s.mu_conj()
-    conj_rows = conjugate_rows(s, rows)
-    return {(s.lam, s.mu, rows), (lamc, muc, conj_rows),
-            _half_turn(s.lam, s.mu, rows), _half_turn(lamc, muc, conj_rows)}
+    shape: the key, its transpose t, and the half turns of both, with no
+    image shape built, as the transpose of the half turn is the half turn
+    of the transpose."""
+    key = s.lam, s.mu, rows
+    t = _transpose(*key)
+    return {key, t, _half_turn(*key), _half_turn(*t)}
 
 
 def _check_share(args: tuple) -> tuple[int, list[dict]]:

@@ -4,10 +4,10 @@ Rows and columns are 1-based throughout.  A skew shape is kept in normal
 form: the inner boundary is weakly decreasing with last entry zero, every
 row is nonempty, and every column 1..m holds at least one box.  The empty
 shape is a valid degenerate value.  :func:`_deleted` deletes whole rows
-and columns, drops the lines left empty and splits the rest into its
-connected components as memo keys (``Part``), each in normal form, with a
-filling's weight rows (``Rows``) carried along; :func:`delete_rows_cols`
-checks the indices and builds the components' shapes.
+and columns of a connected memo key (``Part``) and splits what is left into
+its components as normal-form keys, a filling's weight rows (``Rows``)
+carried along; :func:`delete_rows_cols` checks the indices, takes any
+shape and builds the shapes of the components.
 
 Trust boundary: ``SkewShape(lam, mu)`` and ``SkewShape.from_dict`` take
 outside input and validate it in full, refusing more than
@@ -49,6 +49,15 @@ def conjugate_parts(parts: Sequence[int], length: int | None = None) -> tuple[in
             count -= 1
         conj.append(count)
     return tuple(conj)
+
+
+def _transpose(lam: Sequence[int], mu: Sequence[int], rows: Rows = None) -> Part:
+    """(lam, mu, rows) of the transpose (i,j) -> (j,i) of the shape lam/mu
+    with weight rows ``rows``: its rows are the columns of lam/mu."""
+    lamc = conjugate_parts(lam)
+    muc = conjugate_parts(mu, len(lamc))  # 0-based row i and column j below
+    return lamc, muc, rows and tuple([tuple([rows[i][j - mu[i]] for i in range(muc[j], lamc[j])])
+                                      for j in range(len(lamc))])
 
 
 def _half_turn(lam: Sequence[int], mu: Sequence[int], rows: Rows = None) -> Part:
@@ -226,7 +235,7 @@ def _cuts(lam: Sequence[int], mu: Sequence[int]) -> list[int]:
 
 
 def _parts(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
-           cuts: list[int]) -> Iterator[Part]:
+           cuts: Sequence[int]) -> Iterator[Part]:
     """The components of the nonempty rows lam/mu cut at ``cuts``, top to
     bottom, as (lam, mu, rows) keys: rows start..stop-1 (0-based) moved left
     by their last inner part mu_{stop-1} into normal form, and their slice
@@ -249,7 +258,8 @@ def _deleted(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
     """The connected components of lam/mu left when the rows ``dead_rows``
     and the columns ``dead_cols`` (1-based sets, in range, neither copied
     nor checked) are deleted, top to bottom, as memo keys (lam, mu, rows);
-    ``rows`` are the weight rows of a filling, None for the bare shape.
+    ``rows`` are the weight rows of a filling, None for the bare shape.  The
+    input is one connected key, as every key of the SCM search is.
 
     One pass over the rows: a surviving row's lam_i and mu_i drop by the
     number of dead columns at or left of them, found by bisection, its
@@ -261,6 +271,8 @@ def _deleted(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
     Lines of one kind dead from an end on (a boundary pivot's line, or its
     whole neighbourhood) are sliced off instead: rows from each sequence,
     columns 1..k or past c from the rows that keep a box, cut at that column.
+    Two surviving adjacent rows meet after a slice iff they met before, so
+    it leaves the one key, moved flush left, with no pass for the cuts.
     """
     dead = dead_rows or dead_cols
     k = len(dead)
@@ -295,18 +307,20 @@ def _deleted(lam: tuple[int, ...], mu: tuple[int, ...], rows: Rows,
         f, p = bisect_right(mu, -c, key=neg), bisect_right(lam, -c - 1, key=neg)
         rows = rows and tuple([w[:c - u] for w, u in zip(rows[f:p], mu[f:p])]) + rows[p:]
         lam, mu = (c,) * (p - f) + lam[p:], mu[f:]
-    return _parts(lam, mu, rows, _cuts(lam, mu)) if lam else ()
+    return _parts(lam, mu, rows, () if at else _cuts(lam, mu)) if lam else ()
 
 
 def delete_rows_cols(s: SkewShape, dead_rows: Iterable[int] = (), dead_cols: Iterable[int] = (),
                      rows: Rows = None) -> list[tuple[SkewShape, Rows]]:
     """:func:`_deleted` on ``s`` and its weight rows ``rows``, with every index
-    checked to be in range, as (shape, weight rows) pairs."""
+    checked to be in range, as (shape, weight rows) pairs, each key it
+    returns split into its components, as ``s`` may be disconnected."""
     dead_rows, dead_cols = set(dead_rows), set(dead_cols)
     if not all(1 <= r <= s.n for r in dead_rows) or not all(1 <= c <= s.m for c in dead_cols):
         raise ValueError("row/column index out of range")
     return [(SkewShape._trusted(lam, mu), piece_rows)
-            for lam, mu, piece_rows in _deleted(s.lam, s.mu, rows, dead_rows, dead_cols)]
+            for key in _deleted(s.lam, s.mu, rows, dead_rows, dead_cols)
+            for lam, mu, piece_rows in _parts(*key, _cuts(*key[:2]))]
 
 
 # -- rendering -----------------------------------------------------------

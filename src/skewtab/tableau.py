@@ -5,8 +5,8 @@ classifiers are those of :mod:`skewtab.classify` run with the filling's
 weight rows, which set the SCM recursion's cuts and add block constancy and
 monotonicity to the unmixed test.  They share the SCM and unmixed memos,
 which ``clear_caches`` (re-exported here) empties.  ``SkewTableau(...)``
-and ``from_dict`` validate their input; the fillings that the harness
-enumerates from a valid shape are built unchecked by ``_trusted``.
+and ``from_dict`` validate their input; fillings derived from valid ones
+(conjugates, deletions, enumerated fillings) are built by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .shapes import SkewShape, delete_rows_cols, render
-from .classify import (ShapeFlags, classify_flags, clear_caches, conjugate_rows, is_scm,
-                       is_unmixed)
+from .shapes import SkewShape, _transpose, delete_rows_cols, render
+from .classify import ShapeFlags, classify_flags, clear_caches, is_scm, is_unmixed
 
 
 class TableauError(ValueError):
@@ -69,12 +68,13 @@ class SkewTableau:
         return {(i, j): self.weight(i, j) for i, j in self.shape.boxes()}
 
     def conjugate(self) -> "SkewTableau":
-        return SkewTableau(self.shape.conjugate(), conjugate_rows(self.shape, self.rows))
+        lam, mu, rows = _transpose(self.shape.lam, self.shape.mu, self.rows)
+        return SkewTableau._trusted(SkewShape._trusted(lam, mu), rows)
 
     def delete(self, dead_rows: Iterable[int] = (),
                dead_cols: Iterable[int] = ()) -> list["SkewTableau"]:
         """Delete rows/columns, renormalize, and carry the weights along."""
-        return [SkewTableau(*part)
+        return [SkewTableau._trusted(*part)
                 for part in delete_rows_cols(self.shape, dead_rows, dead_cols, self.rows)]
 
     def to_dict(self) -> dict:

@@ -88,21 +88,21 @@ def scm_all_pivots_reference(s: SkewShape, rows=None, memo: dict | None = None) 
         memo = {}
     for key in connected_parts(s, rows):
         if key not in memo:
-            part = SkewShape(key[0], key[1]), key[2]
             memo[key] = any(all(scm_all_pivots_reference(SkewShape(lam, mu), u_rows, memo)
-                                for group in pivot_groups(*part, piv)
+                                for group in pivot_groups(*key, piv)
                                 for lam, mu, u_rows in group)
-                            for piv in scm_pivots(*part))
+                            for piv in scm_pivots(*key))
         if not memo[key]:
             return False
     return True
 
 
-def pivot_groups(s: SkewShape, rows, piv: dict) -> list[list[tuple]]:
+def pivot_groups(lam, mu, rows, piv: dict) -> list[list[tuple]]:
     """A pivot's derived groups as the SCM search reads them: for each of
     its deletions, the component keys (lam, mu, rows) that
-    ``skewtab.shapes._deleted`` leaves of ``s`` and its weight rows."""
-    return [list(_deleted(s.lam, s.mu, rows, *dead)) for dead in piv["deletions"]]
+    ``skewtab.shapes._deleted`` leaves of the connected key (lam, mu,
+    rows)."""
+    return [list(_deleted(lam, mu, rows, *dead)) for dead in piv["deletions"]]
 
 
 def scm_pivots_reference(s: SkewShape, rows=None) -> list[dict]:

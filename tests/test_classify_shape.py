@@ -11,11 +11,11 @@ from skewtab import (PrimeShapePiece, SkewShape, SkewTableau, UnmixedCertificate
                      is_saturated, is_scm_skew, is_unmixed_ideal, is_unmixed_skew,
                      is_scm_weighted_oracle, is_unmixed_tableau, scm_trace, tableau,
                      unmixed_decomposition, validate_certificate)
-from skewtab.classify import (_constant_on_blocks, _piece_as_partition, clear_caches,
-                              conjugate_rows, is_scm, scm_pivots)
+from skewtab.classify import (_constant_on_blocks, _piece_as_partition, clear_caches, is_scm,
+                              scm_pivots)
 from skewtab.graphs import _adjacency, _is_shedding, _vd
 from skewtab.ideals import _threshold_u_sets
-from skewtab.shapes import conjugate_parts
+from skewtab.shapes import _cuts, _transpose, conjugate_parts
 
 from helpers import (blocks_reference, boxes_of, delete_rows_cols_reference, deleted_reference,
                      partitions_up_to, piece_blocks_reference, pivot_groups,
@@ -59,9 +59,9 @@ def test_is_scm_skew_vacuous_and_disconnected():
 def test_interior_pendant_shape():
     # no boundary pivot applies, yet a pendant row at column 2 shreds the graph
     s = SkewShape((3, 3, 2, 2, 2), (1, 1, 1, 0, 0))
-    pivots = {p["pivot"] for p in scm_pivots(s)}
+    pivots = {p["pivot"] for p in scm_pivots(s.lam, s.mu)}
     assert pivots == {("col", 2)}
-    assert all(p["boundary_case"] is None for p in scm_pivots(s))
+    assert all(p["boundary_case"] is None for p in scm_pivots(s.lam, s.mu))
     assert is_scm_skew(s)
     assert is_scm_weighted_oracle(from_shape(s))
 
@@ -78,7 +78,7 @@ def test_scm_pivots_match_list_reference():
     assert len(instances) == 986 + 5718
     several = interior = 0
     for s, rows in instances:
-        pivots = scm_pivots(s, rows)
+        pivots = scm_pivots(s.lam, s.mu, rows)
         assert inspect.isgenerator(pivots)
         want = scm_pivots_reference(s, rows)
         assert list(pivots) == want, (s, rows)
@@ -116,13 +116,11 @@ def test_scm_search_on_large_instances_matches_reference(monkeypatch):
     cases = Counter()
     for memo in memos[0]:
         keys = set(memo)
-        for lam, mu, rows in memo:
-            s = SkewShape(lam, mu)
-            keys.add((s.lam_conj(), s.mu_conj(), conjugate_rows(s, rows)))
+        keys.update(_transpose(*key) for key in memo)
         for lam, mu, rows in keys:
             c = SkewShape(lam, mu)
             pivots = scm_pivots_reference(c, rows)
-            assert list(scm_pivots(c, rows)) == pivots, (c, rows)
+            assert list(scm_pivots(lam, mu, rows)) == pivots, (c, rows)
             cases[pivots[0]["boundary_case"] if pivots else "none"] += 1
     assert cases == {1: 938, 2: 1256, 3: 22, 4: 36, None: 24, "none": 15}
 
@@ -182,8 +180,8 @@ def test_pivots_of_vertex_decomposable_shapes_derive_vertex_decomposable_shapes(
     vertex decomposable too (10,924 derived shapes)."""
     shapes = [s for s in shapes_up_to(10, connected_only=True)
               if is_scm_weighted_oracle(from_shape(s))]
-    derived = [SkewShape(lam, mu) for s in shapes for piv in scm_pivots(s)
-               for group in pivot_groups(s, None, piv) for lam, mu, _ in group]
+    derived = [SkewShape(lam, mu) for s in shapes for piv in scm_pivots(s.lam, s.mu)
+               for group in pivot_groups(s.lam, s.mu, None, piv) for lam, mu, _ in group]
     assert (len(shapes), len(derived)) == (1815, 10924)
     for u in derived:
         assert is_scm_weighted_oracle(from_shape(u)), u
@@ -197,8 +195,9 @@ def test_pivots_of_scm_fillings_derive_scm_fillings():
     fillings = [t for s in shapes_up_to(5, connected_only=True) for t in enumerate_fillings(s, 2)
                 if is_scm_weighted_oracle(from_shape(t.shape, t.rows))]
     derived = [SkewTableau(SkewShape(lam, mu), rows) for t in fillings
-               for piv in scm_pivots(t.shape, t.rows)
-               for group in pivot_groups(t.shape, t.rows, piv) for lam, mu, rows in group]
+               for piv in scm_pivots(t.shape.lam, t.shape.mu, t.rows)
+               for group in pivot_groups(t.shape.lam, t.shape.mu, t.rows, piv)
+               for lam, mu, rows in group]
     assert (len(fillings), len(derived)) == (794, 3016)
     for u in derived:
         assert is_scm_weighted_oracle(from_shape(u.shape, u.rows)), u.to_dict()
@@ -218,9 +217,9 @@ def test_children_threshold_sets_are_parent_threshold_sets():
         for t in enumerate_fillings(s, 3):
             g = from_shape(s, t.rows)
             parent = set(_threshold_u_sets(g))
-            for piv in scm_pivots(s, t.rows):
-                for (dead_rows, dead_cols), group in zip(piv["deletions"],
-                                                         pivot_groups(s, t.rows, piv)):
+            for piv in scm_pivots(s.lam, s.mu, t.rows):
+                for (dead_rows, dead_cols), group in zip(
+                        piv["deletions"], pivot_groups(s.lam, s.mu, t.rows, piv)):
                     dead = sum(1 << (i - 1) for i in dead_rows)
                     dead |= sum(1 << (s.n + j - 1) for j in dead_cols)
                     child = WeightedGraph(g.nverts, tuple(
@@ -680,17 +679,22 @@ class MissCountingMemo(dict):
         return hit
 
 
-def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
-    """The SCM search runs on memo keys: a derived component is a key, and
-    a shape is built only on a memo miss, for the pivots and, at the top
-    level only, the transpose's key.  From a cold memo per instance, on the
-    986 connected shapes with <= 9 boxes and the 5,718 connected fillings
-    with <= 5 boxes, w <= 3, ``is_scm`` builds at most one shape (trusted
-    or validated) per miss, of 25,952."""
+def _search_instances() -> list[tuple]:
+    """The 986 connected shapes with <= 9 boxes and the 5,718 connected
+    fillings with <= 5 boxes, w <= 3, as (shape, rows)."""
     instances = [(s, None) for s in shapes_up_to(9, connected_only=True)]
     instances += [(t.shape, t.rows) for s in shapes_up_to(5, connected_only=True)
                   for t in enumerate_fillings(s, 3)]
     assert len(instances) == 986 + 5718
+    return instances
+
+
+def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
+    """The SCM search runs on memo keys alone: a derived component is a
+    key, its pivots are read off the key, and the top level's transpose
+    key is computed from the key.  From a cold memo per instance, on
+    ``_search_instances``, ``is_scm`` builds no shape (trusted or
+    validated) in its 25,952 memo misses."""
     counts = {"builds": 0}
     trusted, init = SkewShape._trusted.__func__, SkewShape.__init__
 
@@ -700,6 +704,7 @@ def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
             return build(*args)
         return wrapper
 
+    instances = _search_instances()
     memo = MissCountingMemo()
     monkeypatch.setattr(classify, "_scm_cache", memo)
     monkeypatch.setattr(SkewShape, "_trusted", classmethod(counted(trusted)))
@@ -708,7 +713,28 @@ def test_scm_search_builds_at_most_one_shape_per_memo_miss(monkeypatch):
         clear_caches()
         is_scm(s, rows)
     assert memo.misses == 25952
-    assert counts["builds"] <= memo.misses, (counts, memo.misses)
+    assert counts["builds"] == 0, counts
+
+
+def test_scm_search_deletes_from_connected_keys_only(monkeypatch):
+    """``shapes._deleted`` returns an end slice as one key with no pass for
+    the cuts, which holds only for a connected input.  From a cold memo per
+    instance, on ``_search_instances``, each of the 187,514 keys that
+    ``is_scm`` and ``scm_trace`` hand it is connected."""
+    inputs = []
+    deleted = classify._deleted
+
+    def recording(lam, mu, *rest):
+        inputs.append((lam, mu))
+        return deleted(lam, mu, *rest)
+
+    monkeypatch.setattr(classify, "_deleted", recording)
+    for s, rows in _search_instances():
+        for search in (is_scm, scm_trace):
+            clear_caches()
+            search(s, rows)
+    assert len(inputs) == 187514
+    assert not [key for key in inputs if _cuts(*key)]
 
 
 def test_unmixed_memo_is_faithful():
@@ -798,5 +824,5 @@ def test_scm_memo_pairs_top_level_components_only(monkeypatch):
         clear_caches()
         scm = is_scm(s, rows)
         memo.lookups = memo.misses = 0
-        assert is_scm(s.conjugate(), conjugate_rows(s, rows)) == scm, (s, rows)
+        assert is_scm(s.conjugate(), _transpose(s.lam, s.mu, rows)[2]) == scm, (s, rows)
         assert (memo.lookups, memo.misses) == (1, 0), (s, rows)

@@ -232,11 +232,20 @@ def test_end_interval_deletions_match_reference():
     """Rows 1..k or n-k+1..n, or columns 1..k or m-k+1..m, for every k,
     are cut off by slicing (a boundary pivot's line, or its whole
     neighbourhood); any other deletion takes the general pass.  On every
-    shape with <= 8 boxes, disconnected ones included, each such deletion,
-    bare and with labelled weight rows, gives the reference's components,
-    and so does one that also deletes a line of the other kind."""
+    shape with <= 8 boxes, each such deletion, bare and with labelled
+    weight rows, gives the reference's components, and so does one that
+    also deletes a line of the other kind.  ``_deleted`` takes a connected
+    key and returns a slice as one key, with no pass for the cuts, so a
+    connected shape goes through it directly and a disconnected one through
+    ``delete_rows_cols``, which splits what it returns."""
+
+    def split(lam, mu, rows, dead_rows, dead_cols):
+        return [(c.lam, c.mu, kept) for c, kept in
+                delete_rows_cols(SkewShape(lam, mu), dead_rows, dead_cols, rows)]
+
     deletions = 0
     for s in shapes_up_to(8):
+        deleted = _deleted if s.is_connected() else split
         labels = box_labels(s)
         dead_sets = []
         for size, last_other, by_rows in ((s.n, s.m, True), (s.m, s.n, False)):
@@ -246,9 +255,9 @@ def test_end_interval_deletions_match_reference():
                         dead_sets.append((lines, other) if by_rows else (other, lines))
         for dead_rows, dead_cols in dead_sets:
             want = deleted_reference(s.lam, s.mu, labels, dead_rows, dead_cols)
-            got = list(_deleted(s.lam, s.mu, labels, dead_rows, dead_cols))
+            got = list(deleted(s.lam, s.mu, labels, dead_rows, dead_cols))
             assert got == want, (s, dead_rows, dead_cols)
-            got = list(_deleted(s.lam, s.mu, None, dead_rows, dead_cols))
+            got = list(deleted(s.lam, s.mu, None, dead_rows, dead_cols))
             assert got == [(lam, mu, None) for lam, mu, _ in want], (s, dead_rows, dead_cols)
             deletions += 1
     assert deletions == 161_792

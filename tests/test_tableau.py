@@ -397,3 +397,23 @@ def test_delete_carries_weights():
     assert len(subs) == 1
     assert subs[0].shape == SkewShape((4, 4), (1, 0))
     assert subs[0].rows == ((2, 2, 1), (2, 2, 4, 3))
+
+
+def test_derived_tableaux_are_valid():
+    """``conjugate`` and ``delete`` build their fillings unchecked: on the
+    fillings with <= 5 boxes, w <= 2, disconnected shapes included, the
+    conjugate and every deletion of one row or one column pass the
+    validating constructors, and the conjugate carries each weight to the
+    transposed box."""
+    fillings = [t for s in shapes_up_to(5) for t in enumerate_fillings(s, 2)]
+    derived = 0
+    for t in fillings:
+        conj = t.conjugate()
+        assert conj.weights() == {(j, i): w for (i, j), w in t.weights().items()}, t.to_dict()
+        deletions = [t.delete(dead_rows={i}) for i in range(1, t.shape.n + 1)]
+        deletions += [t.delete(dead_cols={j}) for j in range(1, t.shape.m + 1)]
+        for u in [conj, *(u for parts in deletions for u in parts)]:
+            validate(u)
+            assert SkewShape(u.shape.lam, u.shape.mu) == u.shape, u.to_dict()
+            derived += 1
+    assert (len(fillings), derived) == (3318, 49286)
